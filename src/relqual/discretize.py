@@ -214,48 +214,69 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
 
 
 class DiscreteScoreCache:
-    """Multinomial BIC family scores with per-(child, parent set) memoization."""
+    """Multinomial BIC family scores of one dataset, or of bootstrap
+    resamples of it.
 
-    def __init__(self, data: DiscreteDataset, max_parents: int | None = None):
+    ``family_scores`` scores parent sets of one child in every sample, one
+    bincount per family over all samples; ``family_score`` scores one
+    family of the first (or only) sample.
+    """
+
+    def __init__(self, data: DiscreteDataset, max_parents: int | None = None,
+                 resamples: np.ndarray | None = None):
         self.rows = data.rows
         self.levels = data.levels
         self.n = data.n
         self.p = len(data.levels)
         self.max_parents = self.p - 1 if max_parents is None else min(max_parents, self.p - 1)
+        self.resamples = (np.arange(self.n)[None, :] if resamples is None
+                          else np.asarray(resamples))
+        self.samples = len(self.resamples)
         self._log_n = float(np.log(self.n))
-        self._cache: list[dict[int, float]] = [dict() for _ in range(self.p)]
 
-    def family_score(self, child: int, parent_mask: int) -> float:
-        cached = self._cache[child].get(parent_mask)
-        if cached is not None:
-            return cached
-        parents = []
-        mask, i = parent_mask, 0
-        while mask:
-            if mask & 1:
-                parents.append(i)
-            mask >>= 1
-            i += 1
-        if len(parents) > self.max_parents:
+    def family_scores(self, child: int, parent_sets: np.ndarray,
+                      resamples: slice = slice(None)
+                      ) -> tuple[np.ndarray, dict[tuple[int, int], ValueError]]:
+        """Scores of ``child`` given each row of ``parent_sets`` (M x k,
+        ascending indices) in each selected sample: a (B, M) array and an
+        empty failure map (multinomial scores always exist)."""
+        idx = self.resamples[resamples]
+        if parent_sets.shape[1] > self.max_parents:
             raise ValueError("parent set exceeds max_parents")
         child_levels = self.levels[child]
-        config_size = 1
-        code = self.rows[:, child].copy()
-        radix = child_levels
-        for parent in parents:
-            code += radix * self.rows[:, parent]
-            radix *= self.levels[parent]
-            config_size *= self.levels[parent]
-        cell = np.bincount(code, minlength=radix).reshape(config_size, child_levels)
-        config = cell.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loglik = float(np.sum(np.where(cell > 0, cell * np.log(
-                np.where(cell > 0, cell, 1.0)
-                / np.where(config > 0, config, 1.0)[:, None]), 0.0)))
-        k = (child_levels - 1) * config_size
-        score = loglik - 0.5 * k * self._log_n
-        self._cache[child][parent_mask] = score
-        return score
+        scores = np.empty((len(idx), len(parent_sets)))
+        for m, parents in enumerate(parent_sets):
+            config_size = 1
+            code = self.rows[:, child].copy()
+            radix = child_levels
+            for parent in parents:
+                code += radix * self.rows[:, parent]
+                radix *= self.levels[parent]
+                config_size *= self.levels[parent]
+            # sample b's cells sit at offset b * radix
+            offsets = np.arange(len(idx))[:, None] * radix
+            cell = np.bincount((code[idx] + offsets).ravel(),
+                               minlength=len(idx) * radix)
+            cell = cell.reshape(len(idx), config_size, child_levels)
+            config = cell.sum(axis=2)
+            # cell * ln(cell / config) on observed cells, 0 elsewhere; in
+            # place, with the operations of scoring each sample alone
+            observed = cell > 0
+            terms = np.where(observed, cell, 1.0)
+            terms /= np.where(config > 0, config, 1.0)[:, :, None]
+            np.log(terms, out=terms)
+            terms *= cell
+            terms[~observed] = 0.0
+            loglik = terms.reshape(len(idx), -1).sum(axis=1)
+            k = (child_levels - 1) * config_size
+            scores[:, m] = loglik - 0.5 * k * self._log_n
+        return scores, {}
+
+    def family_score(self, child: int, parent_mask: int) -> float:
+        parents = [i for i in range(self.p) if parent_mask >> i & 1]
+        scores, _ = self.family_scores(
+            child, np.array([parents], dtype=np.intp), slice(0, 1))
+        return float(scores[0, 0])
 
     def score_dag(self, dag) -> float:
         total = 0.0

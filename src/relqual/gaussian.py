@@ -110,53 +110,89 @@ def fit(dag: Dag, data: Dataset) -> GaussianBn:
 
 
 class GaussianScoreCache:
-    """Per-dataset cache of Gaussian BIC family scores.
+    """Gaussian BIC family scores of one dataset, or of bootstrap resamples
+    of it.
 
-    The dataset is reduced once to its ML mean/covariance; each family
-    score is then a small SPD solve, so structure search never touches the
-    raw rows again.  Scores are memoized per (child, parent bitmask).
+    Each sample is reduced once to its ML covariance; a family score is then
+    a small SPD solve, so structure search never touches the raw rows
+    again.  ``family_scores`` scores many parent sets of one child for every
+    sample in one batched solve; ``family_score`` scores one family of the
+    first (or only) sample.
     """
 
-    def __init__(self, data: Dataset, max_parents: int | None = None):
+    def __init__(self, data: Dataset, max_parents: int | None = None,
+                 resamples: np.ndarray | None = None):
         rows = data.rows
         self.n = rows.shape[0]
         self.p = rows.shape[1]
         self.max_parents = self.p - 1 if max_parents is None else min(max_parents, self.p - 1)
-        centered = rows - rows.mean(axis=0)
-        self.cov = (centered.T @ centered) / self.n
+        index = [slice(None)] if resamples is None else resamples
+        self.samples = len(index)
+        self.covs = np.empty((self.samples, self.p, self.p))
+        for b, idx in enumerate(index):
+            sample = rows[idx]
+            centered = sample - sample.mean(axis=0)
+            self.covs[b] = (centered.T @ centered) / self.n
         self._log_n = float(np.log(self.n))
-        self._cache: list[dict[int, float]] = [dict() for _ in range(self.p)]
+
+    def family_scores(self, child: int, parent_sets: np.ndarray,
+                      resamples: slice = slice(None)
+                      ) -> tuple[np.ndarray, dict[tuple[int, int], ValueError]]:
+        """Scores of ``child`` given each row of ``parent_sets`` (M x k,
+        ascending indices, one size k) in each selected sample: a (B, M)
+        array, NaN where scoring fails, and the error per failed (b, m).
+
+        Operands stay contiguous and the residual is a batched matmul, so
+        every entry is bit-equal to scoring its family alone.
+        """
+        covs = self.covs[resamples]
+        n_samples, (n_sets, k) = covs.shape[0], parent_sets.shape
+        if k > self.max_parents:
+            raise ValueError("parent set exceeds max_parents")
+        if self.n < k + 2:
+            error = InsufficientRowsError(f"n={self.n} rows cannot support {k} parents")
+            return (np.full((n_samples, n_sets), np.nan),
+                    {(b, m): error for b in range(n_samples) for m in range(n_sets)})
+        s_yy = covs[:, child, child][:, None]
+        failures: dict[tuple[int, int], ValueError] = {}
+        if k:
+            # fancy indexing leaves sample-major strides; copy to row-major
+            sub = np.ascontiguousarray(
+                covs[:, parent_sets[:, :, None], parent_sets[:, None, :]]).reshape(-1, k, k)
+            cross = np.ascontiguousarray(covs[:, parent_sets, child]).reshape(-1, k)
+            try:
+                solved = np.linalg.solve(sub, cross[:, :, None])
+            except np.linalg.LinAlgError:
+                solved = np.full((len(sub), k, 1), np.nan)
+                for i in range(len(sub)):
+                    try:
+                        solved[i, :, 0] = np.linalg.solve(sub[i], cross[i])
+                    except np.linalg.LinAlgError:
+                        failures[divmod(i, n_sets)] = RankDeficientError(
+                            f"singular parent covariance for node {child}")
+            explained = (cross[:, None, :] @ solved).reshape(n_samples, n_sets)
+            sigma2 = s_yy - explained
+        else:
+            sigma2 = np.repeat(s_yy, n_sets, axis=1)
+        sigma2 = np.maximum(sigma2, 0.0)
+        degenerate = sigma2 <= 1e-12 * np.maximum(s_yy, 1e-300)
+        for b, m in zip(*np.nonzero(degenerate)):
+            failures.setdefault((int(b), int(m)), DegenerateVarianceError(
+                f"node {child} has (near) zero residual variance"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loglik = -0.5 * self.n * (np.log(2.0 * np.pi * sigma2) + 1.0)
+        scores = loglik - 0.5 * (k + 2) * self._log_n
+        for b, m in failures:
+            scores[b, m] = np.nan
+        return scores, failures
 
     def family_score(self, child: int, parent_mask: int) -> float:
-        cached = self._cache[child].get(parent_mask)
-        if cached is not None:
-            return cached
-        parents = _mask_to_indices(parent_mask)
-        if len(parents) > self.max_parents:
-            raise ValueError("parent set exceeds max_parents")
-        if self.n < len(parents) + 2:
-            raise InsufficientRowsError(
-                f"n={self.n} rows cannot support {len(parents)} parents")
-        s_yy = self.cov[child, child]
-        if parents:
-            sub = self.cov[np.ix_(parents, parents)]
-            cross = self.cov[parents, child]
-            try:
-                solved = np.linalg.solve(sub, cross)
-            except np.linalg.LinAlgError:
-                raise RankDeficientError(
-                    f"singular parent covariance for node {child}") from None
-            sigma2 = float(s_yy - cross @ solved)
-        else:
-            sigma2 = float(s_yy)
-        sigma2 = max(sigma2, 0.0)
-        if sigma2 <= 1e-12 * max(float(s_yy), 1e-300):
-            raise DegenerateVarianceError(
-                f"node {child} has (near) zero residual variance")
-        loglik = -0.5 * self.n * (np.log(2.0 * np.pi * sigma2) + 1.0)
-        score = float(loglik - 0.5 * (len(parents) + 2) * self._log_n)
-        self._cache[child][parent_mask] = score
-        return score
+        parents = np.array([[i for i in range(self.p) if parent_mask >> i & 1]],
+                           dtype=np.intp)
+        scores, failures = self.family_scores(child, parents, slice(0, 1))
+        if failures:
+            raise failures[0, 0]
+        return float(scores[0, 0])
 
     def score_dag(self, dag: Dag) -> float:
         total = 0.0
@@ -166,17 +202,6 @@ class GaussianScoreCache:
                 mask |= 1 << parent
             total += self.family_score(node, mask)
         return total
-
-
-def _mask_to_indices(mask: int) -> list[int]:
-    indices = []
-    i = 0
-    while mask:
-        if mask & 1:
-            indices.append(i)
-        mask >>= 1
-        i += 1
-    return indices
 
 
 def bic_g(dag: Dag, data: Dataset) -> float:

@@ -13,11 +13,14 @@ import datetime as dt
 import hashlib
 import json
 import logging
+import math
 import re
 import threading
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Callable
 from urllib.parse import quote
@@ -180,12 +183,38 @@ class HttpCache:
 
     @staticmethod
     def _atomic_write(path: Path, payload: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(payload)
-        tmp.replace(path)
+        # a temp name of its own, so concurrent writers of one key (other
+        # HttpCache instances, other processes) never share a temp file
+        tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            with tmp.open("xb") as handle:
+                handle.write(payload)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 RETRYABLE = frozenset({429, 500, 502, 503, 504})
+
+
+def _retry_after_seconds(value: str | None, now: float) -> float | None:
+    """Seconds to wait from a ``Retry-After`` header, in either RFC 9110
+    form: delay-seconds or an HTTP-date (a date in the past means no
+    wait).  None when the header is absent or cannot be parsed."""
+    if not value:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        try:
+            when = parsedate_to_datetime(value)
+        except (TypeError, ValueError, IndexError):
+            return None
+        if when.tzinfo is None:   # the obsolete asctime form carries no zone
+            when = when.replace(tzinfo=dt.timezone.utc)
+        return max(0.0, when.timestamp() - now)
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class CachedHttp:
@@ -232,8 +261,10 @@ class CachedHttp:
                     raise RateLimitedError(f"rate limited at {url} "
                                            f"after {attempt} attempts")
                 raise HttpError(response.status, url)
-            retry_after = response.headers.get("retry-after")
-            pause = float(retry_after) if retry_after else wait
+            pause = _retry_after_seconds(response.headers.get("retry-after"),
+                                         time.time())
+            if pause is None:
+                pause = wait
             log.debug("retrying %s in %.1fs (HTTP %d)", url, pause, response.status)
             self.sleeper(pause)
             wait *= 2

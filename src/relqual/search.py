@@ -1,10 +1,12 @@
 """Structure learning: greedy score search, hybrid restricts, exact
 posterior averaging, and bootstrap arc confidence.
 
-Greedy moves operate on bitmask parent sets against a memoized family-score
-table, so one dataset reduction serves every restart and every move
-evaluation.  All randomness flows through counter-split seeds; results do
-not depend on scheduling.
+Every search reads one family-score table: the BIC of each (child, parent
+set) within the parent cap, for one dataset or for all bootstrap resamples
+of it at once, scored in batches across resamples.  Greedy moves work on
+bitmask parent sets, read the table through plain per-child lists, and
+decide acyclicity from per-node ancestor bitmasks.  All randomness flows
+through counter-split seeds; results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, Union
 
@@ -51,171 +54,307 @@ class HcConfig:
             raise ValueError("perturb must be >= 0")
 
 
-def _score_cache(data: DataLike, max_parents: int):
+# ---------------------------------------------------------------------------
+# family-score table
+
+# A table over bootstrap resamples is dense while it holds at most this
+# many float64 entries, samples * p * 2^p (8 MiB; p <= 10 at 100
+# resamples): every family within the parent cap is scored up front, in
+# batches across resamples.  A larger table, or one of a single dataset,
+# scores each family on first read, one at a time, with the same
+# arithmetic: one greedy search reads far fewer families than the cap
+# allows, and the exact searches read whole rows (``FamilyScores.array``),
+# which are scored in batches.
+DENSE_TABLE_ENTRIES = 1 << 20
+
+
+def _scorer(data: DataLike, max_parents: int, resamples: np.ndarray | None = None):
     if isinstance(data, DiscreteDataset):
-        return DiscreteScoreCache(data, max_parents)
-    return GaussianScoreCache(data, max_parents)
+        return DiscreteScoreCache(data, max_parents, resamples)
+    return GaussianScoreCache(data, max_parents, resamples)
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-class _GraphState:
-    """Mutable bitmask DAG used inside the greedy loop."""
+class FamilyScoreTable:
+    """Family scores of one dataset, or of each of its bootstrap resamples.
 
-    __slots__ = ("p", "parents", "children")
+    A family whose score raises (singular parent covariance, degenerate
+    residual variance, too few rows) is marked NaN, and raises only when a
+    search reads it.
+    """
 
-    def __init__(self, p: int):
-        self.p = p
-        self.parents = [0] * p
-        self.children = [0] * p
+    def __init__(self, scorer, variables: VariableSet):
+        self.scorer = scorer
+        self.variables = variables
+        self.p = scorer.p
+        self.max_parents = scorer.max_parents
+        self.values = None   # (sample, child, parent mask), when dense
+        entries = scorer.samples * self.p << self.p
+        if scorer.samples > 1 and entries <= DENSE_TABLE_ENTRIES:
+            self.values = np.empty((scorer.samples, self.p, 1 << self.p))
+            for child in range(self.p):
+                self.values[:, child] = self._score_child(child, slice(None))
 
-    def copy(self) -> "_GraphState":
-        dup = _GraphState(self.p)
-        dup.parents = list(self.parents)
-        dup.children = list(self.children)
-        return dup
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.parents[v] & (1 << u))
-
-    def add(self, u: int, v: int) -> None:
-        self.parents[v] |= 1 << u
-        self.children[u] |= 1 << v
-
-    def remove(self, u: int, v: int) -> None:
-        self.parents[v] &= ~(1 << u)
-        self.children[u] &= ~(1 << v)
-
-    def reaches(self, start: int, target: int) -> bool:
-        frontier = 1 << start
-        seen = 0
-        target_bit = 1 << target
-        while frontier:
-            node = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nxt = self.children[node] & ~seen
-            if nxt & target_bit:
-                return True
-            seen |= nxt
-            frontier |= nxt
-        return False
-
-    def to_dag(self, variables: VariableSet) -> Dag:
-        edges = set()
-        for v in range(self.p):
-            mask = self.parents[v]
-            while mask:
-                u = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                edges.add((u, v))
-        return Dag(variables, frozenset(edges))
+    def _score_child(self, child: int, resamples: slice) -> np.ndarray:
+        """Every parent set of ``child`` within the cap, batched per size;
+        -inf at masks outside the cap or holding the child."""
+        others = [i for i in range(self.p) if i != child]
+        values = np.full((len(range(self.scorer.samples)[resamples]), 1 << self.p),
+                         -np.inf)
+        for k in range(self.max_parents + 1):
+            sets = list(combinations(others, k))
+            sets = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+            scores, _ = self.scorer.family_scores(child, sets, resamples)
+            values[:, (1 << sets).sum(axis=1)] = scores
+        return values
 
 
-def _legal_moves(state: _GraphState, max_parents: int,
-                 allowed: frozenset[tuple[int, int]] | None):
-    """Yield (kind, u, v) for every legal add / delete / reverse."""
-    p = state.p
-    for u in range(p):
-        for v in range(p):
-            if u == v:
-                continue
-            if state.has_edge(u, v):
-                yield ("delete", u, v)
-                if (_popcount(state.parents[u]) < max_parents):
-                    state.remove(u, v)
-                    cyclic = state.reaches(u, v)
-                    state.add(u, v)
-                    if not cyclic:
-                        yield ("reverse", u, v)
-            elif not state.has_edge(v, u):
-                if allowed is not None and (min(u, v), max(u, v)) not in allowed:
-                    continue
-                if _popcount(state.parents[v]) >= max_parents:
-                    continue
-                if not state.reaches(v, u):
-                    yield ("add", u, v)
+class _LazyRow(dict):
+    """One child's family scores in one sample, each scored on first read;
+    a family whose score fails raises on every read."""
+
+    def __init__(self, scorer, sample: int, child: int, known=()):
+        super().__init__(known)
+        self.scorer, self.sample, self.child = scorer, sample, child
+
+    def __missing__(self, mask: int) -> float:
+        scores, errors = self.scorer.family_scores(
+            self.child, np.array([_bits(mask)], dtype=np.intp),
+            slice(self.sample, self.sample + 1))
+        if errors:
+            raise errors[0, 0]
+        value = self[mask] = float(scores[0, 0])
+        return value
 
 
-def _move_delta(state: _GraphState, scorer, kind: str, u: int, v: int) -> float:
-    bit_u, bit_v = 1 << u, 1 << v
+class FamilyScores:
+    """One sample's family scores, as the searches read them."""
+
+    def __init__(self, table: FamilyScoreTable, sample: int):
+        self.table = table
+        self.sample = sample
+        self.variables = table.variables
+        self.p = table.p
+        self.max_parents = table.max_parents
+
+    def _lazy_row(self, child: int, known=()) -> _LazyRow:
+        return _LazyRow(self.table.scorer, self.sample, child, known)
+
+    def rows(self) -> list:
+        """Per child, its scores indexed by parent mask: lists from a dense
+        table, dicts filled on first read otherwise.  A row with marked
+        families is a dict without them, so reading one scores it again
+        and raises its error."""
+        values = self.table.values
+        if values is None:
+            return [self._lazy_row(child) for child in range(self.p)]
+        rows = values[self.sample].tolist()
+        marked = np.isnan(values[self.sample]).any(axis=1)
+        for child in map(int, np.flatnonzero(marked)):
+            rows[child] = self._lazy_row(
+                child, ((mask, x) for mask, x in enumerate(rows[child]) if x == x))
+        return rows
+
+    def array(self, child: int) -> np.ndarray:
+        """``child``'s scores for every parent mask, -inf outside the cap;
+        raises the error of the lowest marked mask, if any."""
+        if self.table.values is None:
+            values = self.table._score_child(
+                child, slice(self.sample, self.sample + 1))[0]
+        else:
+            values = self.table.values[self.sample, child]
+        marked = np.flatnonzero(np.isnan(values))
+        if marked.size:
+            self._lazy_row(child)[int(marked[0])]   # raises the family's error
+        return values
+
+
+def family_scores(data: DataLike | FamilyScores, max_parents: int) -> FamilyScores:
+    """The family-score table of one dataset (or ``data`` itself, when it
+    is already one sample's scores)."""
+    if isinstance(data, FamilyScores):
+        if data.max_parents < min(max_parents, data.p - 1):
+            raise ValueError("family-score table was built for fewer parents")
+        return data
+    table = FamilyScoreTable(_scorer(data, max_parents), data.variables)
+    return FamilyScores(table, 0)
+
+
+# ---------------------------------------------------------------------------
+# greedy search on bitmask parent sets
+
+
+def _ancestors(parents: list[int]) -> list[int]:
+    """Per node, the bitmask of every node with a directed path to it
+    (Warshall's closure on bitmask rows)."""
+    anc = list(parents)
+    nodes = range(len(anc))
+    for k in nodes:
+        through = anc[k]
+        if through:
+            bit = 1 << k
+            for v in nodes:
+                if anc[v] & bit:
+                    anc[v] |= through
+    return anc
+
+
+def _move_masks(parents: list[int], children: list[int], max_parents: int,
+                allow: list[int]) -> tuple[list[int], list[int]]:
+    """Per node u: the bitmask of v with a legal add u -> v, and of v whose
+    edge u -> v may be reversed.
+
+    An add must keep v's parents within the cap, respect ``allow`` and close
+    no cycle (v is not an ancestor of u); a reverse must keep u's parents
+    within the cap and leave no other path from u to v, i.e. no other
+    child of u is an ancestor of v.
+    """
+    anc = _ancestors(parents)
+    room = 0
+    for v, mask in enumerate(parents):
+        if mask.bit_count() < max_parents:
+            room |= 1 << v
+    adds, reverses = [], []
+    for u, cu in enumerate(children):
+        adds.append(allow[u] & room & ~(parents[u] | cu | anc[u] | 1 << u))
+        reversible = 0
+        if room >> u & 1:
+            rest = cu
+            while rest:
+                bv = rest & -rest
+                rest ^= bv
+                if not cu & ~bv & anc[bv.bit_length() - 1]:
+                    reversible |= bv
+        reverses.append(reversible)
+    return adds, reverses
+
+
+def _legal_moves(parents: list[int], children: list[int], max_parents: int,
+                 allow: list[int]) -> list[tuple[str, int, int]]:
+    """Every legal (kind, u, v), ordered by u, then v, delete before
+    reverse."""
+    adds, reverses = _move_masks(parents, children, max_parents, allow)
+    moves = []
+    for u, cu in enumerate(children):
+        for v in _bits(cu | adds[u]):
+            if cu >> v & 1:
+                moves.append(("delete", u, v))
+                if reverses[u] >> v & 1:
+                    moves.append(("reverse", u, v))
+            else:
+                moves.append(("add", u, v))
+    return moves
+
+
+def _apply(parents: list[int], children: list[int], kind: str, u: int, v: int) -> None:
     if kind == "add":
-        return scorer.family_score(v, state.parents[v] | bit_u) - \
-            scorer.family_score(v, state.parents[v])
-    if kind == "delete":
-        return scorer.family_score(v, state.parents[v] & ~bit_u) - \
-            scorer.family_score(v, state.parents[v])
-    return (scorer.family_score(v, state.parents[v] & ~bit_u)
-            - scorer.family_score(v, state.parents[v])
-            + scorer.family_score(u, state.parents[u] | bit_v)
-            - scorer.family_score(u, state.parents[u]))
+        parents[v] |= 1 << u
+        children[u] |= 1 << v
+        return
+    parents[v] &= ~(1 << u)
+    children[u] &= ~(1 << v)
+    if kind == "reverse":
+        parents[u] |= 1 << v
+        children[v] |= 1 << u
 
 
-def _apply(state: _GraphState, kind: str, u: int, v: int) -> None:
-    if kind == "add":
-        state.add(u, v)
-    elif kind == "delete":
-        state.remove(u, v)
-    else:
-        state.remove(u, v)
-        state.add(v, u)
+def _climb(parents: list[int], children: list[int], rows: list, max_parents: int,
+           allow: list[int]) -> float:
+    """Greedy ascent in place; returns the final total score.
 
-
-def _climb(state: _GraphState, scorer, max_parents: int,
-           allowed: frozenset[tuple[int, int]] | None) -> float:
-    """Greedy ascent in place; returns the final total score."""
-    score = sum(scorer.family_score(v, state.parents[v]) for v in range(state.p))
+    Moves are scanned in ``_legal_moves`` order and the first strictly best
+    (by more than 1e-12) wins, so the path depends only on the scores.
+    """
+    score = sum(rows[v][parents[v]] for v in range(len(parents)))
     while True:
+        adds, reverses = _move_masks(parents, children, max_parents, allow)
         best_delta = 0.0
         best_move = None
-        for kind, u, v in _legal_moves(state, max_parents, allowed):
-            delta = _move_delta(state, scorer, kind, u, v)
-            if delta > best_delta + 1e-12:
-                best_delta = delta
-                best_move = (kind, u, v)
+        for u, cu in enumerate(children):
+            pu, row_u, bu, reversible = parents[u], rows[u], 1 << u, reverses[u]
+            targets = cu | adds[u]
+            while targets:
+                bv = targets & -targets
+                targets ^= bv
+                v = bv.bit_length() - 1
+                row_v, pv = rows[v], parents[v]
+                if cu & bv:
+                    delta = row_v[pv & ~bu] - row_v[pv]
+                    if delta > best_delta + 1e-12:
+                        best_delta, best_move = delta, ("delete", u, v)
+                    if reversible & bv:
+                        delta = delta + row_u[pu | bv] - row_u[pu]
+                        if delta > best_delta + 1e-12:
+                            best_delta, best_move = delta, ("reverse", u, v)
+                else:
+                    delta = row_v[pv | bu] - row_v[pv]
+                    if delta > best_delta + 1e-12:
+                        best_delta, best_move = delta, ("add", u, v)
         if best_move is None:
             return score
-        _apply(state, *best_move)
+        _apply(parents, children, *best_move)
         score += best_delta
 
 
-def _perturbed_start(p: int, moves: int, max_parents: int,
-                     allowed: frozenset[tuple[int, int]] | None,
-                     rng: np.random.Generator) -> _GraphState:
-    state = _GraphState(p)
+def _perturbed_start(p: int, moves: int, max_parents: int, allow: list[int],
+                     rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    parents, children = [0] * p, [0] * p
     for _ in range(moves):
-        options = list(_legal_moves(state, max_parents, allowed))
+        options = _legal_moves(parents, children, max_parents, allow)
         if not options:
             break
-        _apply(state, *options[rng.integers(len(options))])
-    return state
+        _apply(parents, children, *options[rng.integers(len(options))])
+    return parents, children
 
 
-def hill_climb(data: DataLike, cfg: HcConfig,
+def _to_dag(parents: list[int], variables: VariableSet) -> Dag:
+    return Dag(variables, frozenset((u, v) for v, mask in enumerate(parents)
+                                    for u in _bits(mask)))
+
+
+def hill_climb(data: DataLike | FamilyScores, cfg: HcConfig,
                restrict: frozenset[tuple[int, int]] | None = None,
                seed=None) -> Dag:
     """Best DAG over random-restart greedy search.
 
     Each restart perturbs the empty graph with random legal edge operations
     and then repeatedly applies the single add / delete / reverse move with
-    the largest positive score gain.  Only the families a move touches are
-    rescored; everything else comes from the cache.  The restart with the
-    highest final score wins, earliest restart on ties.
+    the largest positive score gain.  Every move's gain is read from the
+    family-score table of ``data`` (built here for a dataset, or passed in
+    as one bootstrap resample's slice); an add or reverse is legal when
+    each node's ancestor bitmask says it closes no cycle.  The restart with
+    the highest final score wins, earliest restart on ties.
     """
-    scorer = _score_cache(data, cfg.max_parents)
-    p = scorer.p
+    scores = family_scores(data, cfg.max_parents)
+    rows = scores.rows()
+    p = scores.p
+    allow = [(1 << p) - 1] * p
+    if restrict is not None:
+        allow = [0] * p
+        for a, b in restrict:   # pairs are (lower, higher) index
+            if a < b:
+                allow[a] |= 1 << b
+                allow[b] |= 1 << a
     rng = rng_from(split_seed(cfg.seed, 0) if seed is None else seed)
 
-    best_state = _GraphState(p)
-    best_score = _climb(best_state, scorer, cfg.max_parents, restrict)
+    best_parents = [0] * p
+    best_score = _climb(best_parents, [0] * p, rows, cfg.max_parents, allow)
     for _ in range(cfg.restarts - 1):
-        state = _perturbed_start(p, cfg.perturb, cfg.max_parents, restrict, rng)
-        score = _climb(state, scorer, cfg.max_parents, restrict)
+        parents, children = _perturbed_start(p, cfg.perturb, cfg.max_parents,
+                                             allow, rng)
+        score = _climb(parents, children, rows, cfg.max_parents, allow)
         if score > best_score + 1e-12:
             best_score = score
-            best_state = state
-    return best_state.to_dag(data.variables)
+            best_parents = parents
+    return _to_dag(best_parents, scores.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +476,20 @@ def restrict_mmpc(data: Dataset, alpha: float = 0.05) -> frozenset[tuple[int, in
     return frozenset(pairs)
 
 
+def _restrict_pairs(data: Dataset, restrict: str,
+                    alpha: float) -> frozenset[tuple[int, int]]:
+    if restrict == "gs":
+        return restrict_gs(data, alpha)
+    if restrict == "mmpc":
+        return restrict_mmpc(data, alpha)
+    raise ValueError("restrict must be 'gs' or 'mmpc'")
+
+
 def hybrid_search(data: Dataset, alpha: float, cfg: HcConfig,
                   restrict: str = "gs", seed=None) -> Dag:
     """Greedy search confined to the pairs a constraint pass allows."""
-    if restrict == "gs":
-        allowed = restrict_gs(data, alpha)
-    elif restrict == "mmpc":
-        allowed = restrict_mmpc(data, alpha)
-    else:
-        raise ValueError("restrict must be 'gs' or 'mmpc'")
-    return hill_climb(data, cfg, restrict=allowed, seed=seed)
+    return hill_climb(data, cfg, restrict=_restrict_pairs(data, restrict, alpha),
+                      seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +506,10 @@ def _family_weight_tables(data: Dataset, max_parents: int) -> list[np.ndarray]:
     whole-DAG product can still be astronomically small when the children's
     best families are mutually cyclic, and the ratios must survive that.
     """
-    cache = GaussianScoreCache(data, max_parents)
-    p = cache.p
+    scores_of = family_scores(data, max_parents)
     tables = []
-    for child in range(p):
-        scores = np.full(1 << p, -np.inf, dtype=np.longdouble)
-        child_bit = 1 << child
-        for mask in range(1 << p):
-            if mask & child_bit or _popcount(mask) > max_parents:
-                continue
-            scores[mask] = cache.family_score(child, mask)
+    for child in range(scores_of.p):
+        scores = scores_of.array(child).astype(np.longdouble)
         top = scores.max()
         tables.append(np.where(np.isfinite(scores), np.exp(scores - top),
                                np.longdouble(0.0)))
@@ -415,7 +552,7 @@ def _dag_weight_sum(acc: list[np.ndarray], p: int) -> float:
                     prod *= acc[c][rest]
                     if prod == 0.0:
                         break
-                if _popcount(t) % 2 == 1:
+                if t.bit_count() % 2 == 1:
                     total += prod
                 else:
                     total -= prod
@@ -521,23 +658,24 @@ def exact_map_edge_probabilities(data: Dataset,
 def map_dag(data: DataLike, max_parents: int = MAX_EXACT_PARENTS) -> Dag:
     """Globally optimal DAG for the family scores, by best-sink dynamic
     programming over node subsets."""
-    scorer = _score_cache(data, max_parents)
-    p = scorer.p
+    p = len(data.variables)
     if p > MAX_EXACT_NODES:
         raise SizeLimitError(f"exact search limited to {MAX_EXACT_NODES} variables")
+    scores = family_scores(data, max_parents)
     full = (1 << p) - 1
 
     # best parent set per child within each candidate set
-    best_score = [np.full(1 << p, -np.inf) for _ in range(p)]
-    best_mask = [np.zeros(1 << p, dtype=np.int64) for _ in range(p)]
+    best_score = [[-np.inf] * (1 << p) for _ in range(p)]
+    best_mask = [[0] * (1 << p) for _ in range(p)]
     for child in range(p):
         child_bit = 1 << child
         bs, bm = best_score[child], best_mask[child]
+        row = scores.array(child).tolist()
         for cand in range(1 << p):
             if cand & child_bit:
                 continue
-            if _popcount(cand) <= max_parents:
-                bs[cand] = scorer.family_score(child, cand)
+            if cand.bit_count() <= max_parents:
+                bs[cand] = row[cand]
                 bm[cand] = cand
             m = cand
             while m:
@@ -548,8 +686,8 @@ def map_dag(data: DataLike, max_parents: int = MAX_EXACT_PARENTS) -> Dag:
                     bs[cand] = bs[prev]
                     bm[cand] = bm[prev]
 
-    total = np.full(1 << p, -np.inf)
-    sink = np.full(1 << p, -1, dtype=np.int64)
+    total = [-np.inf] * (1 << p)
+    sink = [-1] * (1 << p)
     total[0] = 0.0
     for s in range(1, 1 << p):
         m = s
@@ -564,13 +702,9 @@ def map_dag(data: DataLike, max_parents: int = MAX_EXACT_PARENTS) -> Dag:
     edges = set()
     s = full
     while s:
-        c = int(sink[s])
+        c = sink[s]
         s ^= 1 << c
-        mask = int(best_mask[c][s])
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            edges.add((u, c))
+        edges.update((u, c) for u in _bits(best_mask[c][s]))
     return Dag(data.variables, frozenset(edges))
 
 
@@ -578,22 +712,40 @@ def map_dag(data: DataLike, max_parents: int = MAX_EXACT_PARENTS) -> Dag:
 # bootstrap model averaging
 
 
-def hc_learner(cfg: HcConfig) -> Learner:
-    def learn(data: DataLike, seed) -> Dag:
-        return hill_climb(data, cfg, seed=seed)
-    return learn
+class ScoreLearner:
+    """A ``Learner`` whose search reads the data only through family scores.
+
+    ``search(sample, scores, seed)`` gets the sample's rows and its
+    family-score table.  Called as a plain learner it scores the sample
+    alone; ``bootstrap_average`` instead hands it one resample's slice of a
+    table scored for all resamples at once.
+    """
+
+    def __init__(self, max_parents: int,
+                 search: Callable[[DataLike, FamilyScores, np.random.SeedSequence], Dag]):
+        self.max_parents = max_parents
+        self.search = search
+
+    def __call__(self, data: DataLike, seed) -> Dag:
+        return self.search(data, family_scores(data, self.max_parents), seed)
 
 
-def hybrid_learner(cfg: HcConfig, restrict: str = "gs", alpha: float = 0.05) -> Learner:
-    def learn(data: DataLike, seed) -> Dag:
-        return hybrid_search(data, alpha, cfg, restrict=restrict, seed=seed)
-    return learn
+def hc_learner(cfg: HcConfig) -> ScoreLearner:
+    return ScoreLearner(cfg.max_parents,
+                        lambda data, scores, seed: hill_climb(scores, cfg, seed=seed))
 
 
-def map_learner(max_parents: int = MAX_EXACT_PARENTS) -> Learner:
-    def learn(data: DataLike, seed) -> Dag:
-        return map_dag(data, max_parents)
-    return learn
+def hybrid_learner(cfg: HcConfig, restrict: str = "gs",
+                   alpha: float = 0.05) -> ScoreLearner:
+    def search(data: Dataset, scores: FamilyScores, seed) -> Dag:
+        return hill_climb(scores, cfg, restrict=_restrict_pairs(data, restrict, alpha),
+                          seed=seed)
+    return ScoreLearner(cfg.max_parents, search)
+
+
+def map_learner(max_parents: int = MAX_EXACT_PARENTS) -> ScoreLearner:
+    return ScoreLearner(max_parents,
+                        lambda data, scores, seed: map_dag(scores, max_parents))
 
 
 def bootstrap_average(data: DataLike, learner: Learner, boot_samples: int,
@@ -601,17 +753,27 @@ def bootstrap_average(data: DataLike, learner: Learner, boot_samples: int,
     """Arc strengths and directions over structures learned on resamples.
 
     Each resample draws n rows with replacement under its own counter-split
-    seed, so the tabulation is identical however the work is scheduled.
+    seed, so the tabulation is identical however the work is scheduled.  A
+    ``ScoreLearner`` reads one family-score table scored for every resample
+    together; any other learner gets each resample's rows.
     """
     if boot_samples < 1:
         raise ValueError("boot_samples must be >= 1")
     p = len(data.variables)
     counts = np.zeros((p, p))
     n = data.n
-    for i in range(boot_samples):
-        resample_rng = rng_from(split_seed(seed, 1, i))
-        idx = resample_rng.integers(0, n, size=n)
-        learned = learner(data.take_rows(idx), split_seed(seed, 2, i))
+    resamples = np.stack([rng_from(split_seed(seed, 1, i)).integers(0, n, size=n)
+                          for i in range(boot_samples)])
+    table = None
+    if isinstance(learner, ScoreLearner):
+        table = FamilyScoreTable(_scorer(data, learner.max_parents, resamples),
+                                 data.variables)
+    for i, idx in enumerate(resamples):
+        sample, learn_seed = data.take_rows(idx), split_seed(seed, 2, i)
+        if table is None:
+            learned = learner(sample, learn_seed)
+        else:
+            learned = learner.search(sample, FamilyScores(table, i), learn_seed)
         for u, v in learned.edges:
             counts[u, v] += 1.0
     return _confidence_from_counts(data.variables, counts, float(boot_samples))
@@ -654,13 +816,12 @@ def averaged_network(conf: ArcConfidence, threshold: float,
                 kept.append((confidence, conf.strength[a, b], u, v))
     kept.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
 
-    state = _GraphState(p)
+    parents = [0] * p
     flipped = set()
     for _, _, u, v in kept:
-        if state.reaches(v, u):
-            state.add(v, u)
+        if _ancestors(parents)[u] & 1 << v:   # v reaches u: flip the pair
             flipped.add((u, v))
-        else:
-            state.add(u, v)
-    return AveragedNetwork(state.to_dag(conf.variables), threshold, conf,
+            u, v = v, u
+        parents[v] |= 1 << u
+    return AveragedNetwork(_to_dag(parents, conf.variables), threshold, conf,
                            frozenset(flipped))

@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .dag import Dag, VariableSet
-from .discretize import DiscretizationSpec, discretize
-from .gaussian import GaussianBn, simulate
+from .discretize import DegenerateColumnError, DiscretizationSpec, discretize
+from .gaussian import DegenerateVarianceError, GaussianBn, simulate
 from .metrics import EXACT, OFF_BY_ONE, WORSE, classify
+from .ols import InsufficientRowsError, RankDeficientError
 from .rng import split_seed
 from .search import (
     HcConfig,
+    SingularCorrelationError,
     averaged_network,
     bootstrap_average,
     hc_learner,
@@ -46,6 +48,12 @@ RELEASE_VARIABLES = (
 )
 
 SEARCH_KINDS = ("hc", "map", "hybrid-gs", "hybrid-mmpc")
+
+# What learning can raise on data it cannot fit; an arm that raises one of
+# these counts as "worse" for the replicate.  Anything else is a defect and
+# propagates.
+ARM_FAILURES = (RankDeficientError, DegenerateVarianceError, InsufficientRowsError,
+                DegenerateColumnError, SingularCorrelationError)
 
 
 @dataclass(frozen=True)
@@ -207,7 +215,7 @@ def _replicate_outcomes(cfg: SimStudyConfig, replicate: int) -> list[tuple[int, 
             for ti, threshold in enumerate(cfg.thresholds):
                 learned = averaged_network(conf, threshold).dag
                 results.append((mi, ti, classify(cfg.truth.dag, learned)))
-        except Exception as exc:  # count as failure, keep the study going
+        except ARM_FAILURES as exc:  # count as failure, keep the study going
             log.warning("replicate %d method %s failed: %s",
                         replicate, method.name, exc)
             for ti in range(len(cfg.thresholds)):

@@ -1,5 +1,7 @@
 import datetime as dt
 import json
+import threading
+from email.utils import format_datetime
 
 import numpy as np
 import pytest
@@ -190,6 +192,87 @@ def test_rate_limit_honors_retry_after_then_succeeds(tmp_path):
     body = http.get(url)
     assert json.loads(body.body) == payload
     assert naps == [3.0]
+
+
+def _retry_once(retry_after):
+    """A transport that answers 429 with ``retry_after`` once, then 200."""
+    payload = {"downloads": [{"day": "2018-01-01", "downloads": 7}]}
+    responses = [TransportResponse(429, {"retry-after": retry_after}, b""),
+                 TransportResponse(200, {}, json.dumps(payload).encode())]
+    calls = {"i": 0}
+
+    def transport(u, params, headers):
+        response = responses[min(calls["i"], 1)]
+        calls["i"] += 1
+        return response
+    return transport
+
+
+@pytest.mark.parametrize("retry_after, expected", [
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),       # IMF-fixdate, in the past
+    ("Sunday, 06-Nov-94 08:49:37 GMT", 0.0),      # obsolete RFC 850 form
+    ("Sun Nov  6 08:49:37 1994", 0.0),            # obsolete asctime form
+    ("soon", 0.5),                                # unparseable: backoff
+    ("-3", 0.5),
+    ("nan", 0.5),
+])
+def test_retry_after_http_date_and_garbage(tmp_path, retry_after, expected):
+    naps = []
+    http = CachedHttp(HttpCache(tmp_path), _retry_once(retry_after),
+                      backoff=0.5, sleeper=naps.append)
+    http.get("https://api.example/x")
+    assert naps == [expected]
+
+
+def test_retry_after_future_http_date_waits_until_then(tmp_path):
+    when = dt.datetime.now(dt.timezone.utc) + dt.timedelta(seconds=120)
+    naps = []
+    http = CachedHttp(HttpCache(tmp_path),
+                      _retry_once(format_datetime(when, usegmt=True)),
+                      sleeper=naps.append)
+    http.get("https://api.example/x")
+    assert len(naps) == 1 and 110 <= naps[0] <= 120
+
+
+def test_http_date_retry_after_does_not_sink_the_batch(tmp_path):
+    url, payload = downloads_fixture("pkg", START, 3)
+    attempts = {"n": 0}
+
+    def transport(u, params, headers):
+        attempts["n"] += 1
+        if attempts["n"] == 1:
+            return TransportResponse(429, {"retry-after": "Wed, 21 Oct 2015 07:28:00 GMT"}, b"")
+        return FixtureTransport({(url, "{}"): ({}, payload)})(u, params, headers)
+
+    spec = FetchSpec(("pkg",), START, START + dt.timedelta(days=2), cache_dir=tmp_path)
+    result = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path), transport,
+                                              sleeper=lambda s: None), politeness=1)
+    assert result.errors == {}
+    assert result.downloads["pkg"].downloads.tolist() == [100, 101, 102]
+
+
+def test_concurrent_puts_of_one_key_from_two_caches(tmp_path):
+    caches = [HttpCache(tmp_path), HttpCache(tmp_path)]
+    key = HttpCache.key("https://api.example/x", None)
+    response = TransportResponse(200, {}, b"x" * 4096)
+    errors = []
+
+    def writer(cache):
+        try:
+            for _ in range(100):
+                cache.put(key, "https://api.example/x", None, response)
+        except Exception as exc:  # collected and asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(c,)) for c in caches * 2]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert caches[0].get(key).body == response.body
 
 
 def test_rate_limit_exhaustion_raises(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from relqual.dag import Dag, VariableSet, topological_order
 from relqual.discretize import DiscretizationSpec
 from relqual.gaussian import GaussianBn, fit, simulate
-from relqual.ols import fit_ols
+from relqual import simstudy
+from relqual.ols import RankDeficientError, fit_ols
 from relqual.search import HcConfig
 from relqual.simstudy import (
     MethodSpec,
@@ -117,6 +118,31 @@ def test_failing_method_counts_as_worse(caplog):
         thresholds=(0.85,), boot_samples=4, hc=HcConfig(restarts=1), seed=0)
     report = run_simstudy(cfg)
     assert report.rows[0].worse == 1.0
+
+
+def _raising_hc_learner(error):
+    def make(cfg):
+        def learn(data, seed):
+            raise error
+        return learn
+    return make
+
+
+def test_numeric_arm_failure_is_logged_and_counted_as_worse(monkeypatch, caplog):
+    monkeypatch.setattr(simstudy, "hc_learner", _raising_hc_learner(
+        RankDeficientError("singular parent covariance for node 0")))
+    report = run_simstudy(tiny_config(replicates=2, boot_samples=2))
+    assert [row.worse for row in report.rows] == [1.0, 1.0]
+    failures = [r for r in caplog.records if "failed" in r.getMessage()]
+    assert len(failures) == 2
+    assert "singular parent covariance" in failures[0].getMessage()
+
+
+def test_defect_in_an_arm_propagates(monkeypatch):
+    monkeypatch.setattr(simstudy, "hc_learner",
+                        _raising_hc_learner(TypeError("not a numeric failure")))
+    with pytest.raises(TypeError, match="not a numeric failure"):
+        run_simstudy(tiny_config(replicates=1, boot_samples=2))
 
 
 def test_default_methods_cover_required_arms():
