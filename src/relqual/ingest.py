@@ -139,17 +139,19 @@ def requests_transport(timeout: float = 30.0) -> Transport:
 class HttpCache:
     """Content-addressed response store: write-once, never evicted.
 
-    Bodies live under objects/<key>; a JSON sidecar keeps status and
-    headers; index.json maps keys back to their request for humans.  All
-    writes go through a temp file and rename, so readers never see a torn
-    entry.
+    Bodies live under objects/<key>; a JSON sidecar, objects/<key>.meta.json,
+    keeps the status and headers and records the request (url and params)
+    the key stands for.  There is no shared index: a put writes only its
+    own two files, each through a temp file and rename, so readers never
+    see a torn entry and concurrent writers, in this process or another,
+    never lose each other's entries.  ``get`` reads only the status, the
+    headers and the body, so caches written with an index.json replay too.
     """
 
     def __init__(self, cache_dir: str | Path):
         self.root = Path(cache_dir)
         self.objects = self.root / "objects"
         self.objects.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     @staticmethod
     def key(url: str, params: dict | None) -> str:
@@ -167,19 +169,12 @@ class HttpCache:
 
     def put(self, key: str, url: str, params: dict | None,
             response: TransportResponse) -> None:
-        with self._lock:
-            self._atomic_write(self.objects / key, response.body)
-            meta = {"status": response.status, "headers": response.headers,
-                    "fetched_at": dt.datetime.now(dt.timezone.utc).isoformat()}
-            self._atomic_write(self.objects / f"{key}.meta.json",
-                               json.dumps(meta, indent=2).encode())
-            index_path = self.root / "index.json"
-            index = {}
-            if index_path.exists():
-                index = json.loads(index_path.read_text())
-            index[key] = {"url": url, "params": params or {}}
-            self._atomic_write(index_path,
-                               json.dumps(index, indent=2, sort_keys=True).encode())
+        self._atomic_write(self.objects / key, response.body)
+        meta = {"status": response.status, "headers": response.headers,
+                "url": url, "params": params or {},
+                "fetched_at": dt.datetime.now(dt.timezone.utc).isoformat()}
+        self._atomic_write(self.objects / f"{key}.meta.json",
+                           json.dumps(meta, indent=2).encode())
 
     @staticmethod
     def _atomic_write(path: Path, payload: bytes) -> None:
@@ -432,21 +427,30 @@ def build_daily_series(package: str, downloads: PackageDownloads,
     The cumulative count on a day is the number of issues created on or
     before it; days before the first issue sit at zero.
     """
-    span = [(start + dt.timedelta(days=i))
-            for i in range((end - start).days + 1)]
-    by_day = dict(zip(downloads.days, downloads.downloads))
-    missing = [d for d in span if d not in by_day]
-    if missing:
+    n_days = (end - start).days + 1
+    # each download's offset into the span; days outside it are ignored
+    offset = _ordinals(downloads.days) - start.toordinal()
+    inside = (offset >= 0) & (offset < n_days)
+    column = np.zeros(n_days, dtype=np.int64)
+    column[offset[inside]] = np.asarray(downloads.downloads)[inside]
+    covered = np.zeros(n_days, dtype=bool)
+    covered[offset[inside]] = True
+    if not covered.all():
+        missing = np.flatnonzero(~covered)
         raise GapInSeriesError(
-            f"{package}: downloads missing for {len(missing)} days "
-            f"(first: {missing[0]})")
-    sorted_dates = sorted(issue_dates)
-    cumulative = np.searchsorted(np.array(sorted_dates, dtype="datetime64[D]"),
-                                 np.array(span, dtype="datetime64[D]"),
+            f"{package}: downloads missing for {missing.size} days "
+            f"(first: {start + dt.timedelta(days=int(missing[0]))})")
+    cumulative = np.searchsorted(np.sort(_ordinals(issue_dates)),
+                                 np.arange(n_days) + start.toordinal(),
                                  side="right")
-    return DailySeries(package, tuple(span),
-                       np.array([by_day[d] for d in span], dtype=np.int64),
-                       cumulative.astype(np.int64))
+    span = np.arange(start, end + dt.timedelta(days=1), dtype="datetime64[D]")
+    return DailySeries(package, tuple(span.tolist()), column, cumulative)
+
+
+def _ordinals(days) -> np.ndarray:
+    """Proleptic Gregorian ordinals of a sequence of dates."""
+    return np.fromiter((d.toordinal() for d in days), dtype=np.int64,
+                       count=len(days))
 
 
 def filter_popular(packages: tuple[str, ...],

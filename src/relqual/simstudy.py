@@ -106,6 +106,12 @@ class SimStudyConfig:
         for t in self.thresholds:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"threshold {t} outside [0,1]")
+        for method in self.methods:
+            spec = method.discretization
+            if spec is not None and self.sample_size < spec.bins:
+                raise ValueError(
+                    f"sample_size {self.sample_size} is below the {spec.bins} "
+                    f"bins of arm {method.name}")
 
 
 @dataclass(frozen=True)

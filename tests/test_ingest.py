@@ -275,6 +275,52 @@ def test_concurrent_puts_of_one_key_from_two_caches(tmp_path):
     assert caches[0].get(key).body == response.body
 
 
+def test_concurrent_puts_from_two_caches_record_every_request(tmp_path):
+    caches = [HttpCache(tmp_path), HttpCache(tmp_path)]
+    errors = []
+
+    def requests(t):
+        return [(f"https://api.example/{t}/{i}", {"page": i}) for i in range(100)]
+
+    def writer(t):
+        try:
+            for url, params in requests(t):
+                caches[t].put(HttpCache.key(url, params), url, params,
+                              TransportResponse(200, {}, url.encode()))
+        except Exception as exc:  # collected and asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for t in (0, 1):
+        for url, params in requests(t):
+            key = HttpCache.key(url, params)
+            meta = json.loads((tmp_path / "objects" / f"{key}.meta.json").read_text())
+            assert (meta["url"], meta["params"]) == (url, params)
+            assert caches[1 - t].get(key).body == url.encode()
+    assert not (tmp_path / "index.json").exists()
+
+
+def test_cache_written_with_an_index_still_replays(tmp_path):
+    # the older layout: a sidecar without the request, plus index.json
+    key = HttpCache.key("https://api.example/x", None)
+    objects = tmp_path / "objects"
+    objects.mkdir()
+    (objects / key).write_bytes(b"body")
+    (objects / f"{key}.meta.json").write_text(json.dumps(
+        {"status": 200, "headers": {"etag": "1"}, "fetched_at": "2020-01-01"}))
+    (tmp_path / "index.json").write_text(json.dumps(
+        {key: {"url": "https://api.example/x", "params": {}}}))
+    http = CachedHttp(HttpCache(tmp_path), transport=None)
+    assert http.get("https://api.example/x") == TransportResponse(
+        200, {"etag": "1"}, b"body")
+
+
 def test_rate_limit_exhaustion_raises(tmp_path):
     def transport(u, params, headers):
         return TransportResponse(429, {}, b"")
@@ -413,6 +459,21 @@ def test_build_daily_series_requires_coverage():
                                  np.arange(3, dtype=np.int64), (days[3],))
     with pytest.raises(GapInSeriesError):
         build_daily_series("p", downloads, (), days[0], days[-1])
+
+
+def test_build_daily_series_gap_message_names_count_and_first_day():
+    from relqual.ingest import PackageDownloads
+
+    days = constant_downloads(10)
+    kept = days[:2] + days[3:5] + days[7:]   # days 2, 5 and 6 are missing
+    downloads = PackageDownloads("p", tuple(kept),
+                                 np.arange(len(kept), dtype=np.int64), ())
+    with pytest.raises(GapInSeriesError) as info:
+        build_daily_series("p", downloads, (), days[0], days[-1])
+    assert str(info.value) == "p: downloads missing for 3 days (first: 2018-01-03)"
+    # days outside [start, end] neither fill the span nor count as gaps
+    series = build_daily_series("p", downloads, (), days[7], days[9])
+    assert series.downloads.tolist() == [4, 5, 6]
 
 
 @settings(max_examples=100, deadline=None)

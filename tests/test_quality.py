@@ -187,6 +187,18 @@ def test_timeline_zero_download_days_flagged_and_excluded():
     assert line.trend is not None and np.isfinite(line.trend).all()
 
 
+def test_timeline_narrow_span_bridges_a_zero_download_day():
+    # r = 2: the day's two nearest usable days sit at distance 1 = h, so
+    # every tricube weight is 0; the trend takes their mean
+    n = 20
+    downloads = [100] * n
+    downloads[7] = 0
+    cumulative = np.cumsum(np.arange(n) % 3)
+    line = timeline(make_series(downloads, cumulative), span=0.1)
+    assert np.isfinite(line.trend).all()
+    assert line.trend[7] == pytest.approx(line.quality[[6, 8]].mean())
+
+
 def test_timeline_short_series_has_no_trend():
     series = make_series([10] * 5, [1, 2, 3, 4, 5])
     line = timeline(series)

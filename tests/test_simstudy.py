@@ -70,6 +70,15 @@ def test_config_validation():
         tiny_config(methods=())
 
 
+def test_config_rejects_sample_size_below_an_arms_bins():
+    binned = MethodSpec("HC-D-F", "hc", DiscretizationSpec("equal-frequency", 3))
+    with pytest.raises(ValueError, match="sample_size 2 .* 3 bins of arm HC-D-F"):
+        tiny_config(sample_size=2, methods=(MethodSpec("HC", "hc"), binned))
+    assert tiny_config(sample_size=3, methods=(binned,)).sample_size == 3
+    # continuous arms bin nothing
+    assert tiny_config(sample_size=2).sample_size == 2
+
+
 def test_report_shape_and_fraction_sums():
     cfg = tiny_config(methods=(MethodSpec("HC", "hc"), MethodSpec("MAP", "map")))
     report = run_simstudy(cfg)
