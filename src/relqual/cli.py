@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -40,6 +41,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARTIAL = 2
 
+log = logging.getLogger(__name__)
+
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -63,6 +66,8 @@ def _write_manifest(out: Path, command: str, config: dict, seed: int,
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True))
+    log.info("%s: %d outputs and run_manifest.json written to %s in %.3f s",
+             command, len(outputs), out, manifest["wall_time_s"])
 
 
 def _out_dir(args) -> Path:
@@ -544,6 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relqual",
         description="Bayesian-network release-quality analysis toolkit")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        dest="log_level",
+                        help="least severe log messages to print on stderr")
+    parser.add_argument("--debug", action="store_true",
+                        help="let an error escape with its traceback instead "
+                             "of a one-line message")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simstudy", help="structure-recovery simulation study")
@@ -639,11 +651,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the library's loggers print through one handler for this run only,
+    # so calls in one process (tests, benchmarks) leave no handler behind
+    package_log = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package_log.addHandler(handler)
+    package_log.setLevel(args.log_level)
     try:
         return args.func(args)
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

@@ -64,6 +64,10 @@ class TruncatedPaginationError(RuntimeError):
     """Pagination broke off before the advertised last page."""
 
 
+class MalformedBodyError(ValueError):
+    """A 200 response whose body is not JSON."""
+
+
 class GapInSeriesError(ValueError):
     """Downloads do not cover the requested date range."""
 
@@ -226,19 +230,28 @@ class CachedHttp:
         self.network_calls = 0
         self._lock = threading.Lock()
 
-    def get(self, url: str, params: dict | None = None,
-            headers: dict | None = None) -> TransportResponse:
+    def get_json(self, url: str, params: dict | None = None,
+                 headers: dict | None = None) -> tuple[TransportResponse, object]:
+        """The response and its body parsed as JSON, from the cache or
+        fetched.  A body is parsed before it is cached: one that is not
+        JSON raises ``MalformedBodyError`` and leaves no cache entry, so
+        replays never meet it and a later live fetch can still succeed."""
         key = self.cache.key(url, params)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        if self.transport is None:
-            raise OfflineCacheMissError(
-                f"no cached response for {url} and live fetching is disabled; "
-                "rerun with live mode enabled to populate the cache")
-        response = self._fetch_with_retry(url, params or {}, headers or {})
-        self.cache.put(key, url, params, response)
-        return response
+        response = self.cache.get(key)
+        fetched = response is None
+        if fetched:
+            if self.transport is None:
+                raise OfflineCacheMissError(
+                    f"no cached response for {url} and live fetching is disabled; "
+                    "rerun with live mode enabled to populate the cache")
+            response = self._fetch_with_retry(url, params or {}, headers or {})
+        try:
+            payload = json.loads(response.body)
+        except ValueError as exc:   # JSONDecodeError, or bytes that are not text
+            raise MalformedBodyError(f"body of {url} is not JSON: {exc}") from None
+        if fetched:
+            self.cache.put(key, url, params, response)
+        return response, payload
 
     def _fetch_with_retry(self, url: str, params: dict,
                           headers: dict) -> TransportResponse:
@@ -335,8 +348,7 @@ def fetch_downloads(spec: FetchSpec, http: CachedHttp,
         for lo, hi in _windows(spec.start, spec.end, spec.max_window_days):
             url = (f"{spec.downloads_api_base}/"
                    f"{lo.isoformat()}:{hi.isoformat()}/{quote(package, safe='@/')}")
-            response = http.get(url)
-            payload = json.loads(response.body)
+            _, payload = http.get_json(url)
             for row in payload.get("downloads", []):
                 per_day[dt.date.fromisoformat(row["day"])] = int(row["downloads"])
         days = sorted(per_day)
@@ -355,7 +367,8 @@ def fetch_downloads(spec: FetchSpec, http: CachedHttp,
     for package, future in futures.items():
         try:
             result.downloads[package] = future.result()
-        except (HttpError, RateLimitedError, OfflineCacheMissError) as exc:
+        except (HttpError, RateLimitedError, OfflineCacheMissError,
+                MalformedBodyError) as exc:
             result.errors[package] = str(exc)
     return result
 
@@ -388,13 +401,12 @@ def fetch_issues(spec: FetchSpec, http: CachedHttp,
         page = 1
         while True:
             try:
-                response = http.get(url, params=params, headers=headers)
-            except (HttpError, RateLimitedError) as exc:
+                response, items = http.get_json(url, params=params, headers=headers)
+            except (HttpError, RateLimitedError, MalformedBodyError) as exc:
                 if page == 1:
                     raise
                 raise TruncatedPaginationError(
                     f"{repo}: pagination broke at page {page}: {exc}") from exc
-            items = json.loads(response.body)
             for item in items:
                 if "pull_request" in item and not spec.include_pulls:
                     continue
@@ -414,7 +426,7 @@ def fetch_issues(spec: FetchSpec, http: CachedHttp,
         try:
             result.issues[repo] = future.result()
         except (HttpError, RateLimitedError, OfflineCacheMissError,
-                TruncatedPaginationError) as exc:
+                MalformedBodyError, TruncatedPaginationError) as exc:
             result.errors[repo] = str(exc)
     return result
 

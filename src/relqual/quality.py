@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,7 +211,7 @@ class DailySeries:
         issues = np.asarray(self.cumulative_issues, dtype=np.int64)
         if not (len(self.days) == downloads.shape[0] == issues.shape[0]):
             raise ValueError("days, downloads and issues must align")
-        if any(b <= a for a, b in zip(self.days, self.days[1:])):
+        if not all(map(operator.lt, self.days, self.days[1:])):
             raise ValueError("days must be strictly increasing")
         if np.any(np.diff(issues) < 0):
             raise ValueError("cumulative issues must be nondecreasing")

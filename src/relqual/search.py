@@ -495,12 +495,20 @@ def hybrid_search(data: Dataset, alpha: float, cfg: HcConfig,
 # ---------------------------------------------------------------------------
 # exact posterior averaging over all DAGs
 
+# Both exact computations finish within 10 s single-core at 16 nodes
+# (README, "Exact search limits").
 MAX_EXACT_NODES = 16
 MAX_EXACT_PARENTS = 5
 
+# The sink-layer recursion visits every pair (R, t) of disjoint node sets,
+# 3^p of them, in blocks of at most this many pairs, so that no temporary
+# outgrows a few MB.
+SINK_BLOCK_PAIRS = 1 << 16
 
-def _family_weight_tables(data: Dataset, max_parents: int) -> list[np.ndarray]:
-    """Per child: exp(family score - child max) for every parent mask.
+
+def _family_weight_tables(data: Dataset, max_parents: int) -> np.ndarray:
+    """Per child: exp(family score - child max) for every parent mask,
+    as a (child, parent mask) array.
 
     Extended precision: per-child shifting bounds each weight by 1 but a
     whole-DAG product can still be astronomically small when the children's
@@ -513,52 +521,141 @@ def _family_weight_tables(data: Dataset, max_parents: int) -> list[np.ndarray]:
         top = scores.max()
         tables.append(np.where(np.isfinite(scores), np.exp(scores - top),
                                np.longdouble(0.0)))
-    return tables
+    return np.stack(tables)
+
+
+def _bit_halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries along the last axis (indexed by node mask)
+    whose mask lacks ``bit`` and of those that have it, aligned so that
+    the two entries at one position differ only in that bit."""
+    split = values.reshape(*values.shape[:-1], -1, 2, 1 << bit)
+    return split[..., 0, :], split[..., 1, :]
 
 
 def _zeta_transform(values: np.ndarray, p: int) -> np.ndarray:
-    """Subset sums: out[U] = sum of values over all subsets of U."""
+    """Subset sums along the last axis: out[U] = sum of values over all
+    subsets of U."""
     out = values.copy()
     for i in range(p):
-        bit = 1 << i
-        for mask in range(1 << p):
-            if mask & bit:
-                out[mask] += out[mask ^ bit]
+        without, with_ = _bit_halves(out, i)
+        with_ += without
     return out
 
 
-def _dag_weight_sum(acc: list[np.ndarray], p: int) -> float:
-    """Total weight over all DAGs: inclusion-exclusion over sink layers.
+def _superset_sums(values: np.ndarray, p: int) -> np.ndarray:
+    """Superset sums along the last axis: out[W] = sum of values over all
+    supersets of W."""
+    out = values.copy()
+    for i in range(p):
+        without, with_ = _bit_halves(out, i)
+        without += with_
+    return out
 
-    f(S) = sum over nonempty T of S of (-1)^(|T|+1) f(S-T) prod_{c in T}
-    acc[c][S-T], where acc[c][U] already sums child c's family weights over
-    parent sets inside U.
+
+def _sink_blocks(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every node set R but the full one, in blocks of sets of one size,
+    smallest sets first, each R with the nodes outside it in increasing
+    order: pairs of arrays (sets, outside) of shapes (n,) and (n, p - |R|)."""
+    masks = np.arange(1 << p)
+    member = (masks[:, None] >> np.arange(p)) & 1
+    size = member.sum(axis=1)
+    blocks = []
+    for j in range(p):
+        sets = masks[size == j]
+        outside = np.nonzero(member[sets] == 0)[1].reshape(len(sets), p - j)
+        step = max(1, SINK_BLOCK_PAIRS >> (p - j))
+        blocks += [(sets[lo:lo + step], outside[lo:lo + step])
+                   for lo in range(0, len(sets), step)]
+    return blocks
+
+
+def _sink_terms(acc: np.ndarray, sets: np.ndarray, outside: np.ndarray):
+    """The recursion's terms for one block of sets R.
+
+    Indexing each subset t of the nodes outside R by its local mask l
+    (bit q stands for ``outside[:, q]``), returns the factors
+    -acc[c][R] per outside node, ``prod[:, l]`` = the product of the
+    factors in t (1 for l = 0), and ``union[:, l]`` = the mask of R | t.
+    Both tables are built by doubling: the entries with bit q set are
+    those without it times factor q.
     """
-    full = (1 << p) - 1
-    f = np.zeros(1 << p, dtype=np.longdouble)
-    f[0] = 1.0
-    for s in range(1, 1 << p):
-        total = 0.0
-        # iterate nonempty subsets t of s
-        t = s
-        while t:
-            rest = s ^ t
-            prod = f[rest]
-            if prod != 0.0:
-                m = t
-                while m:
-                    c = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    prod *= acc[c][rest]
-                    if prod == 0.0:
-                        break
-                if t.bit_count() % 2 == 1:
-                    total += prod
-                else:
-                    total -= prod
-            t = (t - 1) & s
-        f[s] = total
-    return f[full]
+    n, m = outside.shape
+    factors = -acc[outside, sets[:, None]]
+    prod = np.empty((n, 1 << m), dtype=acc.dtype)
+    union = np.empty((n, 1 << m), dtype=np.intp)
+    prod[:, 0], union[:, 0] = 1, sets
+    for q in range(m):
+        h = 1 << q
+        np.multiply(prod[:, :h], factors[:, q:q + 1], out=prod[:, h:2 * h])
+        np.bitwise_or(union[:, :h], 1 << outside[:, q:q + 1], out=union[:, h:2 * h])
+    return factors, prod, union
+
+
+def _dag_weight_sums(acc: np.ndarray) -> np.ndarray:
+    """Total weight of the DAGs over each node set S, as f[S], by
+    inclusion-exclusion over sink layers:
+
+        f(S) = sum over nonempty t of S of (-1)^(|t|+1) f(S-t)
+               * prod_{c in t} acc[c][S-t],
+
+    where acc[c][U] already sums child c's family weights over parent sets
+    inside U.  Every f(R) is final once the sets smaller than R have
+    pushed their terms, so each block of sets pushes to all its supersets
+    at once.  Computes in the dtype of ``acc``.
+    """
+    p = acc.shape[0]
+    f = np.zeros(1 << p, dtype=acc.dtype)
+    f[0] = 1
+    for sets, outside in _sink_blocks(p):
+        _, prod, union = _sink_terms(acc, sets, outside)
+        # (-1)^(|t|+1) prod acc = -prod(-acc)
+        np.add.at(f, union[:, 1:], -f[sets, None] * prod[:, 1:])
+    return f
+
+
+def _dag_weight_gradient(acc: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """grad[c, U] = d f(full) / d acc[c][U], by one reverse pass over the
+    recursion of ``_dag_weight_sums`` (whose table is ``f``).
+
+    Sets are visited largest first, so every superset's adjoint g(S) =
+    d f(full) / d f(S) is final before it is read.  The term -f(R) prod[l]
+    of f(R | t) gives g(R) the share -g(R | t) prod[l] and prod[l] the
+    adjoint -f(R) g(R | t); undoing the doubling that built ``prod`` turns
+    the latter into one adjoint per factor, that is per acc[c][R].
+    """
+    p = acc.shape[0]
+    g = np.zeros_like(f)
+    g[-1] = 1
+    grad = np.zeros_like(acc)
+    for sets, outside in reversed(_sink_blocks(p)):
+        factors, prod, union = _sink_terms(acc, sets, outside)
+        up = -g[union]   # up[:, 0] is -g(R), still 0: l = 0 adds nothing
+        g[sets] = (up * prod).sum(axis=1)
+        factor_grad = np.empty_like(factors)
+        for q in reversed(range(outside.shape[1])):
+            h = 1 << q
+            factor_grad[:, q] = (up[:, h:2 * h] * prod[:, :h]).sum(axis=1)
+            up[:, :h] += up[:, h:2 * h] * factors[:, q:q + 1]
+        # factors are -acc; the up values still lack f(R)
+        grad[outside, sets[:, None]] = -f[sets, None] * factor_grad
+    return grad
+
+
+def _edge_posteriors(weights: np.ndarray) -> np.ndarray:
+    """P(u -> v) for every ordered pair, from per-child family weights
+    (child, parent mask); computes in the dtype of ``weights``."""
+    p = weights.shape[0]
+    acc = _zeta_transform(weights, p)
+    f = _dag_weight_sums(acc)
+    total = f[-1]
+    if not total > 0:
+        raise ArithmeticError("posterior mass underflowed; data too extreme")
+    # mass[v, W]: the weight of the DAGs in which v's parents are exactly W
+    mass = weights * _superset_sums(_dag_weight_gradient(acc, f), p)
+    prob = np.empty((p, p), dtype=weights.dtype)
+    for u in range(p):
+        prob[u] = _bit_halves(mass, u)[1].sum(axis=(-2, -1))
+    return (prob / total).astype(float)
 
 
 @dataclass(frozen=True)
@@ -626,33 +723,33 @@ def exact_map_edge_probabilities(data: Dataset,
                                  max_parents: int = MAX_EXACT_PARENTS) -> ArcConfidence:
     """Exact edge-inclusion probabilities under a uniform prior over DAGs.
 
-    Family weights are exp of the Gaussian BIC family scores; the total and
-    per-edge weight sums run the sink-layer inclusion-exclusion recursion,
-    so every labeled DAG (parent sets capped) is counted exactly once.
+    Family weights are exp of the Gaussian BIC family scores.  The total
+    weight f(full) of all labeled DAGs (parent sets capped) comes from the
+    sink-layer inclusion-exclusion recursion over node subsets, which
+    counts every DAG exactly once, at O(p 3^p) cost.
+
+    Every DAG has exactly one family for each child v, so every term of
+    the recursion carries exactly one factor acc[v][U] (v's weights summed
+    over parent sets inside U): f(full) is linear in each child's table.
+    Hence f(full) = sum_U grad[v][U] acc[v][U], with grad the gradient of
+    f(full) in acc[v], and restricting v's families to those holding u
+    gives the weight of the DAGs with u -> v as
+
+        sum over W holding u of weights[v][W] * sum over U >= W of grad[v][U].
+
+    One forward pass (f over every subset) and one reverse pass over the
+    same recursion (the gradient for every child at once), then a superset
+    sum per child, give all p(p-1) edge probabilities for the cost of
+    about two passes rather than one pass per ordered pair.
     """
     p = data.rows.shape[1]
     if p > MAX_EXACT_NODES:
         raise SizeLimitError(f"exact averaging limited to {MAX_EXACT_NODES} variables")
     if max_parents > MAX_EXACT_PARENTS:
         raise SizeLimitError(f"max_parents limited to {MAX_EXACT_PARENTS}")
-    weights = _family_weight_tables(data, max_parents)
-    acc = [_zeta_transform(w, p) for w in weights]
-    denom = _dag_weight_sum(acc, p)
-    if denom <= 0:
-        raise ArithmeticError("posterior mass underflowed; data too extreme")
-    prob = np.zeros((p, p))
-    for u in range(p):
-        bit_u = 1 << u
-        for v in range(p):
-            if u == v:
-                continue
-            restricted = np.where(
-                (np.arange(1 << p) & bit_u) > 0, weights[v], np.longdouble(0.0))
-            acc_v = _zeta_transform(restricted, p)
-            numer = _dag_weight_sum(acc[:v] + [acc_v] + acc[v + 1:], p)
-            prob[u, v] = float(numer / denom)
-    counts = prob  # already normalized: strength = P(u->v)+P(v->u)
-    return _confidence_from_counts(data.variables, counts, 1.0)
+    prob = _edge_posteriors(_family_weight_tables(data, max_parents))
+    # already normalized: strength = P(u->v) + P(v->u)
+    return _confidence_from_counts(data.variables, prob, 1.0)
 
 
 def map_dag(data: DataLike, max_parents: int = MAX_EXACT_PARENTS) -> Dag:

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -100,6 +101,29 @@ def test_learn_rejects_bad_threshold(tmp_path, capsys):
     code = run(["learn", data, "--threshold", "1.01", "--out", tmp_path / "o"])
     assert code == EXIT_FAILURE
     assert "threshold" in capsys.readouterr().err
+
+
+# --- logging and tracebacks ---------------------------------------------------
+
+
+def test_log_level_prints_library_messages_for_that_run_only(tmp_path, capsys):
+    data = tmp_path / "pair.csv"
+    write_pair_csv(data, n=60)
+    args = ["learn", data, "--boot-samples", 3, "--restarts", 1]
+    assert run(["--log-level", "INFO", *args, "--out", tmp_path / "a"]) == EXIT_OK
+    assert "INFO relqual.cli: learn: " in capsys.readouterr().err
+    assert run([*args, "--out", tmp_path / "b"]) == EXIT_OK
+    assert "INFO" not in capsys.readouterr().err
+    assert logging.getLogger("relqual").handlers == []
+
+
+def test_debug_lets_the_error_escape_with_its_traceback(tmp_path, capsys):
+    argv = ["quality", "--out", tmp_path / "o"]
+    with pytest.raises(ValueError, match="give --usage"):
+        run(["--debug", *argv])
+    assert logging.getLogger("relqual").handlers == []
+    assert run(argv) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: give --usage")
 
 
 # --- quality -----------------------------------------------------------------
@@ -225,7 +249,7 @@ def warm_cache(cache_dir, url, payload, headers=None):
         transport_called["n"] += 1
         return TransportResponse(200, headers or {}, json.dumps(payload).encode())
 
-    CachedHttp(cache, transport).get(url)
+    CachedHttp(cache, transport).get_json(url)
     assert transport_called["n"] == 1
 
 

@@ -121,7 +121,7 @@ def test_warm_cache_replays_without_network(tmp_path):
 def test_cold_cache_offline_raises_with_instruction(tmp_path):
     http = CachedHttp(HttpCache(tmp_path), transport=None)
     with pytest.raises(OfflineCacheMissError, match="live"):
-        http.get("https://api.npmjs.org/downloads/range/x:y/pkg")
+        http.get_json("https://api.npmjs.org/downloads/range/x:y/pkg")
 
 
 def test_chunked_fetch_equals_whole_range(tmp_path):
@@ -189,8 +189,8 @@ def test_rate_limit_honors_retry_after_then_succeeds(tmp_path):
 
     naps = []
     http = CachedHttp(HttpCache(tmp_path), transport, sleeper=naps.append)
-    body = http.get(url)
-    assert json.loads(body.body) == payload
+    _, body = http.get_json(url)
+    assert body == payload
     assert naps == [3.0]
 
 
@@ -220,7 +220,7 @@ def test_retry_after_http_date_and_garbage(tmp_path, retry_after, expected):
     naps = []
     http = CachedHttp(HttpCache(tmp_path), _retry_once(retry_after),
                       backoff=0.5, sleeper=naps.append)
-    http.get("https://api.example/x")
+    http.get_json("https://api.example/x")
     assert naps == [expected]
 
 
@@ -230,7 +230,7 @@ def test_retry_after_future_http_date_waits_until_then(tmp_path):
     http = CachedHttp(HttpCache(tmp_path),
                       _retry_once(format_datetime(when, usegmt=True)),
                       sleeper=naps.append)
-    http.get("https://api.example/x")
+    http.get_json("https://api.example/x")
     assert len(naps) == 1 and 110 <= naps[0] <= 120
 
 
@@ -311,14 +311,14 @@ def test_cache_written_with_an_index_still_replays(tmp_path):
     key = HttpCache.key("https://api.example/x", None)
     objects = tmp_path / "objects"
     objects.mkdir()
-    (objects / key).write_bytes(b"body")
+    (objects / key).write_bytes(b'{"x": 1}')
     (objects / f"{key}.meta.json").write_text(json.dumps(
         {"status": 200, "headers": {"etag": "1"}, "fetched_at": "2020-01-01"}))
     (tmp_path / "index.json").write_text(json.dumps(
         {key: {"url": "https://api.example/x", "params": {}}}))
     http = CachedHttp(HttpCache(tmp_path), transport=None)
-    assert http.get("https://api.example/x") == TransportResponse(
-        200, {"etag": "1"}, b"body")
+    assert http.get_json("https://api.example/x") == (
+        TransportResponse(200, {"etag": "1"}, b'{"x": 1}'), {"x": 1})
 
 
 def test_rate_limit_exhaustion_raises(tmp_path):
@@ -329,7 +329,7 @@ def test_rate_limit_exhaustion_raises(tmp_path):
     http = CachedHttp(HttpCache(tmp_path), transport, max_attempts=3,
                       sleeper=naps.append)
     with pytest.raises(RateLimitedError):
-        http.get("https://api.example/x")
+        http.get_json("https://api.example/x")
     assert len(naps) == 2  # no sleep after the final attempt
     assert naps[1] > naps[0]  # exponential backoff
 
@@ -338,7 +338,7 @@ def test_hard_http_error_not_retried(tmp_path):
     transport = FixtureTransport({})
     http = CachedHttp(HttpCache(tmp_path), transport)
     with pytest.raises(HttpError):
-        http.get("https://api.example/missing")
+        http.get_json("https://api.example/missing")
     assert transport.calls == 1
 
 
@@ -421,6 +421,74 @@ def test_issue_truncated_pagination_detected(tmp_path):
                                            FixtureTransport(fixtures)))
     assert "o/r" in result.errors
     assert "page 2" in result.errors["o/r"]
+
+
+# --- bodies that are not JSON -------------------------------------------------
+
+
+@pytest.mark.parametrize("bad_body", [b"<html>502 Bad Gateway</html>", b"",
+                                      b"\xff\xfe{}", b'{"downloads": ['])
+def test_non_json_body_is_reported_and_never_cached(tmp_path, bad_body):
+    calm_url, payload = downloads_fixture("calm", START, 3)
+    bad_url, _ = downloads_fixture("bad-body", START, 3)
+    fixtures = {(calm_url, "{}"): ({}, payload),
+                (bad_url, "{}"): TransportResponse(200, {}, bad_body)}
+    spec = FetchSpec(("calm", "bad-body"), START, START + dt.timedelta(days=2),
+                     cache_dir=tmp_path)
+    result = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path),
+                                              FixtureTransport(fixtures)))
+    assert result.downloads["calm"].downloads.tolist() == [100, 101, 102]
+    assert set(result.errors) == {"bad-body"}
+    assert "not JSON" in result.errors["bad-body"]
+    key = HttpCache.key(bad_url, None)
+    assert not (tmp_path / "objects" / key).exists()
+    assert not (tmp_path / "objects" / f"{key}.meta.json").exists()
+
+    # a replay finds only the healthy package; the bad one is a plain miss
+    replay = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path), None))
+    assert replay.downloads["calm"].downloads.tolist() == [100, 101, 102]
+    assert "live" in replay.errors["bad-body"]
+
+    # once the server answers properly, a live fetch succeeds and is cached
+    fixtures[bad_url, "{}"] = ({}, payload)
+    later = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path),
+                                             FixtureTransport(fixtures)))
+    assert later.errors == {}
+    assert later.downloads["bad-body"].downloads.tolist() == [100, 101, 102]
+    assert (tmp_path / "objects" / key).exists()
+
+
+def test_non_json_body_in_an_older_cache_is_reported_on_replay(tmp_path):
+    calm_url, payload = downloads_fixture("calm", START, 3)
+    bad_url, _ = downloads_fixture("bad-body", START, 3)
+    cache = HttpCache(tmp_path)
+    cache.put(HttpCache.key(calm_url, None), calm_url, None,
+              TransportResponse(200, {}, json.dumps(payload).encode()))
+    cache.put(HttpCache.key(bad_url, None), bad_url, None,
+              TransportResponse(200, {}, b"<html></html>"))
+    spec = FetchSpec(("calm", "bad-body"), START, START + dt.timedelta(days=2),
+                     cache_dir=tmp_path)
+    replay = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path), None))
+    assert replay.downloads["calm"].downloads.tolist() == [100, 101, 102]
+    assert "not JSON" in replay.errors["bad-body"]
+
+
+def test_non_json_issue_pages_are_reported(tmp_path):
+    first = json.dumps({"page": 1, "per_page": 100, "state": "all"}, sort_keys=True)
+    bad = "https://api.github.com/repos/o/bad/issues"
+    cut = "https://api.github.com/repos/o/cut/issues"
+    fixtures = {
+        (bad, first): TransportResponse(200, {}, b"rate limit page"),
+        (cut, first): ({"link": f'<{cut}?page=2>; rel="next"'}, issue_items(100, START)),
+        (cut + "?page=2", "{}"): TransportResponse(200, {}, b"rate limit page"),
+    }
+    spec = FetchSpec(("o/bad", "o/cut"), START, START + dt.timedelta(days=5),
+                     cache_dir=tmp_path)
+    result = fetch_issues(spec, CachedHttp(HttpCache(tmp_path),
+                                           FixtureTransport(fixtures)))
+    assert result.issues == {}
+    assert "not JSON" in result.errors["o/bad"]
+    assert "page 2" in result.errors["o/cut"]
 
 
 # --- series building ---------------------------------------------------------

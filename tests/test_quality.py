@@ -154,6 +154,17 @@ def make_series(downloads, cumulative, start=DAY, package="pkg"):
     return DailySeries(package, days, np.array(downloads), np.array(cumulative))
 
 
+@pytest.mark.parametrize("swap", ["duplicate", "decrease"])
+def test_daily_series_rejects_days_out_of_order(swap):
+    days = [DAY + dt.timedelta(days=i) for i in range(5)]
+    if swap == "duplicate":
+        days[3] = days[2]
+    else:
+        days[2], days[3] = days[3], days[2]
+    with pytest.raises(ValueError, match="^days must be strictly increasing$"):
+        DailySeries("pkg", tuple(days), np.ones(5), np.zeros(5))
+
+
 def test_timeline_constant_is_flat():
     n = 20
     series = make_series([100] * n, np.arange(1, n + 1) * 2)

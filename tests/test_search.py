@@ -21,7 +21,7 @@ from relqual.search import (
     map_learner,
     restrict_gs,
     restrict_mmpc,
-    _dag_weight_sum,
+    _dag_weight_sums,
     _zeta_transform,
 )
 
@@ -178,7 +178,7 @@ def test_dag_weight_sum_reduces_to_dag_counting():
                     w[mask] = 1.0
             weights.append(w)
         acc = [_zeta_transform(w, p) for w in weights]
-        assert _dag_weight_sum(acc, p) == pytest.approx(count_dags(p))
+        assert _dag_weight_sums(np.array(acc))[-1] == pytest.approx(count_dags(p))
 
 
 def brute_force_edge_probabilities(data, max_parents):

@@ -4,6 +4,10 @@ The references here are the straightforward versions: one BIC family score
 at a time from the (re)sample's own rows, memoized per (child, mask), and
 a greedy search that yields every legal move and checks acyclicity with a
 depth-first search per candidate.  The library must match them bit for bit.
+
+The exact edge posterior is checked against one restricted pass of the
+sink-layer recursion per ordered pair, and against weighted averaging over
+all 29,281 five-node DAGs.
 """
 
 import itertools
@@ -13,23 +17,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relqual.dag import Dag, VariableSet
+from relqual.dag import Dag, SizeLimitError, VariableSet, enumerate_dags
 from relqual.data import Dataset, DiscreteDataset
 from relqual.discretize import DiscretizationSpec, discretize
 from relqual.gaussian import DegenerateVarianceError
 from relqual.ols import InsufficientRowsError, RankDeficientError
 from relqual.rng import rng_from, split_seed
 from relqual.search import (
+    MAX_EXACT_NODES,
     FamilyScoreTable,
     FamilyScores,
     HcConfig,
+    _dag_weight_sums,
+    _edge_posteriors,
+    _family_weight_tables,
     _scorer,
     bootstrap_average,
+    exact_map_edge_probabilities,
     hc_learner,
     hill_climb,
     hybrid_learner,
+    map_dag,
     map_learner,
 )
+from test_acceptance import random_four_node_dataset
 
 # ---------------------------------------------------------------------------
 # reference family scores
@@ -420,3 +431,158 @@ def test_discrete_bootstrap_matches_reference():
     counts = ref_bootstrap_counts(
         data, lambda d, s: ref_hill_climb(d, cfg, seed=s), 4, seed=5)
     assert np.array_equal(conf.strength, _strength(counts, 4))
+
+
+# ---------------------------------------------------------------------------
+# reference exact posterior: one restricted sink-layer pass per ordered pair
+
+
+def ref_zeta_transform(values, p):
+    out = values.copy()
+    for i in range(p):
+        bit = 1 << i
+        for mask in range(1 << p):
+            if mask & bit:
+                out[mask] += out[mask ^ bit]
+    return out
+
+
+def ref_dag_weight_sum(acc, p):
+    f = np.zeros(1 << p, dtype=np.longdouble)
+    f[0] = 1.0
+    for s in range(1, 1 << p):
+        total = 0.0
+        t = s
+        while t:
+            rest = s ^ t
+            prod = f[rest]
+            if prod != 0.0:
+                m = t
+                while m:
+                    c = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    prod *= acc[c][rest]
+                    if prod == 0.0:
+                        break
+                if t.bit_count() % 2 == 1:
+                    total += prod
+                else:
+                    total -= prod
+            t = (t - 1) & s
+        f[s] = total
+    return f[(1 << p) - 1]
+
+
+def ref_edge_posteriors(weights):
+    p = len(weights)
+    acc = [ref_zeta_transform(w, p) for w in weights]
+    denom = ref_dag_weight_sum(acc, p)
+    if denom <= 0:
+        raise ArithmeticError("posterior mass underflowed; data too extreme")
+    prob = np.zeros((p, p))
+    for u in range(p):
+        for v in range(p):
+            if u == v:
+                continue
+            restricted = np.where((np.arange(1 << p) >> u) & 1, weights[v],
+                                  np.longdouble(0.0))
+            acc_v = ref_zeta_transform(restricted, p)
+            numer = ref_dag_weight_sum(acc[:v] + [acc_v] + acc[v + 1:], p)
+            prob[u, v] = float(numer / denom)
+    return prob
+
+
+@st.composite
+def weight_tables(draw):
+    """Non-negative family weights, zero at every mask holding the child
+    (as in the library's tables); some entries zero, some children with
+    only the empty parent set, some with no family at all."""
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random((p, 1 << p)) * 10.0 ** rng.integers(-6, 1, (p, 1 << p))
+    weights[rng.random(weights.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    for child in range(p):
+        weights[child, (np.arange(1 << p) >> child) & 1 == 1] = 0.0
+        kind = draw(st.sampled_from(["full"] * 6 + ["root", "none"]))
+        if kind != "full":
+            weights[child, 1:] = 0.0
+        if kind == "none":
+            weights[child, 0] = 0.0
+    return weights.astype(np.longdouble)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_tables())
+def test_edge_posteriors_match_per_edge_reruns(weights):
+    try:
+        expected = ref_edge_posteriors(list(weights))
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _edge_posteriors(weights)
+        return
+    assert np.max(np.abs(_edge_posteriors(weights) - expected)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def five_node_parent_masks():
+    """Per labeled five-node DAG, each child's parent mask."""
+    masks = []
+    for dag in enumerate_dags(5):
+        row = [0] * 5
+        for u, v in dag.edges:
+            row[v] |= 1 << u
+        masks.append(row)
+    assert len(masks) == 29_281
+    return np.array(masks)
+
+
+FIVE_NODE_CASES = [(0, 4), (1, 4), (2, 3), (3, 2)]   # (dataset seed, max_parents)
+
+
+def brute_force_posteriors(data, max_parents, parent_masks):
+    """P(u -> v) by weighting every DAG with its family scores."""
+    p = len(data.variables)
+    scorer = ReferenceScores(data)
+    scores = np.full((p, 1 << p), -np.inf)
+    for child, mask in families(p, max_parents):
+        scores[child, mask] = scorer.family_score(child, mask)
+    scores -= scores.max(axis=1, keepdims=True)
+    dag_weights = np.exp(scores[np.arange(p), parent_masks].sum(axis=1))
+    has_edge = (parent_masks[:, None, :] >> np.arange(p)[None, :, None]) & 1
+    return np.einsum("d,duv->uv", dag_weights, has_edge) / dag_weights.sum()
+
+
+@pytest.mark.parametrize("seed,max_parents", FIVE_NODE_CASES)
+def test_exact_posterior_matches_five_node_enumeration(seed, max_parents,
+                                                       five_node_parent_masks):
+    data = gaussian_data(seed, 5, 60)
+    expected = brute_force_posteriors(data, max_parents, five_node_parent_masks)
+    conf = exact_map_edge_probabilities(data, max_parents=max_parents)
+    strength = expected + expected.T
+    np.fill_diagonal(strength, 0.0)
+    assert np.max(np.abs(conf.strength - strength)) <= 1e-9
+    present = strength > 1e-12
+    assert np.max(np.abs(conf.direction - expected / np.where(present, strength, 1.0))
+                  [present]) <= 1e-9
+
+
+def test_float64_tables_agree_with_extended_precision():
+    """Where long double is plain float64 the same computation runs in
+    float64; on the criterion-3 and five-node datasets it must not need
+    the extra range."""
+    cases = [(random_four_node_dataset(42_000 + rep), 3) for rep in range(20)]
+    cases += [(gaussian_data(seed, 5, 60), mp) for seed, mp in FIVE_NODE_CASES]
+    for data, max_parents in cases:
+        weights = _family_weight_tables(data, max_parents)
+        narrow = weights.astype(np.float64)
+        assert _dag_weight_sums(narrow).dtype == np.float64
+        assert np.max(np.abs(_edge_posteriors(narrow)
+                             - _edge_posteriors(weights))) <= 1e-9
+
+
+def test_exact_searches_refuse_one_node_past_the_limit():
+    data = gaussian_data(0, MAX_EXACT_NODES + 1, 30)
+    with pytest.raises(SizeLimitError):
+        exact_map_edge_probabilities(data)
+    with pytest.raises(SizeLimitError):
+        map_dag(data)
