@@ -32,10 +32,9 @@ from .ingest import CachedHttp, FetchSpec, HttpCache, build_daily_series, \
 from .ols import fit_power_law
 from .quality import DailySeries, aggregate_usage, direction_of_trend, \
     log_transform, quality_metric, screen_significance, timeline
-from .search import HcConfig, averaged_network, bootstrap_average, hc_learner, \
-    hybrid_learner, map_learner
-from .simstudy import MethodSpec, SimStudyConfig, default_methods, \
-    default_truth, run_simstudy
+from .search import HcConfig, averaged_network, bootstrap_average
+from .simstudy import SEARCH_KINDS, MethodSpec, SimStudyConfig, build_learner, \
+    default_methods, default_truth, run_simstudy
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -208,18 +207,9 @@ def cmd_learn(args) -> int:
 
     hc = HcConfig(restarts=args.restarts, max_parents=args.max_parents,
                   seed=args.seed)
-    if args.method == "hc":
-        learner = hc_learner(hc)
-    elif args.method == "map":
-        learner = map_learner(args.max_parents)
-    elif args.method in ("hybrid-gs", "hybrid-mmpc"):
-        learner = hybrid_learner(hc, args.method.split("-", 1)[1], args.alpha)
-    else:
-        raise ValueError(f"unknown method {args.method}")
-
     search_data = data if args.no_scale else _standardized(data)
-    conf = bootstrap_average(search_data, learner, args.boot_samples,
-                             seed=args.seed)
+    conf = bootstrap_average(search_data, build_learner(args.method, hc, args.alpha),
+                             args.boot_samples, seed=args.seed)
     net = averaged_network(conf, args.threshold, strict=args.strict_threshold)
 
     arcs_path = out / "arcs.csv"
@@ -576,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="bootstrap-averaged structure learning")
     p.add_argument("data", help="numeric CSV with one column per variable")
-    p.add_argument("--method", default="hc",
-                   choices=["hc", "map", "hybrid-gs", "hybrid-mmpc"])
+    p.add_argument("--method", default="hc", choices=SEARCH_KINDS)
     p.add_argument("--threshold", type=float, default=0.85)
     p.add_argument("--strict-threshold", action="store_true",
                    dest="strict_threshold")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class CycleError(ValueError):
@@ -126,36 +126,18 @@ def topological_order(dag: Dag) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _reaches(edges: frozenset[tuple[int, int]], start: int, target: int, n: int) -> bool:
-    children: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        children[u].append(v)
-    stack = [start]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if node == target:
-            return True
-        for child in children[node]:
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return False
-
-
 def add_edge_checked(dag: Dag, parent: int, child: int) -> Dag:
     """Return a new Dag with the edge added, or raise.
 
     Raises ``DuplicateEdgeError`` if the edge exists and ``CycleError`` if
     ``child`` already reaches ``parent``.
     """
-    if parent == child:
-        raise CycleError("self loop")
     if (parent, child) in dag.edges:
         raise DuplicateEdgeError(f"edge ({parent},{child}) already present")
-    if _reaches(dag.edges, child, parent, len(dag.variables)):
-        raise CycleError(f"adding ({parent},{child}) would create a cycle")
-    return Dag(dag.variables, dag.edges | {(parent, child)})
+    try:
+        return Dag(dag.variables, dag.edges | {(parent, child)})
+    except CycleError:
+        raise CycleError(f"adding ({parent},{child}) would create a cycle") from None
 
 
 def count_dags(n: int) -> int:
@@ -196,23 +178,8 @@ def enumerate_dags(n: int, variables: VariableSet | None = None) -> Iterator[Dag
                 edges.append((i, j))
             elif state == 2:
                 edges.append((j, i))
-        if _is_acyclic(edges, n):
-            yield Dag(variables, frozenset(edges))
-
-
-def _is_acyclic(edges: Sequence[tuple[int, int]], n: int) -> bool:
-    indegree = [0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        indegree[v] += 1
-        children[u].append(v)
-    ready = [i for i in range(n) if indegree[i] == 0]
-    removed = 0
-    while ready:
-        node = ready.pop()
-        removed += 1
-        for child in children[node]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready.append(child)
-    return removed == n
+        try:
+            dag = Dag(variables, frozenset(edges))
+        except CycleError:
+            continue
+        yield dag

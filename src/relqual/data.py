@@ -8,7 +8,41 @@ from pathlib import Path
 
 import numpy as np
 
-from .dag import VariableSet
+from .dag import Dag, VariableSet
+
+
+class FamilyScorer:
+    """BIC family scores of one dataset, or of bootstrap resamples of it.
+
+    Subclasses provide ``family_scores(child, parent_sets, resamples)``: a
+    (sample, parent set) array of scores and the error per failed entry.
+    """
+
+    def __init__(self, data: "Dataset | DiscreteDataset", max_parents: int | None,
+                 resamples: np.ndarray | None):
+        self.n = data.n
+        self.p = len(data.variables)
+        self.max_parents = self.p - 1 if max_parents is None else min(max_parents, self.p - 1)
+        self.samples = 1 if resamples is None else len(resamples)
+        self._log_n = float(np.log(self.n))
+
+    def family_score(self, child: int, parent_mask: int) -> float:
+        """One family's score in the first (or only) sample."""
+        parents = np.array([[i for i in range(self.p) if parent_mask >> i & 1]],
+                           dtype=np.intp)
+        scores, failures = self.family_scores(child, parents, slice(0, 1))
+        if failures:
+            raise failures[0, 0]
+        return float(scores[0, 0])
+
+    def score_dag(self, dag: Dag) -> float:
+        total = 0.0
+        for node in range(self.p):
+            mask = 0
+            for parent in dag.parents(node):
+                mask |= 1 << parent
+            total += self.family_score(node, mask)
+        return total
 
 
 @dataclass(frozen=True)

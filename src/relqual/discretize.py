@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DiscreteDataset
+from .data import Dataset, DiscreteDataset, FamilyScorer
 
 EQUAL_INTERVAL = "equal-interval"
 EQUAL_FREQUENCY = "equal-frequency"
@@ -213,26 +213,25 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
     return Discretized(dataset, tuple(edges))
 
 
-class DiscreteScoreCache:
+class DiscreteScoreCache(FamilyScorer):
     """Multinomial BIC family scores of one dataset, or of bootstrap
     resamples of it.
 
     ``family_scores`` scores parent sets of one child in every sample, one
-    bincount per family over all samples; ``family_score`` scores one
-    family of the first (or only) sample.
+    bincount per family over all samples.
     """
+
+    # bound in this class too: a tracer wraps and restores it per scorer
+    # (perfbench) and must find it in the class's own namespace
+    family_score = FamilyScorer.family_score
 
     def __init__(self, data: DiscreteDataset, max_parents: int | None = None,
                  resamples: np.ndarray | None = None):
+        super().__init__(data, max_parents, resamples)
         self.rows = data.rows
         self.levels = data.levels
-        self.n = data.n
-        self.p = len(data.levels)
-        self.max_parents = self.p - 1 if max_parents is None else min(max_parents, self.p - 1)
         self.resamples = (np.arange(self.n)[None, :] if resamples is None
                           else np.asarray(resamples))
-        self.samples = len(self.resamples)
-        self._log_n = float(np.log(self.n))
 
     def family_scores(self, child: int, parent_sets: np.ndarray,
                       resamples: slice = slice(None)
@@ -271,21 +270,6 @@ class DiscreteScoreCache:
             k = (child_levels - 1) * config_size
             scores[:, m] = loglik - 0.5 * k * self._log_n
         return scores, {}
-
-    def family_score(self, child: int, parent_mask: int) -> float:
-        parents = [i for i in range(self.p) if parent_mask >> i & 1]
-        scores, _ = self.family_scores(
-            child, np.array([parents], dtype=np.intp), slice(0, 1))
-        return float(scores[0, 0])
-
-    def score_dag(self, dag) -> float:
-        total = 0.0
-        for node in range(self.p):
-            mask = 0
-            for parent in dag.parents(node):
-                mask |= 1 << parent
-            total += self.family_score(node, mask)
-        return total
 
 
 def bic_discrete(dag, data: DiscreteDataset) -> float:

@@ -260,9 +260,8 @@ def _fold_assignments(n: int, k_folds: int, seed: int, repeat: int) -> np.ndarra
 
 
 def _cv_r2(data: Dataset, response: str, cfg: ForestConfig, k_repeats: int,
-           k_folds: int, seed: int, sstot: str = "fold") -> np.ndarray:
-    """Held-out R^2 per (repeat, fold); SS_tot around the fold mean by
-    default ('train' switches to the training mean baseline)."""
+           k_folds: int, seed: int) -> np.ndarray:
+    """Held-out R^2 per (repeat, fold), SS_tot around the fold mean."""
     y_col = data.variables.index(response)
     x_cols = [i for i in range(data.rows.shape[1]) if i != y_col]
     scores = []
@@ -275,8 +274,7 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig, k_repeats: int,
                                cfg)
             pred = model.predict(data.rows[test][:, x_cols])
             y_test = data.rows[test, y_col]
-            center = y_test.mean() if sstot == "fold" else data.rows[train, y_col].mean()
-            sst = float(np.sum((y_test - center) ** 2))
+            sst = float(np.sum((y_test - y_test.mean()) ** 2))
             sse = float(np.sum((y_test - pred) ** 2))
             scores.append(1.0 - sse / sst if sst > 0 else 0.0)
     return np.asarray(scores)
@@ -310,7 +308,7 @@ def default_grid(p: int) -> tuple[tuple[int, int], ...]:
 def tune_forest(data: Dataset, response: str,
                 grid: tuple[tuple[int, int], ...],
                 k_repeats: int = 10, k_folds: int = 2, seed: int = 0,
-                min_leaf: int = 5, sstot: str = "fold") -> TuneResult:
+                min_leaf: int = 5) -> TuneResult:
     """Repeated k-fold CV over the (ntree, mtry) grid; best cell by mean
     held-out R^2 (sd reported alongside, matching how tuned forests are
     usually quoted)."""
@@ -321,7 +319,7 @@ def tune_forest(data: Dataset, response: str,
     cells = []
     for ntree, mtry in grid:
         cfg = ForestConfig(ntree=ntree, mtry=mtry, min_leaf=min_leaf, seed=seed)
-        scores = _cv_r2(data, response, cfg, k_repeats, k_folds, seed, sstot)
+        scores = _cv_r2(data, response, cfg, k_repeats, k_folds, seed)
         cells.append(TuneCell(ntree, mtry, float(scores.mean()),
                               float(scores.std(ddof=1)) if scores.size > 1 else 0.0))
     best = max(cells, key=lambda c: c.mean_r2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dag import Dag, VariableSet, topological_order
-from .data import Dataset
+from .data import Dataset, FamilyScorer
 from .ols import InsufficientRowsError, OlsFit, RankDeficientError, fit_ols
 from .rng import rng_from
 
@@ -109,31 +109,29 @@ def fit(dag: Dag, data: Dataset) -> GaussianBn:
     return GaussianBn(dag, intercepts, tuple(coefs), sds)
 
 
-class GaussianScoreCache:
+class GaussianScoreCache(FamilyScorer):
     """Gaussian BIC family scores of one dataset, or of bootstrap resamples
     of it.
 
     Each sample is reduced once to its ML covariance; a family score is then
     a small SPD solve, so structure search never touches the raw rows
     again.  ``family_scores`` scores many parent sets of one child for every
-    sample in one batched solve; ``family_score`` scores one family of the
-    first (or only) sample.
+    sample in one batched solve.
     """
+
+    # bound in this class too: a tracer wraps and restores it per scorer
+    # (perfbench) and must find it in the class's own namespace
+    family_score = FamilyScorer.family_score
 
     def __init__(self, data: Dataset, max_parents: int | None = None,
                  resamples: np.ndarray | None = None):
-        rows = data.rows
-        self.n = rows.shape[0]
-        self.p = rows.shape[1]
-        self.max_parents = self.p - 1 if max_parents is None else min(max_parents, self.p - 1)
+        super().__init__(data, max_parents, resamples)
         index = [slice(None)] if resamples is None else resamples
-        self.samples = len(index)
         self.covs = np.empty((self.samples, self.p, self.p))
         for b, idx in enumerate(index):
-            sample = rows[idx]
+            sample = data.rows[idx]
             centered = sample - sample.mean(axis=0)
             self.covs[b] = (centered.T @ centered) / self.n
-        self._log_n = float(np.log(self.n))
 
     def family_scores(self, child: int, parent_sets: np.ndarray,
                       resamples: slice = slice(None)
@@ -185,23 +183,6 @@ class GaussianScoreCache:
         for b, m in failures:
             scores[b, m] = np.nan
         return scores, failures
-
-    def family_score(self, child: int, parent_mask: int) -> float:
-        parents = np.array([[i for i in range(self.p) if parent_mask >> i & 1]],
-                           dtype=np.intp)
-        scores, failures = self.family_scores(child, parents, slice(0, 1))
-        if failures:
-            raise failures[0, 0]
-        return float(scores[0, 0])
-
-    def score_dag(self, dag: Dag) -> float:
-        total = 0.0
-        for node in range(self.p):
-            mask = 0
-            for parent in dag.parents(node):
-                mask |= 1 << parent
-            total += self.family_score(node, mask)
-        return total
 
 
 def bic_g(dag: Dag, data: Dataset) -> float:

@@ -65,7 +65,8 @@ class TruncatedPaginationError(RuntimeError):
 
 
 class MalformedBodyError(ValueError):
-    """A 200 response whose body is not JSON."""
+    """A 200 response whose body is not JSON, or not JSON of the shape the
+    endpoint promises."""
 
 
 class GapInSeriesError(ValueError):
@@ -231,11 +232,15 @@ class CachedHttp:
         self._lock = threading.Lock()
 
     def get_json(self, url: str, params: dict | None = None,
-                 headers: dict | None = None) -> tuple[TransportResponse, object]:
-        """The response and its body parsed as JSON, from the cache or
-        fetched.  A body is parsed before it is cached: one that is not
-        JSON raises ``MalformedBodyError`` and leaves no cache entry, so
-        replays never meet it and a later live fetch can still succeed."""
+                 headers: dict | None = None,
+                 parse: Callable[[object], object] = lambda payload: payload
+                 ) -> tuple[TransportResponse, object]:
+        """The response and ``parse`` of its body read as JSON, from the
+        cache or fetched.  A body is parsed before it is cached: one that is
+        not JSON, or that ``parse`` rejects (ValueError, TypeError,
+        KeyError, AttributeError), raises ``MalformedBodyError`` and leaves
+        no cache entry, so replays never meet it and a later live fetch can
+        still succeed."""
         key = self.cache.key(url, params)
         response = self.cache.get(key)
         fetched = response is None
@@ -249,6 +254,11 @@ class CachedHttp:
             payload = json.loads(response.body)
         except ValueError as exc:   # JSONDecodeError, or bytes that are not text
             raise MalformedBodyError(f"body of {url} is not JSON: {exc}") from None
+        try:
+            payload = parse(payload)
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise MalformedBodyError(f"body of {url} has the wrong shape: "
+                                     f"{type(exc).__name__}: {exc}") from None
         if fetched:
             self.cache.put(key, url, params, response)
         return response, payload
@@ -334,6 +344,12 @@ class FetchResult:
         return bool(self.errors) and (bool(self.downloads) or bool(self.issues))
 
 
+def _download_rows(payload) -> dict[dt.date, int]:
+    """The count per day of a download-range body."""
+    return {dt.date.fromisoformat(row["day"]): int(row["downloads"])
+            for row in payload.get("downloads", [])}
+
+
 def fetch_downloads(spec: FetchSpec, http: CachedHttp,
                     politeness: int = 4) -> FetchResult:
     """Per-day download counts for every package over the range.
@@ -348,9 +364,8 @@ def fetch_downloads(spec: FetchSpec, http: CachedHttp,
         for lo, hi in _windows(spec.start, spec.end, spec.max_window_days):
             url = (f"{spec.downloads_api_base}/"
                    f"{lo.isoformat()}:{hi.isoformat()}/{quote(package, safe='@/')}")
-            _, payload = http.get_json(url)
-            for row in payload.get("downloads", []):
-                per_day[dt.date.fromisoformat(row["day"])] = int(row["downloads"])
+            _, rows = http.get_json(url, parse=_download_rows)
+            per_day.update(rows)
         days = sorted(per_day)
         all_days = [spec.start + dt.timedelta(days=i)
                     for i in range((spec.end - spec.start).days + 1)]
@@ -381,6 +396,17 @@ def _next_link(headers: dict[str, str]) -> str | None:
     return match.group(1) if match else None
 
 
+def _issue_rows(items) -> list[tuple[dt.date, bool]]:
+    """(creation day, is a pull request) per item of an issue-list page."""
+    rows = []
+    for item in items:
+        if not isinstance(item, dict):
+            raise TypeError(f"issue item is a {type(item).__name__}, not an object")
+        created = dt.datetime.fromisoformat(item["created_at"].replace("Z", "+00:00"))
+        rows.append((created.date(), "pull_request" in item))
+    return rows
+
+
 def fetch_issues(spec: FetchSpec, http: CachedHttp,
                  politeness: int = 4) -> FetchResult:
     """Issue creation dates per repository, paginated to exhaustion.
@@ -401,18 +427,14 @@ def fetch_issues(spec: FetchSpec, http: CachedHttp,
         page = 1
         while True:
             try:
-                response, items = http.get_json(url, params=params, headers=headers)
+                response, rows = http.get_json(url, params=params, headers=headers,
+                                               parse=_issue_rows)
             except (HttpError, RateLimitedError, MalformedBodyError) as exc:
                 if page == 1:
                     raise
                 raise TruncatedPaginationError(
                     f"{repo}: pagination broke at page {page}: {exc}") from exc
-            for item in items:
-                if "pull_request" in item and not spec.include_pulls:
-                    continue
-                created = item["created_at"]
-                dates.append(dt.datetime.fromisoformat(
-                    created.replace("Z", "+00:00")).date())
+            dates += [day for day, pull in rows if spec.include_pulls or not pull]
             nxt = _next_link(response.headers)
             if not nxt:
                 break

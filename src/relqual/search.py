@@ -28,7 +28,6 @@ from .gaussian import GaussianScoreCache
 from .rng import rng_from, split_seed
 
 DataLike = Union[Dataset, DiscreteDataset]
-Learner = Callable[[DataLike, np.random.SeedSequence], Dag]
 
 
 class SingularCorrelationError(ValueError):
@@ -809,22 +808,18 @@ def map_dag(data: DataLike, max_parents: int = MAX_EXACT_PARENTS) -> Dag:
 # bootstrap model averaging
 
 
+@dataclass(frozen=True)
 class ScoreLearner:
-    """A ``Learner`` whose search reads the data only through family scores.
+    """A bootstrap learner: a search that reads the data only through
+    family scores within ``max_parents``.
 
-    ``search(sample, scores, seed)`` gets the sample's rows and its
-    family-score table.  Called as a plain learner it scores the sample
-    alone; ``bootstrap_average`` instead hands it one resample's slice of a
-    table scored for all resamples at once.
+    ``search(sample, scores, seed)`` gets one resample's rows and its slice
+    of the family-score table that ``bootstrap_average`` scores for every
+    resample at once.
     """
 
-    def __init__(self, max_parents: int,
-                 search: Callable[[DataLike, FamilyScores, np.random.SeedSequence], Dag]):
-        self.max_parents = max_parents
-        self.search = search
-
-    def __call__(self, data: DataLike, seed) -> Dag:
-        return self.search(data, family_scores(data, self.max_parents), seed)
+    max_parents: int
+    search: Callable[[DataLike, FamilyScores, np.random.SeedSequence], Dag]
 
 
 def hc_learner(cfg: HcConfig) -> ScoreLearner:
@@ -845,14 +840,14 @@ def map_learner(max_parents: int = MAX_EXACT_PARENTS) -> ScoreLearner:
                         lambda data, scores, seed: map_dag(scores, max_parents))
 
 
-def bootstrap_average(data: DataLike, learner: Learner, boot_samples: int,
+def bootstrap_average(data: DataLike, learner: ScoreLearner, boot_samples: int,
                       seed: int = 0) -> ArcConfidence:
     """Arc strengths and directions over structures learned on resamples.
 
     Each resample draws n rows with replacement under its own counter-split
-    seed, so the tabulation is identical however the work is scheduled.  A
-    ``ScoreLearner`` reads one family-score table scored for every resample
-    together; any other learner gets each resample's rows.
+    seed, so the tabulation is identical however the work is scheduled.  The
+    learner reads one family-score table scored for every resample
+    together.
     """
     if boot_samples < 1:
         raise ValueError("boot_samples must be >= 1")
@@ -861,16 +856,11 @@ def bootstrap_average(data: DataLike, learner: Learner, boot_samples: int,
     n = data.n
     resamples = np.stack([rng_from(split_seed(seed, 1, i)).integers(0, n, size=n)
                           for i in range(boot_samples)])
-    table = None
-    if isinstance(learner, ScoreLearner):
-        table = FamilyScoreTable(_scorer(data, learner.max_parents, resamples),
-                                 data.variables)
+    table = FamilyScoreTable(_scorer(data, learner.max_parents, resamples),
+                             data.variables)
     for i, idx in enumerate(resamples):
-        sample, learn_seed = data.take_rows(idx), split_seed(seed, 2, i)
-        if table is None:
-            learned = learner(sample, learn_seed)
-        else:
-            learned = learner.search(sample, FamilyScores(table, i), learn_seed)
+        learned = learner.search(data.take_rows(idx), FamilyScores(table, i),
+                                 split_seed(seed, 2, i))
         for u, v in learned.edges:
             counts[u, v] += 1.0
     return _confidence_from_counts(data.variables, counts, float(boot_samples))

@@ -23,9 +23,11 @@ from .discretize import DegenerateColumnError, DiscretizationSpec, discretize
 from .gaussian import DegenerateVarianceError, GaussianBn, simulate
 from .metrics import EXACT, OFF_BY_ONE, WORSE, classify
 from .ols import InsufficientRowsError, RankDeficientError
+from .quality import RELEASE_VARIABLES
 from .rng import split_seed
 from .search import (
     HcConfig,
+    ScoreLearner,
     SingularCorrelationError,
     averaged_network,
     bootstrap_average,
@@ -37,15 +39,6 @@ from .search import (
 log = logging.getLogger(__name__)
 
 OUTCOMES = (EXACT, OFF_BY_ONE, WORSE)
-
-RELEASE_VARIABLES = (
-    "Release.Date",
-    "Release.Duration",
-    "Exceptions",
-    "New.Users",
-    "Usage.Intensity",
-    "Usage.Frequency",
-)
 
 SEARCH_KINDS = ("hc", "map", "hybrid-gs", "hybrid-mmpc")
 
@@ -196,13 +189,16 @@ def default_truth() -> GaussianBn:
     return GaussianBn(dag, np.zeros(6), tuple(coefs), np.ones(6))
 
 
-def _build_learner(method: MethodSpec, hc: HcConfig):
-    if method.search == "hc":
+def build_learner(search: str, hc: HcConfig, alpha: float = 0.05) -> ScoreLearner:
+    """The bootstrap learner for a search kind of ``SEARCH_KINDS``; the
+    hybrid kinds test their restricts at level ``alpha``."""
+    if search == "hc":
         return hc_learner(hc)
-    if method.search == "map":
+    if search == "map":
         return map_learner(hc.max_parents)
-    kind = method.search.split("-", 1)[1]
-    return hybrid_learner(hc, restrict=kind, alpha=method.alpha)
+    if search in ("hybrid-gs", "hybrid-mmpc"):
+        return hybrid_learner(hc, restrict=search.split("-", 1)[1], alpha=alpha)
+    raise ValueError(f"search must be one of {SEARCH_KINDS}")
 
 
 def _replicate_outcomes(cfg: SimStudyConfig, replicate: int) -> list[tuple[int, int, str]]:
@@ -216,8 +212,9 @@ def _replicate_outcomes(cfg: SimStudyConfig, replicate: int) -> list[tuple[int, 
             working = data
             if method.discretization is not None:
                 working = discretize(data, method.discretization).dataset
-            conf = bootstrap_average(working, _build_learner(method, cfg.hc),
-                                     cfg.boot_samples, seed=boot_seed)
+            learner = build_learner(method.search, cfg.hc, method.alpha)
+            conf = bootstrap_average(working, learner, cfg.boot_samples,
+                                     seed=boot_seed)
             for ti, threshold in enumerate(cfg.thresholds):
                 learned = averaged_network(conf, threshold).dag
                 results.append((mi, ti, classify(cfg.truth.dag, learned)))

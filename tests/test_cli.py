@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from relqual.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
+from relqual.data import Dataset, load_numeric_csv, write_numeric_csv
+from relqual.gaussian import simulate
 from relqual.ingest import CachedHttp, HttpCache, TransportResponse
+from relqual.search import HcConfig, averaged_network, bootstrap_average
+from relqual.simstudy import SEARCH_KINDS, build_learner, default_truth
 
 
 def run(argv):
@@ -82,6 +86,24 @@ def test_learn_two_column_proportional(tmp_path):
     inference = (out / "inference.csv").read_text().strip().splitlines()
     assert inference[0] == "from,to,coefficient,p_value"
     assert len(inference) == 2
+
+
+@pytest.mark.parametrize("method", SEARCH_KINDS)
+def test_learn_method_matches_library_bootstrap(tmp_path, method):
+    data_path = tmp_path / "release.csv"
+    write_numeric_csv(data_path, simulate(default_truth(), 80, seed=6))
+    out = tmp_path / "out"
+    assert run(["learn", data_path, "--method", method, "--boot-samples", 6,
+                "--restarts", 2, "--max-parents", 2, "--alpha", "0.1",
+                "--threshold", "0.5", "--seed", 3, "--out", out]) == EXIT_OK
+
+    data = load_numeric_csv(data_path)
+    rows = data.rows
+    standardized = Dataset(data.variables, (rows - rows.mean(axis=0)) / rows.std(axis=0))
+    learner = build_learner(method, HcConfig(restarts=2, max_parents=2, seed=3), 0.1)
+    conf = bootstrap_average(standardized, learner, 6, seed=3)
+    assert (out / "arcs.csv").read_bytes() == conf.to_csv().encode()
+    assert (out / "network.json").read_text() == averaged_network(conf, 0.5).dag.to_json()
 
 
 def test_learn_replay_from_manifest_settings_is_byte_identical(tmp_path):

@@ -62,6 +62,38 @@ def test_add_edge_checked():
     assert chain.edges == frozenset({(0, 1)})
 
 
+def path_exists(dag, start, target):
+    """Whether a directed path, possibly of no edges, leads start to target."""
+    seen, stack = {start}, [start]
+    while stack:
+        node = stack.pop()
+        if node == target:
+            return True
+        for child in dag.children(node):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_add_edge_checked_on_every_small_dag(n):
+    for dag in enumerate_dags(n):
+        for u, v in itertools.product(range(n), repeat=2):
+            if (u, v) in dag.edges:
+                with pytest.raises(DuplicateEdgeError,
+                                   match=rf"^edge \({u},{v}\) already present$"):
+                    add_edge_checked(dag, u, v)
+            elif path_exists(dag, v, u):
+                with pytest.raises(CycleError,
+                                   match=rf"^adding \({u},{v}\) would create a cycle$"):
+                    add_edge_checked(dag, u, v)
+            else:
+                grown = add_edge_checked(dag, u, v)
+                assert grown.variables == dag.variables
+                assert grown.edges == dag.edges | {(u, v)}
+
+
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 25), (4, 543)])
 def test_enumerate_dag_counts(n, count):
     dags = list(enumerate_dags(n))

@@ -423,11 +423,18 @@ def test_issue_truncated_pagination_detected(tmp_path):
     assert "page 2" in result.errors["o/r"]
 
 
-# --- bodies that are not JSON -------------------------------------------------
+# --- bodies that are not JSON, or not of the promised shape --------------------
+
+# JSON that a download-range endpoint never sends: a day that is no date, a
+# row without its count, a list in place of the object
+WRONG_SHAPE_DOWNLOADS = [b'{"downloads": [{"day": "soon", "downloads": 1}]}',
+                         b'{"downloads": [{"day": "2020-01-01"}]}',
+                         b'[{"day": "2020-01-01", "downloads": 1}]']
 
 
 @pytest.mark.parametrize("bad_body", [b"<html>502 Bad Gateway</html>", b"",
-                                      b"\xff\xfe{}", b'{"downloads": ['])
+                                      b"\xff\xfe{}", b'{"downloads": [',
+                                      *WRONG_SHAPE_DOWNLOADS])
 def test_non_json_body_is_reported_and_never_cached(tmp_path, bad_body):
     calm_url, payload = downloads_fixture("calm", START, 3)
     bad_url, _ = downloads_fixture("bad-body", START, 3)
@@ -439,7 +446,8 @@ def test_non_json_body_is_reported_and_never_cached(tmp_path, bad_body):
                                               FixtureTransport(fixtures)))
     assert result.downloads["calm"].downloads.tolist() == [100, 101, 102]
     assert set(result.errors) == {"bad-body"}
-    assert "not JSON" in result.errors["bad-body"]
+    reason = "wrong shape" if bad_body in WRONG_SHAPE_DOWNLOADS else "not JSON"
+    assert reason in result.errors["bad-body"]
     key = HttpCache.key(bad_url, None)
     assert not (tmp_path / "objects" / key).exists()
     assert not (tmp_path / "objects" / f"{key}.meta.json").exists()
@@ -473,22 +481,34 @@ def test_non_json_body_in_an_older_cache_is_reported_on_replay(tmp_path):
     assert "not JSON" in replay.errors["bad-body"]
 
 
-def test_non_json_issue_pages_are_reported(tmp_path):
-    first = json.dumps({"page": 1, "per_page": 100, "state": "all"}, sort_keys=True)
+# JSON that an issue-list endpoint never sends: an item without its creation
+# time, an item that is not an object, a creation time that is no date
+WRONG_SHAPE_ISSUES = [b'[{"title": "x"}]', b'[{"created_at": "2020-01-01"}, 7]',
+                      b'[{"created_at": "yesterday"}]']
+
+
+@pytest.mark.parametrize("bad_body", [b"rate limit page", *WRONG_SHAPE_ISSUES])
+def test_non_json_issue_pages_are_reported(tmp_path, bad_body):
+    params = {"page": 1, "per_page": 100, "state": "all"}
+    first = json.dumps(params, sort_keys=True)
     bad = "https://api.github.com/repos/o/bad/issues"
     cut = "https://api.github.com/repos/o/cut/issues"
     fixtures = {
-        (bad, first): TransportResponse(200, {}, b"rate limit page"),
+        (bad, first): TransportResponse(200, {}, bad_body),
         (cut, first): ({"link": f'<{cut}?page=2>; rel="next"'}, issue_items(100, START)),
-        (cut + "?page=2", "{}"): TransportResponse(200, {}, b"rate limit page"),
+        (cut + "?page=2", "{}"): TransportResponse(200, {}, bad_body),
     }
     spec = FetchSpec(("o/bad", "o/cut"), START, START + dt.timedelta(days=5),
                      cache_dir=tmp_path)
     result = fetch_issues(spec, CachedHttp(HttpCache(tmp_path),
                                            FixtureTransport(fixtures)))
     assert result.issues == {}
-    assert "not JSON" in result.errors["o/bad"]
+    reason = "wrong shape" if bad_body in WRONG_SHAPE_ISSUES else "not JSON"
+    assert reason in result.errors["o/bad"]
     assert "page 2" in result.errors["o/cut"]
+    assert not (tmp_path / "objects" / HttpCache.key(bad, params)).exists()
+    assert not (tmp_path / "objects" / HttpCache.key(cut + "?page=2", None)).exists()
+    assert (tmp_path / "objects" / HttpCache.key(cut, params)).exists()
 
 
 # --- series building ---------------------------------------------------------

@@ -11,6 +11,7 @@ from relqual.gaussian import GaussianBn, GaussianScoreCache, bic_g, simulate
 from relqual.search import (
     ArcConfidence,
     HcConfig,
+    ScoreLearner,
     averaged_network,
     bootstrap_average,
     exact_map_edge_probabilities,
@@ -248,7 +249,8 @@ def test_map_dag_matches_exhaustive_best():
 def test_bootstrap_fixed_learner_all_strength_one():
     fixed = Dag.from_names(ABC, [("A", "B")])
     data = chain_data(n=50, seed=3)
-    conf = bootstrap_average(data, lambda d, s: fixed, boot_samples=25, seed=0)
+    conf = bootstrap_average(data, ScoreLearner(1, lambda d, scores, s: fixed),
+                             boot_samples=25, seed=0)
     assert conf.strength[0, 1] == 1.0
     assert conf.direction[0, 1] == 1.0
     assert conf.direction[1, 0] == 0.0
@@ -259,14 +261,14 @@ def test_bootstrap_direction_complement():
     # learner alternates orientation 66/34: the mirrored rows must add to 1
     calls = {"i": 0}
 
-    def learner(d, s):
+    def search(d, scores, s):
         calls["i"] += 1
         if calls["i"] <= 66:
             return Dag.from_names(AB, [("A", "B")])
         return Dag.from_names(AB, [("B", "A")])
 
     data = strong_pair_data(n=40, seed=5)
-    conf = bootstrap_average(data, learner, boot_samples=100, seed=0)
+    conf = bootstrap_average(data, ScoreLearner(1, search), boot_samples=100, seed=0)
     assert conf.strength[0, 1] == 1.0
     assert conf.direction[0, 1] == pytest.approx(0.66)
     assert conf.direction[1, 0] == pytest.approx(0.34)

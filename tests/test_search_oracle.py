@@ -34,6 +34,7 @@ from relqual.search import (
     _scorer,
     bootstrap_average,
     exact_map_edge_probabilities,
+    family_scores,
     hc_learner,
     hill_climb,
     hybrid_learner,
@@ -412,15 +413,19 @@ def test_bootstrap_average_matches_per_resample_reference(case, seed):
 
 def test_table_learners_match_their_plain_calls():
     """Each library learner learns the same DAG from the shared table as
-    when called as a plain learner on each resample's rows."""
+    from a table scored on each resample's rows alone."""
     data = gaussian_data(21, 5, 60)
     cfg = HcConfig(restarts=3, max_parents=3, seed=1)
     for learner in (hc_learner(cfg), map_learner(3), hybrid_learner(cfg, "gs"),
                     hybrid_learner(cfg, "mmpc")):
-        plain = bootstrap_average(data, lambda d, s: learner(d, s), 4, seed=9)
+        counts = ref_bootstrap_counts(
+            data, lambda d, s: learner.search(d, family_scores(d, learner.max_parents), s),
+            4, seed=9)
+        either = counts + counts.T
         tabled = bootstrap_average(data, learner, 4, seed=9)
-        assert np.array_equal(plain.strength, tabled.strength)
-        assert np.array_equal(plain.direction, tabled.direction)
+        assert np.array_equal(tabled.strength, _strength(counts, 4))
+        assert np.array_equal(tabled.direction, np.where(
+            either > 0, counts / np.where(either > 0, either, 1.0), 0.5))
 
 
 def test_discrete_bootstrap_matches_reference():

@@ -6,7 +6,7 @@ from relqual.discretize import DiscretizationSpec
 from relqual.gaussian import GaussianBn, fit, simulate
 from relqual import simstudy
 from relqual.ols import RankDeficientError, fit_ols
-from relqual.search import HcConfig
+from relqual.search import HcConfig, ScoreLearner
 from relqual.simstudy import (
     MethodSpec,
     SimStudyConfig,
@@ -131,9 +131,9 @@ def test_failing_method_counts_as_worse(caplog):
 
 def _raising_hc_learner(error):
     def make(cfg):
-        def learn(data, seed):
+        def search(data, scores, seed):
             raise error
-        return learn
+        return ScoreLearner(cfg.max_parents, search)
     return make
 
 
