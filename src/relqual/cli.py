@@ -1,8 +1,9 @@
 """Command-line entry point: reproducible batch runs over the library.
 
 Every run writes its outputs plus a manifest (resolved configuration, seed,
-input digests, wall time) into the output directory, so any result can be
-replayed bit for bit from a warm cache and the same seed.
+input digests, wall time; for a study, the failures per arm) into the
+output directory, so any result can be replayed bit for bit from a warm
+cache and the same seed.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(out: Path, command: str, config: dict, seed: int,
                     inputs: list[Path], outputs: list[Path],
-                    started: float) -> None:
+                    started: float, **counts) -> None:
     manifest = {
+        **counts,
         "command": command,
         "config": config,
         "seed": seed,
@@ -86,16 +88,12 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # simstudy
 
-_METHOD_SHORTHAND = {
-    "HC": MethodSpec("HC", "hc"),
-    "MAP": MethodSpec("MAP", "map"),
-    "HYBRID-GS": MethodSpec("Hybrid-GS", "hybrid-gs"),
-    "HYBRID-MMPC": MethodSpec("Hybrid-MMPC", "hybrid-mmpc"),
-    "HC-D-F": MethodSpec("HC-D-F", "hc", DiscretizationSpec("equal-frequency", 3)),
-    "HC-D-H": MethodSpec("HC-D-H", "hc", DiscretizationSpec("hartemink", 3, 20)),
-    "HC-D-I": MethodSpec("HC-D-I", "hc", DiscretizationSpec("equal-interval", 3)),
-    "HC-D-K": MethodSpec("HC-D-K", "hc", DiscretizationSpec("kmeans", 3)),
-}
+_METHOD_SHORTHAND = {m.name.upper(): m for m in default_methods() + (
+    MethodSpec("Hybrid-GS", "hybrid-gs"),
+    MethodSpec("Hybrid-MMPC", "hybrid-mmpc"),
+    MethodSpec("HC-D-I", "hc", DiscretizationSpec("equal-interval", 3)),
+    MethodSpec("HC-D-K", "hc", DiscretizationSpec("kmeans", 3)),
+)}
 
 
 def _method_from_dict(entry: dict) -> MethodSpec:
@@ -180,7 +178,8 @@ def cmd_simstudy(args) -> int:
     table_path.write_text(report.format_table())
     print(report.format_table())
     _write_manifest(out, "simstudy", resolved, cfg.seed, inputs,
-                    [csv_path, table_path], started)
+                    [csv_path, table_path], started,
+                    arm_failures=report.metadata["arm_failures"])
     return EXIT_OK
 
 

@@ -26,11 +26,13 @@ class FamilyScorer:
         self.samples = 1 if resamples is None else len(resamples)
         self._log_n = float(np.log(self.n))
 
-    def family_score(self, child: int, parent_mask: int) -> float:
-        """One family's score in the first (or only) sample."""
+    def family_score(self, child: int, parent_mask: int, sample: int = 0) -> float:
+        """One family's score in one sample (the first, or only, by
+        default)."""
         parents = np.array([[i for i in range(self.p) if parent_mask >> i & 1]],
                            dtype=np.intp)
-        scores, failures = self.family_scores(child, parents, slice(0, 1))
+        scores, failures = self.family_scores(child, parents,
+                                              slice(sample, sample + 1))
         if failures:
             raise failures[0, 0]
         return float(scores[0, 0])

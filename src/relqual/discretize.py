@@ -9,10 +9,7 @@ to exactly one bin and binning is monotone.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -303,19 +300,3 @@ def pairwise_mutual_information(data: DiscreteDataset) -> np.ndarray:
             mi = float(_mi_row_terms(t, marginals[a], marginals[b], n).sum()) / n
             out[a, b] = out[b, a] = max(mi, 0.0)
     return out
-
-
-def write_discrete_csv(path: str | Path, result: Discretized) -> None:
-    """Integer-level CSV plus a sidecar JSON with the bin edges."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(result.dataset.variables.names)
-        for row in result.dataset.rows:
-            writer.writerow([int(x) for x in row])
-    sidecar = {
-        name: [float(e) for e in edges]
-        for name, edges in zip(result.dataset.variables.names, result.edges)
-    }
-    path.with_suffix(path.suffix + ".edges.json").write_text(
-        json.dumps(sidecar, indent=2))

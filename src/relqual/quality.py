@@ -190,14 +190,6 @@ def quality_metric(failures: float, usage: float) -> float:
 
 
 @dataclass(frozen=True)
-class QualityRecord:
-    subject: str
-    quality: float
-    flagged_infinite: bool
-    timestamp: dt.date | None = None
-
-
-@dataclass(frozen=True)
 class DailySeries:
     """Per-day downloads and cumulative issue counts for one package."""
 

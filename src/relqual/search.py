@@ -3,10 +3,13 @@ posterior averaging, and bootstrap arc confidence.
 
 Every search reads one family-score table: the BIC of each (child, parent
 set) within the parent cap, for one dataset or for all bootstrap resamples
-of it at once, scored in batches across resamples.  Greedy moves work on
-bitmask parent sets, read the table through plain per-child lists, and
-decide acyclicity from per-node ancestor bitmasks.  All randomness flows
-through counter-split seeds; results do not depend on scheduling.
+of it at once, scored in batches across resamples.  Greedy search climbs
+every (resample, restart) pair at once, each a lane of numpy bitmask
+arrays: a step derives the legal moves of all lanes from their parent,
+child and ancestor masks, gathers the moves' gains from the table, and
+picks one move per lane by the first-strictly-best rule of a serial scan.
+All randomness flows through counter-split seeds; results do not depend
+on scheduling.
 """
 
 from __future__ import annotations
@@ -60,10 +63,10 @@ class HcConfig:
 # many float64 entries, samples * p * 2^p (8 MiB; p <= 10 at 100
 # resamples): every family within the parent cap is scored up front, in
 # batches across resamples.  A larger table, or one of a single dataset,
-# scores each family on first read, one at a time, with the same
-# arithmetic: one greedy search reads far fewer families than the cap
-# allows, and the exact searches read whole rows (``FamilyScores.array``),
-# which are scored in batches.
+# scores each family on its first read, with the same arithmetic: greedy
+# search reads far fewer families than the cap allows, one step of all
+# its lanes at a time, and the exact searches read whole rows
+# (``FamilyScores.array``).
 DENSE_TABLE_ENTRIES = 1 << 20
 
 
@@ -96,9 +99,13 @@ class FamilyScoreTable:
         self.p = scorer.p
         self.max_parents = scorer.max_parents
         self.values = None   # (sample, child, parent mask), when dense
+        self._scored = {}    # (sample, child, parent mask) -> score, otherwise
         entries = scorer.samples * self.p << self.p
         if scorer.samples > 1 and entries <= DENSE_TABLE_ENTRIES:
-            self.values = np.empty((scorer.samples, self.p, 1 << self.p))
+            # the values, flat after one -inf that stands for unwanted reads
+            self._store = np.empty(1 + entries)
+            self._store[0] = -np.inf
+            self.values = self._store[1:].reshape(scorer.samples, self.p, 1 << self.p)
             for child in range(self.p):
                 self.values[:, child] = self._score_child(child, slice(None))
 
@@ -115,27 +122,41 @@ class FamilyScoreTable:
             values[:, (1 << sets).sum(axis=1)] = scores
         return values
 
+    def read(self, samples: np.ndarray, children: np.ndarray, masks: np.ndarray,
+             wanted: np.ndarray) -> np.ndarray:
+        """Scores of the families (sample, child, parent mask), given as
+        int arrays that broadcast to the shape of ``wanted``: -inf where
+        ``wanted`` is false, NaN where the family is marked.  A table that
+        is not dense scores each family on its first read, batched per
+        (sample, child, parent count)."""
+        if self.values is not None:
+            first = ((samples * self.p + children) << self.p) + 1
+            return self._store.take((first + masks) * wanted)
+        out = np.full(wanted.shape, -np.inf)
+        at = np.nonzero(wanted)
+        keys = list(zip(*(np.broadcast_to(a, wanted.shape)[at].tolist()
+                          for a in (samples, children, masks))))
+        missing: dict[tuple[int, int, int], list[int]] = {}
+        for key in dict.fromkeys(keys):
+            if key not in self._scored:
+                sample, child, mask = key
+                missing.setdefault((sample, child, mask.bit_count()), []).append(mask)
+        for (sample, child, k), group in missing.items():
+            sets = np.array([_bits(mask) for mask in group], dtype=np.intp)
+            scores, _ = self.scorer.family_scores(child, sets.reshape(len(group), k),
+                                                  slice(sample, sample + 1))
+            self._scored.update(zip(((sample, child, mask) for mask in group),
+                                    scores[0].tolist()))
+        out[at] = [self._scored[key] for key in keys]
+        return out
 
-class _LazyRow(dict):
-    """One child's family scores in one sample, each scored on first read;
-    a family whose score fails raises on every read."""
-
-    def __init__(self, scorer, sample: int, child: int, known=()):
-        super().__init__(known)
-        self.scorer, self.sample, self.child = scorer, sample, child
-
-    def __missing__(self, mask: int) -> float:
-        scores, errors = self.scorer.family_scores(
-            self.child, np.array([_bits(mask)], dtype=np.intp),
-            slice(self.sample, self.sample + 1))
-        if errors:
-            raise errors[0, 0]
-        value = self[mask] = float(scores[0, 0])
-        return value
+    def raise_marked(self, sample: int, child: int, mask: int) -> None:
+        """Raise the error that marked the family."""
+        self.scorer.family_score(child, mask, sample)
 
 
 class FamilyScores:
-    """One sample's family scores, as the searches read them."""
+    """One sample's family scores, as the exact searches read them."""
 
     def __init__(self, table: FamilyScoreTable, sample: int):
         self.table = table
@@ -143,24 +164,6 @@ class FamilyScores:
         self.variables = table.variables
         self.p = table.p
         self.max_parents = table.max_parents
-
-    def _lazy_row(self, child: int, known=()) -> _LazyRow:
-        return _LazyRow(self.table.scorer, self.sample, child, known)
-
-    def rows(self) -> list:
-        """Per child, its scores indexed by parent mask: lists from a dense
-        table, dicts filled on first read otherwise.  A row with marked
-        families is a dict without them, so reading one scores it again
-        and raises its error."""
-        values = self.table.values
-        if values is None:
-            return [self._lazy_row(child) for child in range(self.p)]
-        rows = values[self.sample].tolist()
-        marked = np.isnan(values[self.sample]).any(axis=1)
-        for child in map(int, np.flatnonzero(marked)):
-            rows[child] = self._lazy_row(
-                child, ((mask, x) for mask, x in enumerate(rows[child]) if x == x))
-        return rows
 
     def array(self, child: int) -> np.ndarray:
         """``child``'s scores for every parent mask, -inf outside the cap;
@@ -172,188 +175,268 @@ class FamilyScores:
             values = self.table.values[self.sample, child]
         marked = np.flatnonzero(np.isnan(values))
         if marked.size:
-            self._lazy_row(child)[int(marked[0])]   # raises the family's error
+            self.table.raise_marked(self.sample, child, int(marked[0]))
         return values
+
+
+def _check_cap(table: FamilyScoreTable, max_parents: int) -> None:
+    if table.max_parents < min(max_parents, table.p - 1):
+        raise ValueError("family-score table was built for fewer parents")
 
 
 def family_scores(data: DataLike | FamilyScores, max_parents: int) -> FamilyScores:
     """The family-score table of one dataset (or ``data`` itself, when it
     is already one sample's scores)."""
     if isinstance(data, FamilyScores):
-        if data.max_parents < min(max_parents, data.p - 1):
-            raise ValueError("family-score table was built for fewer parents")
+        _check_cap(data.table, max_parents)
         return data
     table = FamilyScoreTable(_scorer(data, max_parents), data.variables)
     return FamilyScores(table, 0)
 
 
 # ---------------------------------------------------------------------------
-# greedy search on bitmask parent sets
+# greedy search in lanes
+#
+# Every climb is one lane: a column of (p, lanes) int64 parent and child
+# bitmasks, node by node, so that each array operation runs along the
+# lanes.  One step of all lanes at once derives the legal moves from the
+# masks, reads each legal move's new family from the table and picks a
+# move per lane by the serial rule; lanes that stop improving leave.
+
+# parent sets are int64 bitmasks whose bits must stay clear of the sign
+MAX_GREEDY_NODES = 63
 
 
-def _ancestors(parents: list[int]) -> list[int]:
-    """Per node, the bitmask of every node with a directed path to it
-    (Warshall's closure on bitmask rows)."""
-    anc = list(parents)
-    nodes = range(len(anc))
-    for k in nodes:
-        through = anc[k]
-        if through:
-            bit = 1 << k
-            for v in nodes:
-                if anc[v] & bit:
-                    anc[v] |= through
-    return anc
+def _move_flags(parents: np.ndarray, children: np.ndarray, allow: np.ndarray,
+                max_parents: int) -> np.ndarray:
+    """Which moves are legal in each lane, as (p, p, 2, lanes) flags.
 
-
-def _move_masks(parents: list[int], children: list[int], max_parents: int,
-                allow: list[int]) -> tuple[list[int], list[int]]:
-    """Per node u: the bitmask of v with a legal add u -> v, and of v whose
-    edge u -> v may be reversed.
-
-    An add must keep v's parents within the cap, respect ``allow`` and close
-    no cycle (v is not an ancestor of u); a reverse must keep u's parents
-    within the cap and leave no other path from u to v, i.e. no other
-    child of u is an ancestor of v.
+    ``[u, v, 0, l]`` deletes u -> v when it is an edge and adds it
+    otherwise; ``[u, v, 1, l]`` reverses it.  Flattened over the first
+    three axes, the flags run in the order the serial scan visited moves:
+    by u, then v, delete before reverse.  An add must keep v's parents
+    within the cap, respect ``allow`` and close no cycle (v is not an
+    ancestor of u); a reverse must keep u's parents within the cap and
+    leave no other path from u to v, i.e. no other child of u is an
+    ancestor of v.
     """
-    anc = _ancestors(parents)
-    room = 0
-    for v, mask in enumerate(parents):
-        if mask.bit_count() < max_parents:
-            room |= 1 << v
-    adds, reverses = [], []
-    for u, cu in enumerate(children):
-        adds.append(allow[u] & room & ~(parents[u] | cu | anc[u] | 1 << u))
-        reversible = 0
-        if room >> u & 1:
-            rest = cu
-            while rest:
-                bv = rest & -rest
-                rest ^= bv
-                if not cu & ~bv & anc[bv.bit_length() - 1]:
-                    reversible |= bv
-        reverses.append(reversible)
-    return adds, reverses
+    p = len(parents)
+    bits = (np.int64(1) << np.arange(p))[:, None]
+    anc = parents.copy()
+    for k in range(p):   # Warshall's closure: -1 is all bits, 0 none
+        anc |= -((anc >> k) & 1) & anc[k]
+    room = np.bitwise_count(parents) < max_parents
+    adds = allow & (room * bits).sum(axis=0) & ~(children | anc | bits)
+    flags = np.empty((p, p, 2, parents.shape[1]), dtype=bool)
+    flags[:, :, 0] = (children | adds)[:, None] & bits != 0
+    # v is not its own ancestor: a child of u among them is another child
+    movable = np.where(room, children, 0)[:, None]
+    flags[:, :, 1] = (movable & bits != 0) > (movable & anc != 0)
+    return flags
 
 
-def _legal_moves(parents: list[int], children: list[int], max_parents: int,
-                 allow: list[int]) -> list[tuple[str, int, int]]:
-    """Every legal (kind, u, v), ordered by u, then v, delete before
-    reverse."""
-    adds, reverses = _move_masks(parents, children, max_parents, allow)
-    moves = []
-    for u, cu in enumerate(children):
-        for v in _bits(cu | adds[u]):
-            if cu >> v & 1:
-                moves.append(("delete", u, v))
-                if reverses[u] >> v & 1:
-                    moves.append(("reverse", u, v))
-            else:
-                moves.append(("add", u, v))
-    return moves
+def _apply_moves(parents: np.ndarray, children: np.ndarray, lanes: np.ndarray,
+                 moves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply one move per lane (a flat index into ``_move_flags``) in
+    place; returns its (u, v, reverse)."""
+    pair, reverse = np.divmod(moves, 2)
+    u, v = np.divmod(pair, len(parents))
+    bu, bv = np.int64(1) << u, np.int64(1) << v
+    parents[v, lanes] ^= bu
+    children[u, lanes] ^= bv
+    reverse = reverse == 1
+    parents[u[reverse], lanes[reverse]] |= bv[reverse]
+    children[v[reverse], lanes[reverse]] |= bu[reverse]
+    return u, v, reverse
 
 
-def _apply(parents: list[int], children: list[int], kind: str, u: int, v: int) -> None:
-    if kind == "add":
-        parents[v] |= 1 << u
-        children[u] |= 1 << v
-        return
-    parents[v] &= ~(1 << u)
-    children[u] &= ~(1 << v)
-    if kind == "reverse":
-        parents[u] |= 1 << v
-        children[v] |= 1 << u
+def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
+                      rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Parents and children, (p, samples, restarts - 1), of every perturbed
+    start: the empty graph after up to ``cfg.perturb`` random legal moves.
 
-
-def _climb(parents: list[int], children: list[int], rows: list, max_parents: int,
-           allow: list[int]) -> float:
-    """Greedy ascent in place; returns the final total score.
-
-    Moves are scanned in ``_legal_moves`` order and the first strictly best
-    (by more than 1e-12) wins, so the path depends only on the scores.
+    Scores are never read.  Each sample draws from its own generator, one
+    ``integers(count)`` per move, restart after restart, and a restart
+    with no legal move left stops early, as the serial search drew them.
     """
-    score = sum(rows[v][parents[v]] for v in range(len(parents)))
-    while True:
-        adds, reverses = _move_masks(parents, children, max_parents, allow)
-        best_delta = 0.0
-        best_move = None
-        for u, cu in enumerate(children):
-            pu, row_u, bu, reversible = parents[u], rows[u], 1 << u, reverses[u]
-            targets = cu | adds[u]
-            while targets:
-                bv = targets & -targets
-                targets ^= bv
-                v = bv.bit_length() - 1
-                row_v, pv = rows[v], parents[v]
-                if cu & bv:
-                    delta = row_v[pv & ~bu] - row_v[pv]
-                    if delta > best_delta + 1e-12:
-                        best_delta, best_move = delta, ("delete", u, v)
-                    if reversible & bv:
-                        delta = delta + row_u[pu | bv] - row_u[pu]
-                        if delta > best_delta + 1e-12:
-                            best_delta, best_move = delta, ("reverse", u, v)
-                else:
-                    delta = row_v[pv | bu] - row_v[pv]
-                    if delta > best_delta + 1e-12:
-                        best_delta, best_move = delta, ("add", u, v)
-        if best_move is None:
-            return score
-        _apply(parents, children, *best_move)
-        score += best_delta
-
-
-def _perturbed_start(p: int, moves: int, max_parents: int, allow: list[int],
-                     rng: np.random.Generator) -> tuple[list[int], list[int]]:
-    parents, children = [0] * p, [0] * p
-    for _ in range(moves):
-        options = _legal_moves(parents, children, max_parents, allow)
-        if not options:
-            break
-        _apply(parents, children, *options[rng.integers(len(options))])
+    p, samples = allow.shape
+    parents = np.zeros((p, samples, cfg.restarts - 1), dtype=np.int64)
+    children = np.zeros_like(parents)
+    for r in range(cfg.restarts - 1):
+        par, chi = parents[:, :, r], children[:, :, r]
+        live = np.arange(samples)
+        for _ in range(cfg.perturb):
+            flags = _move_flags(par[:, live], chi[:, live], allow[:, live],
+                                cfg.max_parents).reshape(-1, live.size)
+            counts = flags.sum(axis=0)
+            live, flags, counts = live[counts > 0], flags[:, counts > 0], counts[counts > 0]
+            if not live.size:
+                break
+            picks = [rngs[s].integers(c) for s, c in zip(live.tolist(), counts.tolist())]
+            # the k-th legal move is the first whose running count exceeds k
+            moves = (flags.cumsum(axis=0) <= np.array(picks)).sum(axis=0)
+            _apply_moves(par, chi, live, moves)
     return parents, children
 
 
-def _to_dag(parents: list[int], variables: VariableSet) -> Dag:
-    return Dag(variables, frozenset((u, v) for v, mask in enumerate(parents)
-                                    for u in _bits(mask)))
+def _ascend(table: FamilyScoreTable, sample: np.ndarray, parents: np.ndarray,
+            children: np.ndarray, allow: np.ndarray, max_parents: int):
+    """Greedy ascent of every lane at once, in place.
+
+    Returns each lane's final total score, and (lane, child, mask) of the
+    first marked family read by the lowest lane that read one, or None.
+    Lanes above that lane stop: the serial search raises before it would
+    reach them.  Only the families of legal moves are read, as the serial
+    scan read them.
+
+    A lane moves as the serial scan did: it visits the legal moves in
+    ``_move_flags`` order and takes one only when it beats the best so far
+    by more than 1e-12.  The moves within 1e-12 of a lane's best form its
+    group; when the group's lowest gain beats every other move by more
+    than 1e-12, the scan provably takes the group's first move.  The other
+    lanes replay the scan, one move at a time across lanes.
+    """
+    p, lanes = parents.shape
+    current = np.empty((p, lanes))   # each lane's family scores
+    failure = None
+    live = np.arange(lanes)
+    for v in range(p):   # the starting score reads families in child order
+        current[v, live] = table.read(sample[live], v, parents[v, live],
+                                      np.ones(live.size, dtype=bool))
+        marked = np.isnan(current[v, live])
+        if marked.any():
+            first = live[marked][0]
+            failure = (first, v, int(parents[v, first]))
+            live = live[~marked & (live < first)]
+    scores = current[0].copy()
+    for v in range(1, p):
+        scores += current[v]
+
+    nodes = np.arange(p)
+    bits = np.int64(1) << nodes
+    while live.size:
+        par, cur = parents[:, live], current[:, live]
+        flags = _move_flags(par, children[:, live], allow[:, live], max_parents)
+        # [u, v, l]: v's family with u toggled, and u's family with v added
+        new_v = table.read(sample[live], nodes[:, None], par ^ bits[:, None, None],
+                           flags[:, :, 0])
+        new_u = table.read(sample[live], nodes[:, None, None],
+                           par[:, None] | bits[:, None], flags[:, :, 1])
+        delta = np.empty(flags.shape)
+        np.subtract(new_v, cur, out=delta[:, :, 0])
+        np.add(delta[:, :, 0], new_u, out=delta[:, :, 1])
+        np.subtract(delta[:, :, 1], cur[:, None], out=delta[:, :, 1])
+        delta = delta.reshape(-1, live.size)   # -inf at illegal moves
+        top = delta.max(axis=0)   # NaN where a marked family was read
+
+        marked = np.isnan(top)
+        if marked.any():
+            lane = int(np.argmax(marked))
+            pair, slot = divmod(int(np.argmax(np.isnan(delta[:, lane]))), 2)
+            u, v = divmod(pair, p)
+            child, mask = (v, par[v, lane] ^ bits[u]) if slot == 0 else \
+                (u, par[u, lane] | bits[v])
+            failure = (live[lane], child, int(mask))
+            top[lane:] = -np.inf   # this lane and those above it stop
+
+        moving = top > 1e-12   # the other lanes are done
+        live, top, delta = live[moving], top[moving], delta[:, moving]
+        new_v, new_u = new_v[..., moving], new_u[..., moving]
+        near = delta + 1e-12 >= top
+        move = near.argmax(axis=0)
+        lanes_at = np.arange(live.size)
+        gain = delta[move, lanes_at]
+        low = np.where(near, delta, np.inf).min(axis=0)
+        rest = np.where(near, -np.inf, delta).max(axis=0)
+        scan = np.flatnonzero(~(low > 1e-12) | ~(low > rest + 1e-12))
+        if scan.size:
+            candidates = delta[:, scan]
+            best, pick = np.zeros(scan.size), np.full(scan.size, -1)
+            for c in np.flatnonzero((candidates > 1e-12).any(axis=1)):
+                better = candidates[c] > best + 1e-12
+                best = np.where(better, candidates[c], best)
+                pick = np.where(better, c, pick)
+            move[scan], gain[scan] = pick, best
+
+        u, v, reverse = _apply_moves(parents, children, live, move)
+        current[v, live] = new_v[u, v, lanes_at]
+        current[u[reverse], live[reverse]] = \
+            new_u[u[reverse], v[reverse], lanes_at[reverse]]
+        scores[live] += gain
+    return scores, failure
 
 
-def hill_climb(data: DataLike | FamilyScores, cfg: HcConfig,
-               restrict: frozenset[tuple[int, int]] | None = None,
-               seed=None) -> Dag:
+def _allow_masks(p: int, restrict: frozenset[tuple[int, int]] | None) -> np.ndarray:
+    """Per node, the bitmask of nodes it may share an edge with."""
+    if restrict is None:
+        return np.full(p, (1 << p) - 1, dtype=np.int64)
+    allow = [0] * p
+    for a, b in restrict:   # pairs are (lower, higher) index
+        if a < b:
+            allow[a] |= 1 << b
+            allow[b] |= 1 << a
+    return np.array(allow, dtype=np.int64)
+
+
+def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
+            restricts: list[frozenset[tuple[int, int]] | None],
+            seeds: list) -> list[Dag]:
+    """Random-restart greedy search of each sample, all climbs at once as
+    lanes (sample, restart) in that order; one DAG per sample."""
+    p, restarts = table.p, cfg.restarts
+    if p > MAX_GREEDY_NODES:
+        raise SizeLimitError(f"greedy search limited to {MAX_GREEDY_NODES} variables")
+    allow = np.stack([_allow_masks(p, r) for r in restricts], axis=1)
+    parents = np.zeros((p, len(samples), restarts), dtype=np.int64)
+    children = np.zeros_like(parents)
+    parents[..., 1:], children[..., 1:] = _perturbed_starts(
+        allow, cfg, [rng_from(s) for s in seeds])
+    parents, children = parents.reshape(p, -1), children.reshape(p, -1)
+    sample = np.repeat(np.asarray(samples, dtype=np.intp), restarts)
+    scores, failure = _ascend(table, sample, parents, children,
+                              np.repeat(allow, restarts, axis=1), cfg.max_parents)
+    if failure is not None:
+        lane, child, mask = failure
+        table.raise_marked(int(sample[lane]), child, mask)
+    # the restart with the highest final score wins, earliest on ties
+    scores = scores.reshape(-1, restarts)
+    best, pick = scores[:, 0], np.zeros(len(samples), dtype=np.intp)
+    for r in range(1, restarts):
+        better = scores[:, r] > best + 1e-12
+        best = np.where(better, scores[:, r], best)
+        pick = np.where(better, r, pick)
+    winners = parents.reshape(p, -1, restarts)[:, np.arange(len(samples)), pick]
+    edges = [set() for _ in samples]
+    for v, s, u in zip(*(a.tolist() for a in np.nonzero(
+            winners[:, :, None] >> np.arange(p) & 1))):
+        edges[s].add((u, v))
+    return [Dag(table.variables, frozenset(e)) for e in edges]
+
+
+def hill_climb(data: DataLike | FamilyScores | FamilyScoreTable, cfg: HcConfig,
+               restrict: frozenset[tuple[int, int]] | list | None = None,
+               seed=None) -> Dag | list[Dag]:
     """Best DAG over random-restart greedy search.
 
     Each restart perturbs the empty graph with random legal edge operations
     and then repeatedly applies the single add / delete / reverse move with
     the largest positive score gain.  Every move's gain is read from the
     family-score table of ``data`` (built here for a dataset, or passed in
-    as one bootstrap resample's slice); an add or reverse is legal when
-    each node's ancestor bitmask says it closes no cycle.  The restart with
-    the highest final score wins, earliest restart on ties.
-    """
-    scores = family_scores(data, cfg.max_parents)
-    rows = scores.rows()
-    p = scores.p
-    allow = [(1 << p) - 1] * p
-    if restrict is not None:
-        allow = [0] * p
-        for a, b in restrict:   # pairs are (lower, higher) index
-            if a < b:
-                allow[a] |= 1 << b
-                allow[b] |= 1 << a
-    rng = rng_from(split_seed(cfg.seed, 0) if seed is None else seed)
+    as one sample's scores); an add or reverse is legal when each node's
+    ancestor bitmask says it closes no cycle.  The restart with the highest
+    final score wins, earliest restart on ties.
 
-    best_parents = [0] * p
-    best_score = _climb(best_parents, [0] * p, rows, cfg.max_parents, allow)
-    for _ in range(cfg.restarts - 1):
-        parents, children = _perturbed_start(p, cfg.perturb, cfg.max_parents,
-                                             allow, rng)
-        score = _climb(parents, children, rows, cfg.max_parents, allow)
-        if score > best_score + 1e-12:
-            best_score = score
-            best_parents = parents
-    return _to_dag(best_parents, scores.variables)
+    Given a whole table, every sample that ``seed`` (one seed per sample)
+    covers climbs at once, ``restrict`` is None or one pair set per sample,
+    and the result is one DAG per sample.
+    """
+    if isinstance(data, FamilyScoreTable):
+        _check_cap(data, cfg.max_parents)
+        restricts = [None] * len(seed) if restrict is None else restrict
+        return _search(data, list(range(len(seed))), cfg, restricts, seed)
+    scores = family_scores(data, cfg.max_parents)
+    seed = split_seed(cfg.seed, 0) if seed is None else seed
+    return _search(scores.table, [scores.sample], cfg, [restrict], [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -813,31 +896,42 @@ class ScoreLearner:
     """A bootstrap learner: a search that reads the data only through
     family scores within ``max_parents``.
 
-    ``search(sample, scores, seed)`` gets one resample's rows and its slice
-    of the family-score table that ``bootstrap_average`` scores for every
-    resample at once.
+    ``search(data, resamples, table, seeds)`` gets the data, every
+    resample's row indices, the family-score table that
+    ``bootstrap_average`` scores for all resamples at once, and one seed
+    per resample, and returns one DAG per resample.
     """
 
     max_parents: int
-    search: Callable[[DataLike, FamilyScores, np.random.SeedSequence], Dag]
+    search: Callable[[DataLike, np.ndarray, FamilyScoreTable,
+                      list[np.random.SeedSequence]], list[Dag]]
 
 
 def hc_learner(cfg: HcConfig) -> ScoreLearner:
-    return ScoreLearner(cfg.max_parents,
-                        lambda data, scores, seed: hill_climb(scores, cfg, seed=seed))
+    return ScoreLearner(cfg.max_parents, lambda data, resamples, table, seeds:
+                        hill_climb(table, cfg, seed=seeds))
 
 
 def hybrid_learner(cfg: HcConfig, restrict: str = "gs",
                    alpha: float = 0.05) -> ScoreLearner:
-    def search(data: Dataset, scores: FamilyScores, seed) -> Dag:
-        return hill_climb(scores, cfg, restrict=_restrict_pairs(data, restrict, alpha),
-                          seed=seed)
+    def search(data: Dataset, resamples: np.ndarray, table: FamilyScoreTable,
+               seeds: list) -> list[Dag]:
+        pairs = []
+        try:
+            for idx in resamples:
+                pairs.append(_restrict_pairs(data.take_rows(idx), restrict, alpha))
+        except Exception:
+            # resample by resample, the climbs before this restrict came first
+            if pairs:
+                hill_climb(table, cfg, restrict=pairs, seed=seeds[:len(pairs)])
+            raise
+        return hill_climb(table, cfg, restrict=pairs, seed=seeds)
     return ScoreLearner(cfg.max_parents, search)
 
 
 def map_learner(max_parents: int = MAX_EXACT_PARENTS) -> ScoreLearner:
-    return ScoreLearner(max_parents,
-                        lambda data, scores, seed: map_dag(scores, max_parents))
+    return ScoreLearner(max_parents, lambda data, resamples, table, seeds: [
+        map_dag(FamilyScores(table, i), max_parents) for i in range(len(seeds))])
 
 
 def bootstrap_average(data: DataLike, learner: ScoreLearner, boot_samples: int,
@@ -858,9 +952,8 @@ def bootstrap_average(data: DataLike, learner: ScoreLearner, boot_samples: int,
                           for i in range(boot_samples)])
     table = FamilyScoreTable(_scorer(data, learner.max_parents, resamples),
                              data.variables)
-    for i, idx in enumerate(resamples):
-        learned = learner.search(data.take_rows(idx), FamilyScores(table, i),
-                                 split_seed(seed, 2, i))
+    seeds = [split_seed(seed, 2, i) for i in range(boot_samples)]
+    for learned in learner.search(data, resamples, table, seeds):
         for u, v in learned.edges:
             counts[u, v] += 1.0
     return _confidence_from_counts(data.variables, counts, float(boot_samples))
@@ -874,6 +967,26 @@ class AveragedNetwork:
     threshold: float
     source: ArcConfidence
     flipped: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+
+
+def _ancestors(parents: list[int]) -> list[int]:
+    """Per node, the bitmask of every node with a directed path to it
+    (Warshall's closure on bitmask rows)."""
+    anc = list(parents)
+    nodes = range(len(anc))
+    for k in nodes:
+        through = anc[k]
+        if through:
+            bit = 1 << k
+            for v in nodes:
+                if anc[v] & bit:
+                    anc[v] |= through
+    return anc
+
+
+def _to_dag(parents: list[int], variables: VariableSet) -> Dag:
+    return Dag(variables, frozenset((u, v) for v, mask in enumerate(parents)
+                                    for u in _bits(mask)))
 
 
 def averaged_network(conf: ArcConfidence, threshold: float,

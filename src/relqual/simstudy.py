@@ -201,11 +201,13 @@ def build_learner(search: str, hc: HcConfig, alpha: float = 0.05) -> ScoreLearne
     raise ValueError(f"search must be one of {SEARCH_KINDS}")
 
 
-def _replicate_outcomes(cfg: SimStudyConfig, replicate: int) -> list[tuple[int, int, str]]:
-    """Outcome per (method index, threshold index) for one replicate."""
+def _replicate_outcomes(cfg: SimStudyConfig,
+                        replicate: int) -> tuple[list[tuple[int, int, str]], list[int]]:
+    """Outcome per (method index, threshold index) for one replicate, and
+    the indices of the methods that failed."""
     data = simulate(cfg.truth, cfg.sample_size,
                     seed=split_seed(cfg.seed, 0, replicate))
-    results = []
+    results, failed = [], []
     for mi, method in enumerate(cfg.methods):
         boot_seed = int(split_seed(cfg.seed, 1, replicate, mi).generate_state(1)[0])
         try:
@@ -221,29 +223,30 @@ def _replicate_outcomes(cfg: SimStudyConfig, replicate: int) -> list[tuple[int, 
         except ARM_FAILURES as exc:  # count as failure, keep the study going
             log.warning("replicate %d method %s failed: %s",
                         replicate, method.name, exc)
+            failed.append(mi)
             for ti in range(len(cfg.thresholds)):
                 results.append((mi, ti, WORSE))
-    return results
+    return results, failed
 
 
 def run_simstudy(cfg: SimStudyConfig, jobs: int = 1) -> SimStudyReport:
     """Run the full study and aggregate outcome fractions per arm."""
     counts = np.zeros((len(cfg.methods), len(cfg.thresholds), len(OUTCOMES)),
                       dtype=np.int64)
+    failures = np.zeros(len(cfg.methods), dtype=np.int64)
     outcome_index = {name: k for k, name in enumerate(OUTCOMES)}
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = pool.map(_replicate_outcomes,
-                               [cfg] * cfg.replicates, range(cfg.replicates),
-                               chunksize=max(1, cfg.replicates // (4 * jobs)))
-            for batch in batches:
-                for mi, ti, outcome in batch:
-                    counts[mi, ti, outcome_index[outcome]] += 1
+            replicates = list(pool.map(
+                _replicate_outcomes, [cfg] * cfg.replicates, range(cfg.replicates),
+                chunksize=max(1, cfg.replicates // (4 * jobs))))
     else:
-        for replicate in range(cfg.replicates):
-            for mi, ti, outcome in _replicate_outcomes(cfg, replicate):
-                counts[mi, ti, outcome_index[outcome]] += 1
+        replicates = (_replicate_outcomes(cfg, r) for r in range(cfg.replicates))
+    for outcomes, failed in replicates:
+        for mi, ti, outcome in outcomes:
+            counts[mi, ti, outcome_index[outcome]] += 1
+        failures[failed] += 1
 
     rows = []
     for mi, method in enumerate(cfg.methods):
@@ -259,5 +262,7 @@ def run_simstudy(cfg: SimStudyConfig, jobs: int = 1) -> SimStudyReport:
         "restarts": cfg.hc.restarts,
         "max_parents": cfg.hc.max_parents,
         "seed": cfg.seed,
+        # replicates in which an arm raised one of ARM_FAILURES
+        "arm_failures": {m.name: int(n) for m, n in zip(cfg.methods, failures)},
     }
     return SimStudyReport(tuple(rows), metadata)

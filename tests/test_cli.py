@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from relqual.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARTIAL, main
+from relqual.dag import Dag, VariableSet
 from relqual.data import Dataset, load_numeric_csv, write_numeric_csv
-from relqual.gaussian import simulate
+from relqual.gaussian import GaussianBn, simulate
 from relqual.ingest import CachedHttp, HttpCache, TransportResponse
 from relqual.search import HcConfig, averaged_network, bootstrap_average
 from relqual.simstudy import SEARCH_KINDS, build_learner, default_truth
@@ -46,6 +47,21 @@ def test_simstudy_config_file_and_flags(tmp_path):
     assert manifest["command"] == "simstudy"
     assert manifest["seed"] == 3
     assert manifest["config"]["replicates"] == 2
+    assert manifest["arm_failures"] == {"HC": 0}
+
+
+def test_simstudy_manifest_counts_arm_failures(tmp_path):
+    # a constant column: every arm fails in every replicate
+    truth = GaussianBn(Dag(VariableSet(["A", "B"])), np.zeros(2),
+                       (np.empty(0), np.empty(0)), np.array([0.0, 1.0]))
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(truth.to_json())
+    out = tmp_path / "out"
+    assert run(["simstudy", "--truth", truth_path, "--methods", "HC,HC-D-I",
+                "--replicates", 3, "--sample-size", 40, "--boot-samples", 3,
+                "--restarts", 1, "--out", out]) == EXIT_OK
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["arm_failures"] == {"HC": 3, "HC-D-I": 3}
 
 
 def test_simstudy_same_seed_identical_csv(tmp_path):

@@ -28,6 +28,8 @@ from relqual.search import (
     FamilyScoreTable,
     FamilyScores,
     HcConfig,
+    SingularCorrelationError,
+    _ascend,
     _dag_weight_sums,
     _edge_posteriors,
     _family_weight_tables,
@@ -40,6 +42,7 @@ from relqual.search import (
     hybrid_learner,
     map_dag,
     map_learner,
+    restrict_gs,
 )
 from test_acceptance import random_four_node_dataset
 
@@ -217,9 +220,9 @@ def ref_perturbed_start(p, moves, max_parents, allowed, rng):
     return state
 
 
-def ref_hill_climb(data, cfg, restrict=None, seed=None):
-    scorer = ReferenceScores(data)
-    p = scorer.p
+def ref_hill_climb(data, cfg, restrict=None, seed=None, scorer=None):
+    scorer = ReferenceScores(data) if scorer is None else scorer
+    p = len(data.variables)
     rng = rng_from(split_seed(cfg.seed, 0) if seed is None else seed)
     best_state = RefGraph(p)
     best_score = ref_climb(best_state, scorer, cfg.max_parents, restrict)
@@ -271,14 +274,22 @@ def table_entries(data, max_parents, idx):
     table = FamilyScoreTable(_scorer(data, max_parents, idx), data.variables)
     out = {}
     for b in range(len(idx)):
-        rows = FamilyScores(table, b).rows()
         for child, mask in families(len(data.variables), table.max_parents):
-            try:
-                out[b, child, mask] = rows[child][mask]
-            except (RankDeficientError, DegenerateVarianceError,
-                    InsufficientRowsError) as exc:
-                out[b, child, mask] = type(exc)
+            out[b, child, mask] = read_family(table, b, child, mask)
     return table, out
+
+
+def read_family(table, sample, child, mask):
+    """One family's score as a search reads it, or its error class."""
+    value = float(table.read(sample, child, np.array([mask]), np.array([True]))[0])
+    if value == value:
+        return value
+    try:
+        table.raise_marked(sample, child, mask)
+    except (RankDeficientError, DegenerateVarianceError,
+            InsufficientRowsError) as exc:
+        return type(exc)
+    raise AssertionError("a marked family must raise")
 
 
 def families(p, max_parents):
@@ -318,11 +329,16 @@ def test_table_is_bit_equal_to_per_family_bic(kind):
     assert sizes == {0, 1, 2, 3, 4, 5}
 
 
-def test_table_marks_failing_families_and_raises_them_on_read():
-    data = gaussian_data(5, 5, 12)
+def collinear_data(seed=5, n=12):
+    """Five columns, X4 = 2 X0 - X1: families holding X0, X1 and X4 fail."""
+    data = gaussian_data(seed, 5, n)
     rows = data.rows.copy()
     rows[:, 4] = 2.0 * rows[:, 0] - rows[:, 1]   # X4 is X0 and X1 combined
-    data = Dataset(data.variables, rows)
+    return Dataset(data.variables, rows)
+
+
+def test_table_marks_failing_families_and_raises_them_on_read():
+    data = collinear_data()
     idx = resamples(data.n, 4, seed=2)
     table, entries = table_entries(data, 4, idx)
     kinds = set()
@@ -353,10 +369,9 @@ def test_wide_data_fills_the_table_one_family_at_a_time():
     idx = resamples(data.n, 2, seed=4)
     table = FamilyScoreTable(_scorer(data, cfg.max_parents, idx), data.variables)
     assert table.values is None   # filled on first read
-    rows = FamilyScores(table, 1).rows()
     scorer = ReferenceScores(data.take_rows(idx[1]))
     for child, mask in [(0, 0), (3, 0b101), (16, 0b11011), (5, (1 << 16) | 7)]:
-        assert rows[child][mask] == scorer.family_score(child, mask)
+        assert read_family(table, 1, child, mask) == scorer.family_score(child, mask)
     assert hill_climb(data, cfg) == ref_hill_climb(data, cfg)
     conf = bootstrap_average(data, hc_learner(cfg), 2, seed=4)
     counts = ref_bootstrap_counts(
@@ -411,6 +426,34 @@ def test_bootstrap_average_matches_per_resample_reference(case, seed):
                           (counts / np.where(either > 0, either, 1.0))[either > 0])
 
 
+class TableSample:
+    """One sample of a dense table, read one family at a time."""
+
+    def __init__(self, table, sample):
+        self.values = table.values[sample]
+
+    def family_score(self, child, mask):
+        return float(self.values[child, mask])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_near_ties_follow_the_serial_scan(seed):
+    """Scores a fraction of 1e-12 apart make gains whose near-best groups
+    overlap and chain, which only a replay of the scan settles; every
+    lane must still take the move the serial scan takes."""
+    data = gaussian_data(seed, 5, 30)
+    idx = resamples(data.n, 8, seed)
+    table = FamilyScoreTable(_scorer(data, 3, idx), data.variables)
+    finite = np.isfinite(table.values)
+    table.values[finite] = 1.0 + 0.4e-12 * np.random.default_rng(seed).integers(
+        0, 16, finite.sum())
+    cfg = HcConfig(restarts=4, perturb=2, max_parents=3, seed=seed)
+    seeds = [split_seed(seed, 2, i) for i in range(len(idx))]
+    assert hill_climb(table, cfg, seed=seeds) == [
+        ref_hill_climb(data, cfg, seed=s, scorer=TableSample(table, b))
+        for b, s in enumerate(seeds)]
+
+
 def test_table_learners_match_their_plain_calls():
     """Each library learner learns the same DAG from the shared table as
     from a table scored on each resample's rows alone."""
@@ -419,13 +462,123 @@ def test_table_learners_match_their_plain_calls():
     for learner in (hc_learner(cfg), map_learner(3), hybrid_learner(cfg, "gs"),
                     hybrid_learner(cfg, "mmpc")):
         counts = ref_bootstrap_counts(
-            data, lambda d, s: learner.search(d, family_scores(d, learner.max_parents), s),
+            data, lambda d, s: learner.search(
+                d, [np.arange(d.n)], family_scores(d, learner.max_parents).table, [s])[0],
             4, seed=9)
         either = counts + counts.T
         tabled = bootstrap_average(data, learner, 4, seed=9)
         assert np.array_equal(tabled.strength, _strength(counts, 4))
         assert np.array_equal(tabled.direction, np.where(
             either > 0, counts / np.where(either > 0, either, 1.0), 0.5))
+
+
+NUMERIC_FAILURES = (RankDeficientError, DegenerateVarianceError,
+                    InsufficientRowsError, SingularCorrelationError)
+
+
+def outcome(run):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return "ok", run()
+    except NUMERIC_FAILURES as exc:
+        return type(exc), str(exc)
+
+
+def test_marked_families_raise_what_the_serial_search_raises():
+    """Every resample's climbs read the shared table in lanes; the error is
+    the one the resample-by-resample reference raises first, and counts
+    are equal when no read hits a marked family."""
+    seen = set()
+    for seed in range(12):
+        data = gaussian_data(seed, 6, 14)
+        rows = data.rows.copy()
+        rows[:, 4] = 2.0 * rows[:, 0] - rows[:, 1]   # two collinear triples
+        rows[:, 5] = rows[:, 2] + 0.5 * rows[:, 3]
+        data = Dataset(data.variables, rows)
+        cfg = HcConfig(restarts=3, perturb=3, max_parents=1 + seed % 4, seed=seed)
+        table = FamilyScoreTable(_scorer(data, 4, resamples(data.n, 4, seed)),
+                                 data.variables)
+        assert np.isnan(table.values).any()
+        for learner, restrict in ((hc_learner(cfg), None),
+                                  (hybrid_learner(cfg, "gs"), restrict_gs)):
+            def reference(d, s):
+                pairs = None if restrict is None else restrict(d)
+                return ref_hill_climb(d, cfg, restrict=pairs, seed=s)
+            want = outcome(lambda: _strength(
+                ref_bootstrap_counts(data, reference, 4, seed), 4))
+            got = outcome(lambda: bootstrap_average(data, learner, 4, seed=seed).strength)
+            if want[0] == "ok":
+                assert got[0] == "ok" and np.array_equal(got[1], want[1])
+            else:
+                assert got == want
+            seen.add(want[0] if want[0] == "ok" else want)
+    assert "ok" in seen and len(seen) >= 3   # counts and different errors
+
+
+def test_restrict_failure_waits_for_earlier_climbs(monkeypatch):
+    """Resample by resample, a hybrid restrict that raises comes after the
+    climbs of the resamples before it, which may raise first."""
+    import relqual.search as search
+
+    real = search._restrict_pairs
+
+    def third_fails(data, restrict, alpha):
+        third_fails.calls += 1
+        if third_fails.calls % 4 == 3:
+            raise SingularCorrelationError("third restrict")
+        return real(data, restrict, alpha)
+
+    monkeypatch.setattr(search, "_restrict_pairs", third_fails)
+    seen = set()
+    for seed in range(6):
+        data = gaussian_data(seed, 5, 14)
+        if seed % 2:
+            data = collinear_data(seed=seed, n=14)
+        cfg = HcConfig(restarts=2, perturb=2, max_parents=2, seed=seed)
+        third_fails.calls = 0
+        want = outcome(lambda: ref_bootstrap_counts(
+            data, lambda d, s: ref_hill_climb(
+                d, cfg, restrict=third_fails(d, "gs", 0.05), seed=s), 4, seed))
+        third_fails.calls = 0
+        got = outcome(lambda: bootstrap_average(data, hybrid_learner(cfg), 4, seed))
+        assert got == want and want[0] != "ok"
+        seen.add(want[0])
+    assert seen == {SingularCorrelationError, DegenerateVarianceError}
+
+
+def test_lowest_lane_reports_its_first_marked_read():
+    """Lane 0 starts on a marked family of child 0, lane 1 on one of child
+    4: lane 0's read comes first in the serial order, and lane 1 stops."""
+    data = collinear_data(n=14)
+    table = FamilyScoreTable(_scorer(data, 4, resamples(data.n, 2, 0)),
+                             data.variables)
+    parents = np.zeros((5, 3), dtype=np.int64)
+    children = np.zeros_like(parents)
+    parents[0, 0], children[1, 0], children[4, 0] = 0b10010, 1, 1
+    parents[4, 1], children[0, 1], children[1, 1] = 0b00011, 1 << 4, 1 << 4
+    _, failure = _ascend(table, np.array([1, 1, 0]), parents, children,
+                         np.full((5, 3), 0b11111), 2)
+    assert failure == (0, 0, 0b10010)
+    with pytest.raises(DegenerateVarianceError, match="node 0"):
+        table.raise_marked(1, 0, 0b10010)
+
+
+def test_marks_behind_illegal_moves_are_never_read():
+    """With a parent cap of one, no climb may read the marked families of
+    two or more parents: the dense table holds them, the lazy one never
+    scores them."""
+    data = collinear_data(n=14)
+    cfg = HcConfig(restarts=4, max_parents=1, seed=3)
+    idx = resamples(data.n, 5, seed=1)
+    table = FamilyScoreTable(_scorer(data, 4, idx), data.variables)
+    assert np.isnan(table.values).any()
+    seeds = [split_seed(1, 2, i) for i in range(len(idx))]
+    learned = hill_climb(table, cfg, seed=seeds)
+    assert learned == [ref_hill_climb(data.take_rows(i), cfg, seed=s)
+                       for i, s in zip(idx, seeds)]
+    lazy = family_scores(data, 4)
+    assert hill_climb(lazy, cfg) == ref_hill_climb(data, cfg)
+    assert max(mask.bit_count() for _, _, mask in lazy.table._scored) == 1
 
 
 def test_discrete_bootstrap_matches_reference():

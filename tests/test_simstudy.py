@@ -127,11 +127,13 @@ def test_failing_method_counts_as_worse(caplog):
         thresholds=(0.85,), boot_samples=4, hc=HcConfig(restarts=1), seed=0)
     report = run_simstudy(cfg)
     assert report.rows[0].worse == 1.0
+    assert report.metadata["arm_failures"] == {"HC-D-I": 2}
+    assert run_simstudy(cfg, jobs=2).metadata == report.metadata
 
 
 def _raising_hc_learner(error):
     def make(cfg):
-        def search(data, scores, seed):
+        def search(data, resamples, table, seeds):
             raise error
         return ScoreLearner(cfg.max_parents, search)
     return make
@@ -142,6 +144,7 @@ def test_numeric_arm_failure_is_logged_and_counted_as_worse(monkeypatch, caplog)
         RankDeficientError("singular parent covariance for node 0")))
     report = run_simstudy(tiny_config(replicates=2, boot_samples=2))
     assert [row.worse for row in report.rows] == [1.0, 1.0]
+    assert report.metadata["arm_failures"] == {"HC": 2}
     failures = [r for r in caplog.records if "failed" in r.getMessage()]
     assert len(failures) == 2
     assert "singular parent covariance" in failures[0].getMessage()
