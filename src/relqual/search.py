@@ -920,7 +920,7 @@ def hybrid_learner(cfg: HcConfig, restrict: str = "gs",
         try:
             for idx in resamples:
                 pairs.append(_restrict_pairs(data.take_rows(idx), restrict, alpha))
-        except Exception:
+        except ValueError:
             # resample by resample, the climbs before this restrict came first
             if pairs:
                 hill_climb(table, cfg, restrict=pairs, seed=seeds[:len(pairs)])
