@@ -30,9 +30,9 @@ from .forest import ForestConfig, ablate_predictor, default_grid, fit_forest, \
 from .gaussian import GaussianBn, edge_inference
 from .ingest import CachedHttp, FetchSpec, HttpCache, build_daily_series, \
     fetch_downloads, fetch_issues, load_usage_csv, requests_transport
-from .ols import fit_power_law
-from .quality import DailySeries, aggregate_usage, direction_of_trend, \
-    log_transform, quality_metric, screen_significance, timeline
+from .ols import InsufficientRowsError, RankDeficientError, fit_power_law
+from .quality import DailySeries, InsufficientDataError, aggregate_usage, \
+    direction_of_trend, log_transform, quality_metric, screen_significance, timeline
 from .search import HcConfig, averaged_network, bootstrap_average
 from .simstudy import SEARCH_KINDS, MethodSpec, SimStudyConfig, build_learner, \
     default_methods, default_truth, run_simstudy
@@ -129,8 +129,12 @@ def _simstudy_config(args) -> tuple[SimStudyConfig, dict, list[Path]]:
 
     methods: tuple[MethodSpec, ...]
     if args.methods is not None:
-        methods = tuple(_METHOD_SHORTHAND[name.strip().upper()]
-                        for name in args.methods.split(","))
+        try:
+            methods = tuple(_METHOD_SHORTHAND[name.strip().upper()]
+                            for name in args.methods.split(","))
+        except KeyError as exc:
+            raise ValueError(f"unknown arm {exc.args[0]!r}; known arms: "
+                             f"{', '.join(_METHOD_SHORTHAND)}") from None
     elif "methods" in settings:
         methods = tuple(_method_from_dict(m) for m in settings["methods"])
     else:
@@ -341,7 +345,8 @@ def cmd_quality(args) -> int:
                                  "r_squared": screen.r_squared,
                                  "n_days": screen.n_days,
                                  "date_controlled": screen.date_controlled}
-        except Exception as exc:
+        except (InsufficientDataError, RankDeficientError, InsufficientRowsError) as exc:
+            # a series the screen cannot fit; anything else is a defect
             summary["screen_error"] = str(exc)
         trend_path = out / "trend.json"
         trend_path.write_text(json.dumps(summary, indent=2))

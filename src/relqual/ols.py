@@ -73,14 +73,17 @@ def fit_ols(y: np.ndarray, x: np.ndarray | None) -> OlsFit:
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < p + 1:
         raise RankDeficientError("predictor design matrix is singular")
+    constant = bool(np.all(y == y[0]))
+    if constant:  # exactly the intercept: rounding noise is no slope and explains nothing
+        beta = np.concatenate([y[:1], np.zeros(p)])
     fitted = design @ beta
     resid = y - fitted
     sse = float(resid @ resid)
 
-    sst = float(np.sum((y - y.mean()) ** 2))
+    sst = 0.0 if constant else float(np.sum((y - y.mean()) ** 2))
     if sst > 0 and sse < 1e-24 * sst:
         sse = 0.0  # numerically perfect fit; stop float dust leaking into tests
-    r2 = 1.0 - sse / sst if sst > 0 else (1.0 if sse == 0 else 0.0)
+    r2 = 1.0 - sse / sst if sst > 0 else 0.0
     df = n - p - 1
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else float("nan")
 
@@ -91,7 +94,7 @@ def fit_ols(y: np.ndarray, x: np.ndarray | None) -> OlsFit:
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = np.where(se > 0, beta[1:] / np.where(se > 0, se, 1.0), np.inf)
         pvals = np.where(np.isinf(tstat), 0.0, t_sf_two_sided(np.abs(tstat), df))
-        pvals = np.where(np.isnan(tstat), 1.0, pvals)
+        pvals = np.where(np.isnan(tstat) | constant, 1.0, pvals)
     else:
         se = np.empty(0)
         pvals = np.empty(0)

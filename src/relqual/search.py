@@ -66,14 +66,15 @@ class HcConfig:
 # scores each family on its first read, with the same arithmetic: greedy
 # search reads far fewer families than the cap allows, one step of all
 # its lanes at a time, and the exact searches read whole rows
-# (``FamilyScores.array``).
+# (``FamilyScoreTable.read_rows``), at most this many scores at once.
 DENSE_TABLE_ENTRIES = 1 << 20
 
 
-def _scorer(data: DataLike, max_parents: int, resamples: np.ndarray | None = None):
-    if isinstance(data, DiscreteDataset):
-        return DiscreteScoreCache(data, max_parents, resamples)
-    return GaussianScoreCache(data, max_parents, resamples)
+def _table(data: DataLike, max_parents: int,
+           resamples: np.ndarray | None = None) -> FamilyScoreTable:
+    """The family-score table of one dataset, or of its ``resamples``."""
+    cache = DiscreteScoreCache if isinstance(data, DiscreteDataset) else GaussianScoreCache
+    return FamilyScoreTable(cache(data, max_parents, resamples), data.variables)
 
 
 def _bits(mask: int) -> list[int]:
@@ -83,6 +84,17 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _first_best(top: np.ndarray, pick: np.ndarray, candidates,
+                margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """A serial scan, elementwise: over (value, choice) candidates in
+    order, ``top`` and ``pick`` move to a candidate only where it beats the
+    best so far by more than ``margin``, so the first best wins."""
+    for value, choice in candidates:
+        better = value > top + margin
+        top, pick = np.where(better, value, top), np.where(better, choice, pick)
+    return top, pick
 
 
 class FamilyScoreTable:
@@ -98,28 +110,27 @@ class FamilyScoreTable:
         self.variables = variables
         self.p = scorer.p
         self.max_parents = scorer.max_parents
+        self.samples = scorer.samples
         self.values = None   # (sample, child, parent mask), when dense
         self._scored = {}    # (sample, child, parent mask) -> score, otherwise
         entries = scorer.samples * self.p << self.p
         if scorer.samples > 1 and entries <= DENSE_TABLE_ENTRIES:
             # the values, flat after one -inf that stands for unwanted reads
-            self._store = np.empty(1 + entries)
-            self._store[0] = -np.inf
+            self._store = np.concatenate([[-np.inf], self._rows(slice(None)).ravel()])
             self.values = self._store[1:].reshape(scorer.samples, self.p, 1 << self.p)
-            for child in range(self.p):
-                self.values[:, child] = self._score_child(child, slice(None))
 
-    def _score_child(self, child: int, resamples: slice) -> np.ndarray:
-        """Every parent set of ``child`` within the cap, batched per size;
-        -inf at masks outside the cap or holding the child."""
-        others = [i for i in range(self.p) if i != child]
-        values = np.full((len(range(self.scorer.samples)[resamples]), 1 << self.p),
-                         -np.inf)
-        for k in range(self.max_parents + 1):
-            sets = list(combinations(others, k))
-            sets = np.array(sets, dtype=np.intp).reshape(len(sets), k)
-            scores, _ = self.scorer.family_scores(child, sets, resamples)
-            values[:, (1 << sets).sum(axis=1)] = scores
+    def _rows(self, samples: slice) -> np.ndarray:
+        """Every family within the cap in the ``samples``, as (sample,
+        child, parent mask), batched per child and parent count; -inf at
+        masks outside the cap or holding the child."""
+        values = np.full((len(range(self.samples)[samples]), self.p, 1 << self.p), -np.inf)
+        for child in range(self.p):
+            others = [i for i in range(self.p) if i != child]
+            for k in range(self.max_parents + 1):
+                sets = list(combinations(others, k))
+                sets = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+                scores, _ = self.scorer.family_scores(child, sets, samples)
+                values[:, child, (1 << sets).sum(axis=1)] = scores
         return values
 
     def read(self, samples: np.ndarray, children: np.ndarray, masks: np.ndarray,
@@ -150,48 +161,26 @@ class FamilyScoreTable:
         out[at] = [self._scored[key] for key in keys]
         return out
 
+    def read_rows(self, samples: slice) -> np.ndarray:
+        """Every family's score in the ``samples``, as (sample, child,
+        parent mask), -inf outside the cap; raises the error of the first
+        marked family in that order.  A table that is not dense scores the
+        rows on each read, batched per child and parent count."""
+        values = self._rows(samples) if self.values is None else self.values[samples]
+        marked = np.flatnonzero(np.isnan(values))
+        if marked.size:
+            sample, child, mask = np.unravel_index(marked[0], values.shape)
+            self.raise_marked(range(self.samples)[samples][sample], int(child), int(mask))
+        return values
+
     def raise_marked(self, sample: int, child: int, mask: int) -> None:
         """Raise the error that marked the family."""
         self.scorer.family_score(child, mask, sample)
 
 
-class FamilyScores:
-    """One sample's family scores, as the exact searches read them."""
-
-    def __init__(self, table: FamilyScoreTable, sample: int):
-        self.table = table
-        self.sample = sample
-        self.variables = table.variables
-        self.p = table.p
-        self.max_parents = table.max_parents
-
-    def array(self, child: int) -> np.ndarray:
-        """``child``'s scores for every parent mask, -inf outside the cap;
-        raises the error of the lowest marked mask, if any."""
-        if self.table.values is None:
-            values = self.table._score_child(
-                child, slice(self.sample, self.sample + 1))[0]
-        else:
-            values = self.table.values[self.sample, child]
-        marked = np.flatnonzero(np.isnan(values))
-        if marked.size:
-            self.table.raise_marked(self.sample, child, int(marked[0]))
-        return values
-
-
 def _check_cap(table: FamilyScoreTable, max_parents: int) -> None:
     if table.max_parents < min(max_parents, table.p - 1):
         raise ValueError("family-score table was built for fewer parents")
-
-
-def family_scores(data: DataLike | FamilyScores, max_parents: int) -> FamilyScores:
-    """The family-score table of one dataset (or ``data`` itself, when it
-    is already one sample's scores)."""
-    if isinstance(data, FamilyScores):
-        _check_cap(data.table, max_parents)
-        return data
-    table = FamilyScoreTable(_scorer(data, max_parents), data.variables)
-    return FamilyScores(table, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +340,10 @@ def _ascend(table: FamilyScoreTable, sample: np.ndarray, parents: np.ndarray,
         scan = np.flatnonzero(~(low > 1e-12) | ~(low > rest + 1e-12))
         if scan.size:
             candidates = delta[:, scan]
-            best, pick = np.zeros(scan.size), np.full(scan.size, -1)
-            for c in np.flatnonzero((candidates > 1e-12).any(axis=1)):
-                better = candidates[c] > best + 1e-12
-                best = np.where(better, candidates[c], best)
-                pick = np.where(better, c, pick)
-            move[scan], gain[scan] = pick, best
+            gain[scan], move[scan] = _first_best(
+                np.zeros(scan.size), np.full(scan.size, -1),
+                ((candidates[c], c) for c in np.flatnonzero((candidates > 1e-12).any(axis=1))),
+                1e-12)
 
         u, v, reverse = _apply_moves(parents, children, live, move)
         current[v, live] = new_v[u, v, lanes_at]
@@ -400,20 +387,22 @@ def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
         table.raise_marked(int(sample[lane]), child, mask)
     # the restart with the highest final score wins, earliest on ties
     scores = scores.reshape(-1, restarts)
-    best, pick = scores[:, 0], np.zeros(len(samples), dtype=np.intp)
-    for r in range(1, restarts):
-        better = scores[:, r] > best + 1e-12
-        best = np.where(better, scores[:, r], best)
-        pick = np.where(better, r, pick)
-    winners = parents.reshape(p, -1, restarts)[:, np.arange(len(samples)), pick]
-    edges = [set() for _ in samples]
+    _, pick = _first_best(scores[:, 0], np.zeros(len(samples), dtype=np.intp),
+                          ((scores[:, r], r) for r in range(1, restarts)), 1e-12)
+    return _dags(table.variables,
+                 parents.reshape(p, -1, restarts)[:, np.arange(len(samples)), pick])
+
+
+def _dags(variables: VariableSet, parents: np.ndarray) -> list[Dag]:
+    """One DAG per column of ``parents``, (p, samples) parent masks."""
+    edges = [set() for _ in range(parents.shape[1])]
     for v, s, u in zip(*(a.tolist() for a in np.nonzero(
-            winners[:, :, None] >> np.arange(p) & 1))):
+            parents[:, :, None] >> np.arange(len(parents)) & 1))):
         edges[s].add((u, v))
-    return [Dag(table.variables, frozenset(e)) for e in edges]
+    return [Dag(variables, frozenset(e)) for e in edges]
 
 
-def hill_climb(data: DataLike | FamilyScores | FamilyScoreTable, cfg: HcConfig,
+def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
                restrict: frozenset[tuple[int, int]] | list | None = None,
                seed=None) -> Dag | list[Dag]:
     """Best DAG over random-restart greedy search.
@@ -421,10 +410,10 @@ def hill_climb(data: DataLike | FamilyScores | FamilyScoreTable, cfg: HcConfig,
     Each restart perturbs the empty graph with random legal edge operations
     and then repeatedly applies the single add / delete / reverse move with
     the largest positive score gain.  Every move's gain is read from the
-    family-score table of ``data`` (built here for a dataset, or passed in
-    as one sample's scores); an add or reverse is legal when each node's
-    ancestor bitmask says it closes no cycle.  The restart with the highest
-    final score wins, earliest restart on ties.
+    family-score table of ``data`` (built here for a dataset); an add or
+    reverse is legal when each node's ancestor bitmask says it closes no
+    cycle.  The restart with the highest final score wins, earliest restart
+    on ties.
 
     Given a whole table, every sample that ``seed`` (one seed per sample)
     covers climbs at once, ``restrict`` is None or one pair set per sample,
@@ -434,9 +423,8 @@ def hill_climb(data: DataLike | FamilyScores | FamilyScoreTable, cfg: HcConfig,
         _check_cap(data, cfg.max_parents)
         restricts = [None] * len(seed) if restrict is None else restrict
         return _search(data, list(range(len(seed))), cfg, restricts, seed)
-    scores = family_scores(data, cfg.max_parents)
     seed = split_seed(cfg.seed, 0) if seed is None else seed
-    return _search(scores.table, [scores.sample], cfg, [restrict], [seed])[0]
+    return _search(_table(data, cfg.max_parents), [0], cfg, [restrict], [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +584,9 @@ def _family_weight_tables(data: Dataset, max_parents: int) -> np.ndarray:
     whole-DAG product can still be astronomically small when the children's
     best families are mutually cyclic, and the ratios must survive that.
     """
-    scores_of = family_scores(data, max_parents)
-    tables = []
-    for child in range(scores_of.p):
-        scores = scores_of.array(child).astype(np.longdouble)
-        top = scores.max()
-        tables.append(np.where(np.isfinite(scores), np.exp(scores - top),
-                               np.longdouble(0.0)))
-    return np.stack(tables)
+    scores = _table(data, max_parents).read_rows(slice(None))[0].astype(np.longdouble)
+    top = scores.max(axis=1, keepdims=True)
+    return np.where(np.isfinite(scores), np.exp(scores - top), np.longdouble(0.0))
 
 
 def _bit_halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -634,18 +617,29 @@ def _superset_sums(values: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _layers(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every node set, one layer per size k, smallest first: the sets in
+    increasing mask order and their members in increasing order, as arrays
+    (n,) and (n, k)."""
+    masks = np.arange(1 << p)
+    layers = []
+    for k in range(p + 1):
+        sets = masks[np.bitwise_count(masks) == k]
+        member = sets[:, None] >> np.arange(p) & 1
+        layers.append((sets, np.nonzero(member)[1].reshape(len(sets), k)))
+    return layers
+
+
 def _sink_blocks(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every node set R but the full one, in blocks of sets of one size,
     smallest sets first, each R with the nodes outside it in increasing
     order: pairs of arrays (sets, outside) of shapes (n,) and (n, p - |R|)."""
-    masks = np.arange(1 << p)
-    member = (masks[:, None] >> np.arange(p)) & 1
-    size = member.sum(axis=1)
+    layers = _layers(p)
     blocks = []
-    for j in range(p):
-        sets = masks[size == j]
-        outside = np.nonzero(member[sets] == 0)[1].reshape(len(sets), p - j)
-        step = max(1, SINK_BLOCK_PAIRS >> (p - j))
+    for k, (sets, _) in enumerate(layers[:p]):
+        # layer p - k holds the complements of layer k, in reverse order
+        outside = layers[p - k][1][::-1]
+        step = max(1, SINK_BLOCK_PAIRS >> (p - k))
         blocks += [(sets[lo:lo + step], outside[lo:lo + step])
                    for lo in range(0, len(sets), step)]
     return blocks
@@ -834,57 +828,54 @@ def exact_map_edge_probabilities(data: Dataset,
     return _confidence_from_counts(data.variables, prob, 1.0)
 
 
-def map_dag(data: DataLike, max_parents: int = MAX_EXACT_PARENTS) -> Dag:
+def map_dag(data: DataLike | FamilyScoreTable,
+            max_parents: int = MAX_EXACT_PARENTS) -> Dag | list[Dag]:
     """Globally optimal DAG for the family scores, by best-sink dynamic
-    programming over node subsets."""
+    programming over node subsets (Silander & Myllymaki, UAI 2006).
+
+    Both passes visit the node sets one size at a time, every sample at
+    once.  Each child's best family within a set is the set's own family
+    (within the cap) or the best within a one-smaller set, in increasing
+    order of the member left out; each set's sink is its first best
+    member; the first maximum wins both.
+
+    Given a whole table, the result is one DAG per sample, its rows read
+    at most ``DENSE_TABLE_ENTRIES`` scores at a time.
+    """
     p = len(data.variables)
     if p > MAX_EXACT_NODES:
         raise SizeLimitError(f"exact search limited to {MAX_EXACT_NODES} variables")
-    scores = family_scores(data, max_parents)
-    full = (1 << p) - 1
-
-    # best parent set per child within each candidate set
-    best_score = [[-np.inf] * (1 << p) for _ in range(p)]
-    best_mask = [[0] * (1 << p) for _ in range(p)]
-    for child in range(p):
-        child_bit = 1 << child
-        bs, bm = best_score[child], best_mask[child]
-        row = scores.array(child).tolist()
-        for cand in range(1 << p):
-            if cand & child_bit:
-                continue
-            if cand.bit_count() <= max_parents:
-                bs[cand] = row[cand]
-                bm[cand] = cand
-            m = cand
-            while m:
-                i_bit = m & -m
-                m ^= i_bit
-                prev = cand ^ i_bit
-                if bs[prev] > bs[cand]:
-                    bs[cand] = bs[prev]
-                    bm[cand] = bm[prev]
-
-    total = [-np.inf] * (1 << p)
-    sink = [-1] * (1 << p)
-    total[0] = 0.0
-    for s in range(1, 1 << p):
-        m = s
-        while m:
-            c_bit = m & -m
-            m ^= c_bit
-            c = c_bit.bit_length() - 1
-            value = total[s ^ c_bit] + best_score[c][s ^ c_bit]
-            if value > total[s]:
-                total[s] = value
-                sink[s] = c
-    edges = set()
-    s = full
-    while s:
-        c = sink[s]
-        s ^= 1 << c
-        edges.update((u, c) for u in _bits(best_mask[c][s]))
-    return Dag(data.variables, frozenset(edges))
+    table = data if isinstance(data, FamilyScoreTable) else _table(data, max_parents)
+    _check_cap(table, max_parents)
+    # per set size: the sets, their members, and each set less each member
+    layers = [(sets, members.T, (sets[:, None] ^ 1 << members).T)
+              for sets, members in _layers(p)[1:]]
+    capped = np.bitwise_count(np.arange(1 << p)) > max_parents
+    step = max(1, DENSE_TABLE_ENTRIES // (p << p))
+    dags = []
+    for lo in range(0, table.samples, step):
+        best = np.where(capped, -np.inf, table.read_rows(slice(lo, lo + step)))
+        family = np.broadcast_to(np.arange(1 << p), best.shape).copy()
+        for sets, _, smaller in layers:
+            best[..., sets], family[..., sets] = _first_best(
+                best[..., sets], family[..., sets],
+                ((best[..., prev], family[..., prev]) for prev in smaller))
+        samples = np.arange(len(best))
+        total = np.zeros((len(best), 1 << p))
+        sink = np.zeros(total.shape, dtype=np.intp)
+        for sets, members, smaller in layers:
+            total[:, sets], sink[:, sets] = _first_best(
+                np.full((len(best), len(sets)), -np.inf), sink[:, sets],
+                ((total[:, prev] + best[:, c, prev], c)
+                 for c, prev in zip(members, smaller)))
+        parents = np.zeros((p, len(best)), dtype=np.int64)
+        rest = np.full(len(best), (1 << p) - 1)
+        for _ in range(p):   # peel each sample's sinks off the full set
+            c = sink[samples, rest]
+            rest ^= 1 << c
+            parents[c, samples] = family[samples, c, rest]
+        dags += _dags(table.variables, parents)
+    return dags if table is data else dags[0]
 
 
 # ---------------------------------------------------------------------------
@@ -930,8 +921,8 @@ def hybrid_learner(cfg: HcConfig, restrict: str = "gs",
 
 
 def map_learner(max_parents: int = MAX_EXACT_PARENTS) -> ScoreLearner:
-    return ScoreLearner(max_parents, lambda data, resamples, table, seeds: [
-        map_dag(FamilyScores(table, i), max_parents) for i in range(len(seeds))])
+    return ScoreLearner(max_parents, lambda data, resamples, table, seeds:
+                        map_dag(table, max_parents))
 
 
 def bootstrap_average(data: DataLike, learner: ScoreLearner, boot_samples: int,
@@ -950,8 +941,7 @@ def bootstrap_average(data: DataLike, learner: ScoreLearner, boot_samples: int,
     n = data.n
     resamples = np.stack([rng_from(split_seed(seed, 1, i)).integers(0, n, size=n)
                           for i in range(boot_samples)])
-    table = FamilyScoreTable(_scorer(data, learner.max_parents, resamples),
-                             data.variables)
+    table = _table(data, learner.max_parents, resamples)
     seeds = [split_seed(seed, 2, i) for i in range(boot_samples)]
     for learned in learner.search(data, resamples, table, seeds):
         for u, v in learned.edges:

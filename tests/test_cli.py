@@ -81,6 +81,17 @@ def test_simstudy_invalid_threshold_names_field(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+def test_simstudy_unknown_arm_lists_the_known_ones(tmp_path, capsys):
+    code = run(["simstudy", "--replicates", 1, "--methods", "HC,FOO",
+                "--out", tmp_path / "x"])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown arm 'FOO'; known arms: HC, ")
+    assert "HYBRID-MMPC" in err
+    with pytest.raises(ValueError, match="unknown arm 'FOO'"):
+        run(["--debug", "simstudy", "--methods", "FOO", "--out", tmp_path / "y"])
+
+
 # --- learn -------------------------------------------------------------------
 
 
@@ -216,6 +227,40 @@ def test_quality_series_timeline(tmp_path):
     trend = json.loads((out / "trend.json").read_text())
     assert trend["trend_direction"] == "flat"
     assert trend["screen"]["slope_p_value"] <= 1.0
+
+
+def write_series_csv(path, days):
+    lines = ["date,downloads,cumulative_issues"]
+    for i in range(days):
+        day = dt.date(2018, 1, 1) + dt.timedelta(days=i)
+        lines.append(f"{day.isoformat()},{100 + i},{i}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_quality_short_series_records_screen_error(tmp_path):
+    series = tmp_path / "series.csv"
+    write_series_csv(series, 5)
+    out = tmp_path / "out"
+    assert run(["quality", "--series", series, "--out", out]) == EXIT_OK
+    trend = json.loads((out / "trend.json").read_text())
+    assert "screen" not in trend
+    assert trend["screen_error"].startswith("need at least 10 days")
+
+
+def test_quality_screen_defect_is_not_a_screen_error(tmp_path, monkeypatch, capsys):
+    import relqual.cli as cli
+
+    def broken(series, with_date_control):
+        raise TypeError("broken screen")
+
+    monkeypatch.setattr(cli, "screen_significance", broken)
+    series = tmp_path / "series.csv"
+    write_series_csv(series, 30)
+    with pytest.raises(TypeError, match="broken screen"):
+        run(["--debug", "quality", "--series", series, "--out", tmp_path / "a"])
+    assert run(["quality", "--series", series, "--out", tmp_path / "b"]) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: broken screen")
+    assert not (tmp_path / "b" / "trend.json").exists()
 
 
 def test_quality_needs_an_input(tmp_path, capsys):

@@ -195,6 +195,19 @@ def test_edge_inference_hand_dataset_perfect_fit():
     assert inf.adjusted_r2[0] == 0.0
 
 
+@pytest.mark.parametrize("level", [0.0, 0.1, 3.0, 1e6])
+def test_fit_ols_constant_response_has_no_slope(level):
+    """Rounding in the solve is not evidence: whatever the constant, every
+    coefficient is exactly 0 with p = 1, and R^2 is 0."""
+    x = np.arange(30.0)
+    for design in (x, np.column_stack([x, x ** 2])):
+        res = fit_ols(np.full(30, level), design)
+        assert res.intercept == level
+        assert np.all(res.coefficients == 0.0)
+        assert np.all(res.p_values == 1.0)
+        assert res.sse == 0.0 and res.r_squared == 0.0
+
+
 def test_edge_inference_null_p_values_uniform():
     hits = 0
     for rep in range(1000):

@@ -249,6 +249,15 @@ def test_screen_date_control_raises_r2_on_trending_series():
     assert controlled.r_squared > plain.r_squared
 
 
+@pytest.mark.parametrize("with_date_control", [False, True])
+def test_screen_of_a_window_without_new_issues_finds_nothing(with_date_control):
+    downloads = np.random.default_rng(3).integers(10, 100, size=30)
+    series = make_series(downloads.tolist(), [0] * 30)
+    result = screen_significance(series, with_date_control)
+    assert result.slope_p_value == 1.0
+    assert result.r_squared == 0.0
+
+
 def test_screen_requires_ten_days():
     series = make_series([10] * 9, list(range(1, 10)))
     with pytest.raises(InsufficientDataError):

@@ -1,9 +1,12 @@
-"""The family-score table and the bitmask greedy search against references.
+"""The family-score table, the bitmask greedy search and the MAP search
+against references.
 
 The references here are the straightforward versions: one BIC family score
-at a time from the (re)sample's own rows, memoized per (child, mask), and
-a greedy search that yields every legal move and checks acyclicity with a
-depth-first search per candidate.  The library must match them bit for bit.
+at a time from the (re)sample's own rows, memoized per (child, mask), a
+greedy search that yields every legal move and checks acyclicity with a
+depth-first search per candidate, and a best-sink dynamic program that
+loops over int bitmasks one set at a time.  The library must match them
+bit for bit.
 
 The exact edge posterior is checked against one restricted pass of the
 sink-layer recursion per ordered pair, and against weighted averaging over
@@ -26,17 +29,15 @@ from relqual.rng import rng_from, split_seed
 from relqual.search import (
     MAX_EXACT_NODES,
     FamilyScoreTable,
-    FamilyScores,
     HcConfig,
     SingularCorrelationError,
     _ascend,
     _dag_weight_sums,
     _edge_posteriors,
     _family_weight_tables,
-    _scorer,
+    _table,
     bootstrap_average,
     exact_map_edge_probabilities,
-    family_scores,
     hc_learner,
     hill_climb,
     hybrid_learner,
@@ -236,6 +237,65 @@ def ref_hill_climb(data, cfg, restrict=None, seed=None, scorer=None):
     return Dag(data.variables, frozenset(edges))
 
 
+# ---------------------------------------------------------------------------
+# reference MAP search: the serial best-sink dynamic program
+
+
+def ref_map_dag(data, max_parents, table_cap=None):
+    """Best parents per child within every candidate set, then the best
+    sink per node set, one int bitmask at a time; strict comparisons keep
+    the first maximum.  Reads every family within ``table_cap`` (default
+    ``max_parents``) in (child, mask) order, raising the first failure."""
+    p = len(data.variables)
+    scorer = ReferenceScores(data)
+    rows = np.full((p, 1 << p), -np.inf)
+    cap = max_parents if table_cap is None else table_cap
+    for child, mask in sorted(families(p, min(cap, p - 1))):
+        rows[child, mask] = scorer.family_score(child, mask)
+
+    best_score = [[-np.inf] * (1 << p) for _ in range(p)]
+    best_mask = [[0] * (1 << p) for _ in range(p)]
+    for child in range(p):
+        child_bit = 1 << child
+        bs, bm = best_score[child], best_mask[child]
+        row = rows[child].tolist()
+        for cand in range(1 << p):
+            if cand & child_bit:
+                continue
+            if cand.bit_count() <= max_parents:
+                bs[cand] = row[cand]
+                bm[cand] = cand
+            m = cand
+            while m:
+                i_bit = m & -m
+                m ^= i_bit
+                prev = cand ^ i_bit
+                if bs[prev] > bs[cand]:
+                    bs[cand] = bs[prev]
+                    bm[cand] = bm[prev]
+
+    total = [-np.inf] * (1 << p)
+    sink = [-1] * (1 << p)
+    total[0] = 0.0
+    for s in range(1, 1 << p):
+        m = s
+        while m:
+            c_bit = m & -m
+            m ^= c_bit
+            c = c_bit.bit_length() - 1
+            value = total[s ^ c_bit] + best_score[c][s ^ c_bit]
+            if value > total[s]:
+                total[s] = value
+                sink[s] = c
+    edges = set()
+    s = (1 << p) - 1
+    while s:
+        c = sink[s]
+        s ^= 1 << c
+        edges.update((u, c) for u in range(p) if best_mask[c][s] >> u & 1)
+    return Dag(data.variables, frozenset(edges))
+
+
 def ref_bootstrap_counts(data, learn, boot_samples, seed):
     p = len(data.variables)
     counts = np.zeros((p, p))
@@ -263,6 +323,15 @@ def discrete_data(seed, p, n):
                       DiscretizationSpec("equal-frequency", 3)).dataset
 
 
+def duplicated(data, copies):
+    """Discrete data with column j replaced by column i for each (j, i):
+    families that differ only by a copy score exactly the same."""
+    rows, levels = data.rows.copy(), list(data.levels)
+    for j, i in copies:
+        rows[:, j], levels[j] = rows[:, i], levels[i]
+    return DiscreteDataset(data.variables, rows, tuple(levels))
+
+
 def resamples(n, boot_samples, seed):
     return np.stack([rng_from(split_seed(seed, 1, i)).integers(0, n, size=n)
                      for i in range(boot_samples)])
@@ -271,7 +340,7 @@ def resamples(n, boot_samples, seed):
 def table_entries(data, max_parents, idx):
     """(sample, child, mask) -> score or error class, for every family
     within the cap, read from the library's table."""
-    table = FamilyScoreTable(_scorer(data, max_parents, idx), data.variables)
+    table = _table(data, max_parents, idx)
     out = {}
     for b in range(len(idx)):
         for child, mask in families(len(data.variables), table.max_parents):
@@ -352,22 +421,46 @@ def test_table_marks_failing_families_and_raises_them_on_read():
             if isinstance(want, type):
                 first_failure[child] = min(first_failure.get(child, (mask, want)),
                                            (mask, want), key=lambda item: item[0])
-        # whole-row reads (the exact searches) raise the lowest marked family
-        for child in range(5):
-            if child in first_failure:
-                with pytest.raises(first_failure[child][1]):
-                    FamilyScores(table, b).array(child)
-            else:
-                FamilyScores(table, b).array(child)
+        # whole-row reads (the exact searches) raise the first marked
+        # family in (child, mask) order
+        row = slice(b, b + 1)
+        if first_failure:
+            child = min(first_failure)
+            with pytest.raises(first_failure[child][1], match=rf"node {child}\b"):
+                table.read_rows(row)
+        else:
+            assert np.array_equal(table.read_rows(row), table.values[row])
     # n=12 covers every size; the collinear column makes failures
     assert DegenerateVarianceError in kinds or RankDeficientError in kinds
+
+
+def test_row_read_raises_the_first_sample_s_first_failure():
+    """X2 = 2 X1, so X1's family {X2} fails in every resample; X0 is zero
+    but in one row, which resample 0 holds and resample 1 lacks, so there
+    X0's empty family fails first.  A read of both resamples, and the MAP
+    search of the table, raise resample 0's failure, as the serial search
+    resample by resample does."""
+    idx = resamples(12, 2, seed=3)
+    rows = np.random.default_rng(0).standard_normal((12, 3))
+    rows[:, 0] = 0.0
+    rows[min(set(idx[0].tolist()) - set(idx[1].tolist())), 0] = 1.0
+    rows[:, 2] = 2.0 * rows[:, 1]
+    data = Dataset(VariableSet(["X0", "X1", "X2"]), rows)
+    table = _table(data, 1, idx)
+    with pytest.raises(DegenerateVarianceError, match=r"node 0\b"):
+        table.read_rows(slice(1, 2))
+    with pytest.raises(DegenerateVarianceError, match=r"node 1\b"):
+        table.read_rows(slice(None))
+    want = outcome(lambda: [ref_map_dag(data.take_rows(i), 1) for i in idx])
+    assert want[0] is DegenerateVarianceError
+    assert outcome(lambda: map_dag(table, 1)) == want
 
 
 def test_wide_data_fills_the_table_one_family_at_a_time():
     data = gaussian_data(7, 17, 40)
     cfg = HcConfig(restarts=1, max_parents=5, seed=3)
     idx = resamples(data.n, 2, seed=4)
-    table = FamilyScoreTable(_scorer(data, cfg.max_parents, idx), data.variables)
+    table = _table(data, cfg.max_parents, idx)
     assert table.values is None   # filled on first read
     scorer = ReferenceScores(data.take_rows(idx[1]))
     for child, mask in [(0, 0), (3, 0b101), (16, 0b11011), (5, (1 << 16) | 7)]:
@@ -443,7 +536,7 @@ def test_near_ties_follow_the_serial_scan(seed):
     lane must still take the move the serial scan takes."""
     data = gaussian_data(seed, 5, 30)
     idx = resamples(data.n, 8, seed)
-    table = FamilyScoreTable(_scorer(data, 3, idx), data.variables)
+    table = _table(data, 3, idx)
     finite = np.isfinite(table.values)
     table.values[finite] = 1.0 + 0.4e-12 * np.random.default_rng(seed).integers(
         0, 16, finite.sum())
@@ -463,7 +556,7 @@ def test_table_learners_match_their_plain_calls():
                     hybrid_learner(cfg, "mmpc")):
         counts = ref_bootstrap_counts(
             data, lambda d, s: learner.search(
-                d, [np.arange(d.n)], family_scores(d, learner.max_parents).table, [s])[0],
+                d, [np.arange(d.n)], _table(d, learner.max_parents), [s])[0],
             4, seed=9)
         either = counts + counts.T
         tabled = bootstrap_average(data, learner, 4, seed=9)
@@ -496,14 +589,14 @@ def test_marked_families_raise_what_the_serial_search_raises():
         rows[:, 5] = rows[:, 2] + 0.5 * rows[:, 3]
         data = Dataset(data.variables, rows)
         cfg = HcConfig(restarts=3, perturb=3, max_parents=1 + seed % 4, seed=seed)
-        table = FamilyScoreTable(_scorer(data, 4, resamples(data.n, 4, seed)),
-                                 data.variables)
+        table = _table(data, 4, resamples(data.n, 4, seed))
         assert np.isnan(table.values).any()
-        for learner, restrict in ((hc_learner(cfg), None),
-                                  (hybrid_learner(cfg, "gs"), restrict_gs)):
-            def reference(d, s):
-                pairs = None if restrict is None else restrict(d)
-                return ref_hill_climb(d, cfg, restrict=pairs, seed=s)
+        for learner, reference in (
+                (hc_learner(cfg), lambda d, s: ref_hill_climb(d, cfg, seed=s)),
+                (hybrid_learner(cfg, "gs"), lambda d, s: ref_hill_climb(
+                    d, cfg, restrict=restrict_gs(d), seed=s)),
+                (map_learner(cfg.max_parents),
+                 lambda d, s: ref_map_dag(d, cfg.max_parents))):
             want = outcome(lambda: _strength(
                 ref_bootstrap_counts(data, reference, 4, seed), 4))
             got = outcome(lambda: bootstrap_average(data, learner, 4, seed=seed).strength)
@@ -550,8 +643,7 @@ def test_lowest_lane_reports_its_first_marked_read():
     """Lane 0 starts on a marked family of child 0, lane 1 on one of child
     4: lane 0's read comes first in the serial order, and lane 1 stops."""
     data = collinear_data(n=14)
-    table = FamilyScoreTable(_scorer(data, 4, resamples(data.n, 2, 0)),
-                             data.variables)
+    table = _table(data, 4, resamples(data.n, 2, 0))
     parents = np.zeros((5, 3), dtype=np.int64)
     children = np.zeros_like(parents)
     parents[0, 0], children[1, 0], children[4, 0] = 0b10010, 1, 1
@@ -570,15 +662,16 @@ def test_marks_behind_illegal_moves_are_never_read():
     data = collinear_data(n=14)
     cfg = HcConfig(restarts=4, max_parents=1, seed=3)
     idx = resamples(data.n, 5, seed=1)
-    table = FamilyScoreTable(_scorer(data, 4, idx), data.variables)
+    table = _table(data, 4, idx)
     assert np.isnan(table.values).any()
     seeds = [split_seed(1, 2, i) for i in range(len(idx))]
     learned = hill_climb(table, cfg, seed=seeds)
     assert learned == [ref_hill_climb(data.take_rows(i), cfg, seed=s)
                        for i, s in zip(idx, seeds)]
-    lazy = family_scores(data, 4)
-    assert hill_climb(lazy, cfg) == ref_hill_climb(data, cfg)
-    assert max(mask.bit_count() for _, _, mask in lazy.table._scored) == 1
+    lazy = _table(data, 4)
+    assert hill_climb(lazy, cfg, seed=[split_seed(cfg.seed, 0)]) == \
+        [ref_hill_climb(data, cfg)]
+    assert max(mask.bit_count() for _, _, mask in lazy._scored) == 1
 
 
 def test_discrete_bootstrap_matches_reference():
@@ -589,6 +682,107 @@ def test_discrete_bootstrap_matches_reference():
     counts = ref_bootstrap_counts(
         data, lambda d, s: ref_hill_climb(d, cfg, seed=s), 4, seed=5)
     assert np.array_equal(conf.strength, _strength(counts, 4))
+
+
+# ---------------------------------------------------------------------------
+# the MAP search
+
+
+@st.composite
+def map_cases(draw):
+    """Gaussian or discrete data, p 1 to 7, and a parent cap of 1 to 5;
+    some discrete columns are copies of others, so that families and
+    whole DAGs tie exactly."""
+    p = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["gaussian", "discrete", "duplicated"]))
+    seed, n = draw(st.integers(0, 10_000)), draw(st.integers(20, 60))
+    if kind == "gaussian":
+        data = gaussian_data(seed, p, n)
+    else:
+        data = discrete_data(seed, p, n)
+    if kind == "duplicated" and p > 1:
+        copies = draw(st.lists(st.integers(1, p - 1), min_size=1, unique=True))
+        data = duplicated(data, [(j, draw(st.integers(0, j - 1))) for j in copies])
+    return data, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(map_cases())
+def test_map_dag_matches_serial_reference(case):
+    data, cap = case
+    assert outcome(lambda: map_dag(data, cap)) == outcome(lambda: ref_map_dag(data, cap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_cases(), st.integers(1, 5), st.integers(0, 4), st.integers(0, 99))
+def test_map_dag_of_a_table_matches_serial_reference_per_sample(
+        case, boot_samples, extra_cap, seed):
+    """A table scored for a wider cap than the search's gives every
+    sample the DAG of the serial search on that resample's rows."""
+    data, cap = case
+    idx = resamples(data.n, boot_samples, seed)
+    table = _table(data, cap + extra_cap, idx)
+    assert outcome(lambda: map_dag(table, cap)) == outcome(lambda: [
+        ref_map_dag(data.take_rows(i), cap, cap + extra_cap) for i in idx])
+
+
+def test_map_dag_breaks_ties_as_the_serial_search():
+    """Copied columns tie families and DAGs exactly; only the first-maximum
+    rule of the serial scan picks the DAG."""
+    data = duplicated(discrete_data(4, 6, 80), [(3, 0), (4, 0), (5, 1)])
+    table = _table(data, 3, resamples(data.n, 6, 2))
+    learned = map_dag(table, 3)
+    assert learned == [ref_map_dag(data.take_rows(i), 3) for i in resamples(data.n, 6, 2)]
+    assert map_dag(data, 3) == ref_map_dag(data, 3)
+    assert len(set(learned)) > 1
+
+
+def test_map_dag_keeps_its_cap_on_a_wider_table():
+    """X3 is the sum of the others: its best family holds all three, which
+    a search capped at one parent must not take from a table scored for
+    three."""
+    data = gaussian_data(1, 4, 60)
+    rows = data.rows.copy()
+    rows[:, 3] = rows[:, :3].sum(axis=1) + 0.1 * np.random.default_rng(1).standard_normal(60)
+    data = Dataset(data.variables, rows)
+    idx = resamples(data.n, 3, 5)
+    table = _table(data, 3, idx)
+    learned = map_dag(table, 1)
+    assert learned == [ref_map_dag(data.take_rows(i), 1, 3) for i in idx]
+    assert all(len(dag.parents(v)) <= 1 for dag in learned for v in range(4))
+    assert map_dag(table, 3) != learned
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_lazy_map_table_reads_rows_in_chunks(monkeypatch, chunk):
+    """A table too big to be dense is read ``chunk`` samples at a time,
+    and learns and raises what the serial search does sample by sample."""
+    import relqual.search as search
+
+    p, boot_samples = 5, 5
+    monkeypatch.setattr(search, "DENSE_TABLE_ENTRIES", chunk * p << p)
+    reads = []
+    real = FamilyScoreTable.read_rows
+
+    def read_rows(table, samples):
+        reads.append(len(range(table.samples)[samples]))
+        return real(table, samples)
+
+    monkeypatch.setattr(FamilyScoreTable, "read_rows", read_rows)
+    seen = set()
+    for seed in range(6):
+        data = collinear_data(seed=seed, n=14) if seed % 2 else gaussian_data(seed, p, 30)
+        idx = resamples(data.n, boot_samples, seed)
+        table = _table(data, 3, idx)
+        assert table.values is None
+        reads.clear()
+        want = outcome(lambda: [ref_map_dag(data.take_rows(i), 3) for i in idx])
+        assert outcome(lambda: map_dag(table, 3)) == want
+        if want[0] == "ok":
+            assert reads == [chunk] * (boot_samples // chunk) + [boot_samples % chunk] * (
+                boot_samples % chunk > 0)
+        seen.add(want[0])
+    assert "ok" in seen and len(seen) > 1
 
 
 # ---------------------------------------------------------------------------
