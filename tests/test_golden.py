@@ -1,17 +1,19 @@
 """Golden outputs: sha256 digests of fixed-seed CLI outputs.
 
-The study table and the `learn` outputs are the contract of a refactor
-that keeps the arithmetic: they must stay byte-identical.  The digests were
-recorded from these exact runs; a change that moves any of them has changed
+The study table, the `learn` outputs and the `rf` outputs are the contract
+of a refactor that keeps the arithmetic: they must stay byte-identical.
+The digests were recorded from these exact runs; a change that moves any of them has changed
 what the program computes.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from relqual.cli import EXIT_OK, main
-from relqual.data import write_numeric_csv
+from relqual.dag import VariableSet
+from relqual.data import Dataset, write_numeric_csv
 from relqual.gaussian import simulate
 from relqual.simstudy import SEARCH_KINDS, default_truth
 
@@ -62,3 +64,36 @@ def test_learn_outputs_are_byte_identical(tmp_path, method):
                 "--out", out]) == EXIT_OK
     assert (digest(out / "arcs.csv"), digest(out / "network.json")) == \
         LEARN_DIGESTS[method]
+
+
+def write_rf_table(path):
+    """Predictors with repeated values (one rounded column) and an exact
+    copy of another, so split scans meet equal neighbours and tied
+    reductions between features."""
+    rng = np.random.default_rng(21)
+    n = 90
+    x1 = rng.standard_normal(n)
+    coarse = np.round(rng.standard_normal(n), 1)
+    noise = rng.standard_normal(n)
+    y = 2 * x1 - coarse + 0.5 * rng.standard_normal(n)
+    rows = np.column_stack([x1, coarse, coarse.copy(), noise, y])
+    write_numeric_csv(path, Dataset(VariableSet(["x1", "coarse", "copy", "noise", "y"]),
+                                    rows))
+
+
+RF_DIGESTS = {
+    "tune.csv": "2b24165a2bc5b04a56bcd342389509fab751e6753e3d0da7079bb4cf79c8c061",
+    "importance.csv": "69601f789a6d43861da7866aa8c41d91a13f3da83922c1ad3ea868bbc6db7137",
+    "ablate.json": "bdf167b45120dad98e0fe0d2a75a5ce9477b742d3f9172daa152a2ff0b314c1e",
+}
+
+
+def test_rf_outputs_are_byte_identical(tmp_path):
+    data = tmp_path / "rf.csv"
+    write_rf_table(data)
+    out = tmp_path / "out"
+    assert run(["rf", data, "--response", "y", "--ntree-grid", "8,3,12,8",
+                "--mtry-grid", "3,1,2", "--repeats", 2, "--folds", 3,
+                "--importance-repeats", 2, "--ablate", "coarse", "--seed", 6,
+                "--out", out]) == EXIT_OK
+    assert {name: digest(out / name) for name in RF_DIGESTS} == RF_DIGESTS
