@@ -3,12 +3,14 @@
 Trees grow on bootstrap resamples with a random candidate-feature subset
 per split; the rows each tree never saw (out of bag) provide honest error
 estimates, which also back the permutation importance measure.  Tuning is
-repeated k-fold cross-validation over an (ntree, mtry) grid.
+repeated k-fold cross-validation over an (ntree, mtry) grid; each fold
+grows the largest ntree of an mtry once and scores every smaller ntree
+from the first trees of that forest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +41,8 @@ class ForestConfig:
 
 class _Tree:
     """Flat-array CART: internal nodes carry (feature, threshold), leaves
-    carry the training mean."""
+    carry the training mean.  Nodes are appended to lists while the tree
+    grows; ``freeze`` then turns them into arrays for prediction."""
 
     __slots__ = ("feature", "threshold", "left", "right", "value", "gains")
 
@@ -59,77 +62,80 @@ class _Tree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
+    def freeze(self) -> None:
+        for name in ("feature", "threshold", "left", "right", "value"):
+            setattr(self, name, np.asarray(getattr(self, name)))
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[0])
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
+        """Leaf value per row; all rows descend one level per step."""
         node = np.zeros(x.shape[0], dtype=np.int64)
         active = np.arange(x.shape[0])
         while active.size:
-            f = feature[node[active]]
-            leaf = f < 0
-            out[active[leaf]] = value[node[active[leaf]]]
-            active = active[~leaf]
-            if not active.size:
-                break
-            f = feature[node[active]]
-            goes_left = x[active, f] < threshold[node[active]]
-            node[active] = np.where(goes_left, left[node[active]], right[node[active]])
-        return out
+            at = node[active]
+            f = self.feature[at]
+            inner = f >= 0
+            active, at, f = active[inner], at[inner], f[inner]
+            goes_left = x[active, f] < self.threshold[at]
+            node[active] = np.where(goes_left, self.left[at], self.right[at])
+        return self.value[node]
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray,
+def _best_split(block: np.ndarray, y: np.ndarray, mean: np.floating,
                 min_leaf: int) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, sse_reduction) over candidate features.
+    """Best (column, threshold, sse_reduction) over the candidate columns
+    of ``block``; ``mean`` is ``y.mean()``.
 
     Thresholds are midpoints between consecutive distinct sorted values;
-    both sides must keep at least min_leaf rows.
+    both sides must keep at least min_leaf rows.  All candidate columns are
+    sorted and prefix-summed at once; a split must reduce the SSE by more
+    than 1e-12, and on a tie the first split point and the first column
+    win.
     """
     n = y.shape[0]
-    total_sse = float(np.sum(y * y) - n * y.mean() ** 2)
-    best = None
-    for f in features:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        k = np.arange(min_leaf, n - min_leaf + 1)
-        if k.size == 0:
-            continue
-        k = k[xs[k - 1] < xs[k]]
-        if k.size == 0:
-            continue
-        left_sse = csq[k - 1] - csum[k - 1] ** 2 / k
-        rs = csum[-1] - csum[k - 1]
-        rq = csq[-1] - csq[k - 1]
-        right_sse = rq - rs ** 2 / (n - k)
-        reduction = total_sse - (left_sse + right_sse)
-        i = int(np.argmax(reduction))
-        if reduction[i] > 1e-12 and (best is None or reduction[i] > best[2]):
-            split_at = k[i]
-            threshold = (xs[split_at - 1] + xs[split_at]) / 2.0
-            best = (int(f), float(threshold), float(reduction[i]))
-    return best
+    if n < 2 * min_leaf:
+        return None
+    total_sse = float((y * y).sum() - n * mean ** 2)
+    cols = np.arange(block.shape[1])
+    order = block.argsort(axis=0, kind="stable")
+    xs = block[order, cols]
+    ys = y[order]
+    csum = ys.cumsum(axis=0)
+    csq = (ys * ys).cumsum(axis=0)
+    below = slice(min_leaf - 1, n - min_leaf)       # rows k - 1
+    k = np.arange(min_leaf, n - min_leaf + 1)[:, None]
+    left_sse = csq[below] - csum[below] ** 2 / k
+    rs = csum[-1] - csum[below]
+    rq = csq[-1] - csq[below]
+    right_sse = rq - rs ** 2 / (n - k)
+    reduction = total_sse - (left_sse + right_sse)
+    reduction[~(xs[below] < xs[min_leaf:n - min_leaf + 1])] = -np.inf
+    at = reduction.argmax(axis=0)
+    gains = reduction[at, cols]
+    c = int(gains.argmax())
+    if not gains[c] > 1e-12:
+        return None
+    split_at = min_leaf + at[c]
+    threshold = (xs[split_at - 1, c] + xs[split_at, c]) / 2.0
+    return c, float(threshold), float(gains[c])
 
 
 def _grow(tree: _Tree, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
           mtry: int, min_leaf: int, rng: np.random.Generator) -> int:
     node = tree._new_node()
     yn = y[rows]
-    tree.value[node] = float(yn.mean())
+    mean = yn.mean()
+    tree.value[node] = float(mean)
     if rows.size < 2 * min_leaf or np.ptp(yn) == 0.0:
         return node
     features = rng.choice(x.shape[1], size=mtry, replace=False)
-    split = _best_split(x[rows], yn, features, min_leaf)
+    block = x[rows[:, None], features]
+    split = _best_split(block, yn, mean, min_leaf)
     if split is None:
         return node
-    f, threshold, gain = split
+    c, threshold, gain = split
+    f = int(features[c])
     tree.gains[f] += gain
-    mask = x[rows, f] < threshold
+    mask = block[:, c] < threshold
     tree.feature[node] = f
     tree.threshold[node] = threshold
     tree.left[node] = _grow(tree, x, y, rows[mask], mtry, min_leaf, rng)
@@ -205,6 +211,7 @@ def fit_forest(data: Dataset, response: str, cfg: ForestConfig) -> ForestModel:
         in_bag[drawn] = True
         tree = _Tree(len(predictors))
         _grow(tree, x, y, np.sort(drawn), mtry, cfg.min_leaf, rng)
+        tree.freeze()
         trees.append(tree)
         oob_rows.append(np.flatnonzero(~in_bag))
     return ForestModel(response, predictors, trees, oob_rows, x, y, cfg)
@@ -225,25 +232,42 @@ class ImportanceReport:
 def permutation_importance(model: ForestModel, repeats: int = 5,
                            seed: int = 0) -> ImportanceReport:
     """Mean increase in per-tree OOB squared error after permuting one
-    predictor at a time, averaged over repeats."""
+    predictor at a time, averaged over repeats.
+
+    Permutations are drawn in (repeat, predictor, tree) order from one
+    stream per repeat; each tree then predicts its OOB rows and all their
+    permuted copies in one call."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     p = len(model.predictors)
-    increases = np.zeros(p)
-    baseline: list[float] = []
     usable = [(tree, oob) for tree, oob in zip(model.trees, model.oob_rows)
               if oob.size > 1]
-    for tree, oob in usable:
-        err = float(np.mean((model.y[oob] - tree.predict(model.x[oob])) ** 2))
-        baseline.append(err)
+    if not usable:
+        raise InsufficientRowsError(
+            f"no tree of {len(model.trees)} has two or more out-of-bag rows; "
+            "permutation importance needs more trees or more rows")
+    copies = repeats * p
+    perms = [np.empty((copies, oob.size), dtype=np.int64) for _, oob in usable]
     for r in range(repeats):
         rng = rng_from(split_seed(seed, 4, r))
         for j in range(p):
-            bump = 0.0
-            for (tree, oob), err in zip(usable, baseline):
-                x_perm = model.x[oob].copy()
-                x_perm[:, j] = x_perm[rng.permutation(oob.size), j]
-                perm_err = float(np.mean((model.y[oob] - tree.predict(x_perm)) ** 2))
-                bump += perm_err - err
-            increases[j] += bump / len(usable)
+            for drawn, (_, oob) in zip(perms, usable):
+                drawn[r * p + j] = rng.permutation(oob.size)
+    copy = np.arange(copies)
+    feature = copy % p
+    bump = np.zeros((repeats, p))
+    for (tree, oob), drawn in zip(usable, perms):
+        # block 0 holds the OOB rows as they are, block 1 + r * p + j the
+        # rows with predictor j permuted by repeat r's draw
+        x_oob = model.x[oob]
+        stacked = np.tile(x_oob, (1 + copies, 1, 1))
+        stacked[1 + copy, :, feature] = x_oob[drawn, feature[:, None]]
+        pred = tree.predict(stacked.reshape(-1, p)).reshape(1 + copies, oob.size)
+        errs = np.mean((model.y[oob] - pred) ** 2, axis=1)
+        bump += errs[1:].reshape(repeats, p) - errs[0]
+    increases = np.zeros(p)
+    for r in range(repeats):
+        increases += bump[r] / len(usable)
     increases /= repeats
     order = np.argsort(-increases, kind="stable")
     ranks = np.empty(p, dtype=int)
@@ -259,25 +283,44 @@ def _fold_assignments(n: int, k_folds: int, seed: int, repeat: int) -> np.ndarra
     return labels[rng.permutation(n)]
 
 
-def _cv_r2(data: Dataset, response: str, cfg: ForestConfig, k_repeats: int,
-           k_folds: int, seed: int) -> np.ndarray:
-    """Held-out R^2 per (repeat, fold), SS_tot around the fold mean."""
+def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
+           ntrees: tuple[int, ...], k_repeats: int, k_folds: int,
+           seed: int) -> np.ndarray:
+    """Held-out R^2 per (ntree, repeat, fold), SS_tot around the fold mean.
+
+    Each fold grows one forest of cfg.ntree = max(ntrees) trees and adds
+    their test predictions one tree at a time, as ``ForestModel.predict``
+    does; tree t's stream does not depend on ntree, so the running sum
+    after tree k divided by k is the k-tree forest's prediction, float for
+    float."""
+    if k_repeats < 1:
+        raise ValueError(f"k_repeats must be >= 1, got {k_repeats}")
+    if not 2 <= k_folds <= data.n:
+        raise ValueError(f"k_folds must be in [2, {data.n}] (the row count), "
+                         f"got {k_folds}")
+    if min(ntrees) < 1:
+        raise ValueError("ntree must be >= 1")
+    row_of = {ntree: i for i, ntree in enumerate(ntrees)}
     y_col = data.variables.index(response)
     x_cols = [i for i in range(data.rows.shape[1]) if i != y_col]
-    scores = []
+    scores = np.empty((len(ntrees), k_repeats * k_folds))
     for repeat in range(k_repeats):
         folds = _fold_assignments(data.n, k_folds, seed, repeat)
         for fold in range(k_folds):
             test = folds == fold
-            train = ~test
-            model = fit_forest(data.take_rows(np.flatnonzero(train)), response,
+            model = fit_forest(data.take_rows(np.flatnonzero(~test)), response,
                                cfg)
-            pred = model.predict(data.rows[test][:, x_cols])
+            x_test = data.rows[test][:, x_cols]
             y_test = data.rows[test, y_col]
             sst = float(np.sum((y_test - y_test.mean()) ** 2))
-            sse = float(np.sum((y_test - pred) ** 2))
-            scores.append(1.0 - sse / sst if sst > 0 else 0.0)
-    return np.asarray(scores)
+            votes = np.zeros(y_test.shape[0])
+            for t, tree in enumerate(model.trees, start=1):
+                votes += tree.predict(x_test)
+                if t in row_of:
+                    sse = float(np.sum((y_test - votes / t) ** 2))
+                    scores[row_of[t], repeat * k_folds + fold] = \
+                        1.0 - sse / sst if sst > 0 else 0.0
+    return scores
 
 
 @dataclass(frozen=True)
@@ -314,12 +357,19 @@ def tune_forest(data: Dataset, response: str,
     usually quoted)."""
     if not grid:
         raise ValueError("grid must not be empty")
-    if k_folds < 2:
-        raise ValueError("k_folds must be >= 2")
+    ntrees_by_mtry: dict[int, set[int]] = {}
+    for ntree, mtry in grid:
+        ntrees_by_mtry.setdefault(mtry, set()).add(ntree)
+    r2 = {}
+    for mtry, ntrees in ntrees_by_mtry.items():
+        ntrees = tuple(sorted(ntrees))
+        cfg = ForestConfig(ntree=ntrees[-1], mtry=mtry, min_leaf=min_leaf,
+                           seed=seed)
+        scores = _cv_r2(data, response, cfg, ntrees, k_repeats, k_folds, seed)
+        r2.update(((ntree, mtry), row) for ntree, row in zip(ntrees, scores))
     cells = []
     for ntree, mtry in grid:
-        cfg = ForestConfig(ntree=ntree, mtry=mtry, min_leaf=min_leaf, seed=seed)
-        scores = _cv_r2(data, response, cfg, k_repeats, k_folds, seed)
+        scores = r2[ntree, mtry]
         cells.append(TuneCell(ntree, mtry, float(scores.mean()),
                               float(scores.std(ddof=1)) if scores.size > 1 else 0.0))
     best = max(cells, key=lambda c: c.mean_r2)
@@ -333,8 +383,6 @@ def ablate_predictor(data: Dataset, response: str, drop: str,
 
     Both runs share identical fold assignments so the comparison is not
     confounded by the split."""
-    from dataclasses import replace
-
     if drop == response or drop not in data.variables.names:
         raise ValueError(f"{drop!r} is not a predictor column")
     p_without = len(data.variables) - 2
@@ -342,7 +390,8 @@ def ablate_predictor(data: Dataset, response: str, drop: str,
         raise ValueError("dropping the only predictor leaves nothing to fit")
     mtry_without = min(cfg.resolved_mtry(p_without + 1), p_without)
     cfg_without = replace(cfg, mtry=mtry_without)
-    with_scores = _cv_r2(data, response, cfg, k_repeats, k_folds, seed)
-    without_scores = _cv_r2(data.drop(drop), response, cfg_without,
-                            k_repeats, k_folds, seed)
+    (with_scores,) = _cv_r2(data, response, cfg, (cfg.ntree,), k_repeats,
+                            k_folds, seed)
+    (without_scores,) = _cv_r2(data.drop(drop), response, cfg_without,
+                               (cfg.ntree,), k_repeats, k_folds, seed)
     return float(with_scores.mean()), float(without_scores.mean())

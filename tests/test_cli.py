@@ -321,6 +321,32 @@ def test_rf_ablate_writes_paired_r2(tmp_path):
     assert payload["r2_with"] > payload["r2_without"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--repeats", 0], "k_repeats must be >= 1, got 0"),
+    (["--folds", 121], "k_folds must be in [2, 120] (the row count), got 121"),
+    (["--importance-repeats", 0], "repeats must be >= 1, got 0"),
+])
+def test_rf_rejects_settings_that_score_nothing(tmp_path, capsys, flags, message):
+    data = tmp_path / "rf.csv"
+    write_rf_csv(data, seed=5)
+    assert run(["rf", data, "--response", "y", "--ntree-grid", "5",
+                "--mtry-grid", "1", "--repeats", 2, *flags,
+                "--out", tmp_path / "o"]) == EXIT_FAILURE
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_rf_reports_a_forest_without_usable_oob_rows(tmp_path, capsys):
+    # one tree whose bootstrap leaves at most one row out of bag
+    data = tmp_path / "rf.csv"
+    write_numeric_csv(data, Dataset(VariableSet(["a", "b", "y"]),
+                                    np.random.default_rng(0).standard_normal((10, 3))))
+    assert run(["rf", data, "--response", "y", "--ntree-grid", "1",
+                "--mtry-grid", "1", "--min-leaf", 2, "--repeats", 1,
+                "--seed", 185, "--out", tmp_path / "o"]) == EXIT_FAILURE
+    assert "error: no tree of 1 has two or more out-of-bag rows" in \
+        capsys.readouterr().err
+
+
 # --- fetch -------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from relqual.forest import (
     permutation_importance,
     tune_forest,
 )
-from relqual.ols import NonPositiveValuesError, fit_power_law
+from relqual.ols import InsufficientRowsError, NonPositiveValuesError, fit_power_law
 
 
 def make_data(n, columns, seed=0):
@@ -185,6 +187,43 @@ def test_ablate_irrelevant_column_changes_little():
         data, "y", "x2", ForestConfig(ntree=30, seed=0), k_repeats=3,
         k_folds=2, seed=4)
     assert abs(with_r2 - without_r2) < 0.1
+
+
+def test_importance_without_usable_oob_rows_names_the_cause():
+    data = Dataset(VariableSet(["a", "b", "y"]),
+                   np.random.default_rng(0).standard_normal((10, 3)))
+    model = fit_forest(data, "y", ForestConfig(ntree=1, seed=185))
+    assert all(oob.size < 2 for oob in model.oob_rows)
+    with pytest.raises(InsufficientRowsError, match="two or more out-of-bag rows"):
+        permutation_importance(model)
+
+
+def test_importance_rejects_zero_repeats():
+    model = fit_forest(informative_vs_noise(3, n=60), "y", ForestConfig(ntree=5))
+    with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+        permutation_importance(model, repeats=0)
+
+
+CV_SETTINGS_THAT_SCORE_NOTHING = [
+    ({"k_repeats": 0}, "k_repeats must be >= 1, got 0"),
+    ({"k_folds": 61}, "k_folds must be in [2, 60] (the row count), got 61"),
+    ({"k_folds": 1}, "k_folds must be in [2, 60] (the row count), got 1"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", CV_SETTINGS_THAT_SCORE_NOTHING)
+def test_cv_rejects_settings_that_score_nothing(kwargs, message):
+    data = informative_vs_noise(5, n=60)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tune_forest(data, "y", ((5, 1),), **kwargs)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ablate_predictor(data, "y", "x2", ForestConfig(ntree=5), **kwargs)
+
+
+def test_tune_rejects_a_cell_without_trees():
+    with pytest.raises(ValueError, match="ntree must be >= 1"):
+        tune_forest(informative_vs_noise(5, n=60), "y", ((5, 1), (0, 1)),
+                    k_repeats=1)
 
 
 def test_power_law_exact_square():

@@ -1,0 +1,318 @@
+"""Forest fast paths against the serial code they replaced.
+
+Each reference below is the earlier implementation, kept test-local:
+
+- the per-feature `_best_split` loop and the `_grow` that called it;
+- the list-based `_Tree.predict` walk;
+- the per-tree permutation loop of `permutation_importance`;
+- the per-cell CV loop of `tune_forest`, which grew one forest per cell
+  and scored it through `ForestModel.predict`.
+
+The fast paths must give the same floats, not merely close ones: the
+`rf` outputs are byte-identical contracts.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import relqual.forest as forest
+from relqual.dag import VariableSet
+from relqual.data import Dataset
+from relqual.forest import (
+    ForestConfig,
+    TuneCell,
+    _best_split,
+    _fold_assignments,
+    ablate_predictor,
+    fit_forest,
+    permutation_importance,
+    tune_forest,
+)
+from relqual.rng import rng_from, split_seed
+
+
+# --- references ---------------------------------------------------------------
+
+
+def serial_best_split(x, y, features, min_leaf):
+    n = y.shape[0]
+    total_sse = float(np.sum(y * y) - n * y.mean() ** 2)
+    best = None
+    for f in features:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        k = np.arange(min_leaf, n - min_leaf + 1)
+        if k.size == 0:
+            continue
+        k = k[xs[k - 1] < xs[k]]
+        if k.size == 0:
+            continue
+        left_sse = csq[k - 1] - csum[k - 1] ** 2 / k
+        rs = csum[-1] - csum[k - 1]
+        rq = csq[-1] - csq[k - 1]
+        right_sse = rq - rs ** 2 / (n - k)
+        reduction = total_sse - (left_sse + right_sse)
+        i = int(np.argmax(reduction))
+        if reduction[i] > 1e-12 and (best is None or reduction[i] > best[2]):
+            split_at = k[i]
+            threshold = (xs[split_at - 1] + xs[split_at]) / 2.0
+            best = (int(f), float(threshold), float(reduction[i]))
+    return best
+
+
+def serial_grow(tree, x, y, rows, mtry, min_leaf, rng):
+    node = tree._new_node()
+    yn = y[rows]
+    tree.value[node] = float(yn.mean())
+    if rows.size < 2 * min_leaf or np.ptp(yn) == 0.0:
+        return node
+    features = rng.choice(x.shape[1], size=mtry, replace=False)
+    split = serial_best_split(x[rows], yn, features, min_leaf)
+    if split is None:
+        return node
+    f, threshold, gain = split
+    tree.gains[f] += gain
+    mask = x[rows, f] < threshold
+    tree.feature[node] = f
+    tree.threshold[node] = threshold
+    tree.left[node] = serial_grow(tree, x, y, rows[mask], mtry, min_leaf, rng)
+    tree.right[node] = serial_grow(tree, x, y, rows[~mask], mtry, min_leaf, rng)
+    return node
+
+
+def one_pass_split(x, y, features, min_leaf):
+    """`_best_split` in the reference's terms: a feature, not a column."""
+    split = _best_split(x[:, features], y, y.mean(), min_leaf)
+    return None if split is None else (int(features[split[0]]),) + split[1:]
+
+
+def list_predict(tree, x):
+    out = np.empty(x.shape[0])
+    feature = np.asarray(list(tree.feature))
+    threshold = np.asarray(list(tree.threshold))
+    left = np.asarray(list(tree.left))
+    right = np.asarray(list(tree.right))
+    value = np.asarray(list(tree.value))
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    active = np.arange(x.shape[0])
+    while active.size:
+        f = feature[node[active]]
+        leaf = f < 0
+        out[active[leaf]] = value[node[active[leaf]]]
+        active = active[~leaf]
+        if not active.size:
+            break
+        f = feature[node[active]]
+        goes_left = x[active, f] < threshold[node[active]]
+        node[active] = np.where(goes_left, left[node[active]], right[node[active]])
+    return out
+
+
+def serial_importance(model, repeats, seed):
+    p = len(model.predictors)
+    increases = np.zeros(p)
+    baseline = []
+    usable = [(tree, oob) for tree, oob in zip(model.trees, model.oob_rows)
+              if oob.size > 1]
+    for tree, oob in usable:
+        err = float(np.mean((model.y[oob] - list_predict(tree, model.x[oob])) ** 2))
+        baseline.append(err)
+    for r in range(repeats):
+        rng = rng_from(split_seed(seed, 4, r))
+        for j in range(p):
+            bump = 0.0
+            for (tree, oob), err in zip(usable, baseline):
+                x_perm = model.x[oob].copy()
+                x_perm[:, j] = x_perm[rng.permutation(oob.size), j]
+                perm_err = float(np.mean((model.y[oob] - list_predict(tree, x_perm)) ** 2))
+                bump += perm_err - err
+            increases[j] += bump / len(usable)
+    return increases / repeats
+
+
+def serial_cv_r2(data, response, cfg, k_repeats, k_folds, seed):
+    y_col = data.variables.index(response)
+    x_cols = [i for i in range(data.rows.shape[1]) if i != y_col]
+    scores = []
+    for repeat in range(k_repeats):
+        folds = _fold_assignments(data.n, k_folds, seed, repeat)
+        for fold in range(k_folds):
+            test = folds == fold
+            model = fit_forest(data.take_rows(np.flatnonzero(~test)), response, cfg)
+            pred = model.predict(data.rows[test][:, x_cols])
+            y_test = data.rows[test, y_col]
+            sst = float(np.sum((y_test - y_test.mean()) ** 2))
+            sse = float(np.sum((y_test - pred) ** 2))
+            scores.append(1.0 - sse / sst if sst > 0 else 0.0)
+    return np.asarray(scores)
+
+
+def serial_tune(data, response, grid, k_repeats, k_folds, seed, min_leaf):
+    cells = []
+    for ntree, mtry in grid:
+        cfg = ForestConfig(ntree=ntree, mtry=mtry, min_leaf=min_leaf, seed=seed)
+        scores = serial_cv_r2(data, response, cfg, k_repeats, k_folds, seed)
+        cells.append(TuneCell(ntree, mtry, float(scores.mean()),
+                              float(scores.std(ddof=1)) if scores.size > 1 else 0.0))
+    return cells, max(cells, key=lambda c: c.mean_r2)
+
+
+# --- data ---------------------------------------------------------------------
+
+
+@st.composite
+def tables(draw, min_rows=2, max_rows=30, max_predictors=4):
+    """Predictors on a coarse grid, so sorted columns hold runs of equal
+    values, and possibly an exact copy of an earlier column, so two
+    features tie on every split."""
+    n = draw(st.integers(min_rows, max_rows))
+    p = draw(st.integers(1, max_predictors))
+    seed = draw(st.integers(0, 2**32 - 1))
+    levels = draw(st.integers(2, 8))
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, p)).astype(float) / 2.0
+    if p > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(p)))[:2]
+        x[:, dst] = x[:, src]
+    y = rng.integers(0, 5, size=n) * 0.75 + rng.standard_normal(n) * draw(
+        st.sampled_from([0.0, 0.1, 1.0]))
+    return x, y
+
+
+def dataset(x, y):
+    names = [f"x{i}" for i in range(x.shape[1])] + ["y"]
+    return Dataset(VariableSet(names), np.column_stack([x, y]))
+
+
+# --- split scan ---------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.data())
+def test_split_scan_matches_the_per_feature_loop(table, data):
+    x, y = table
+    n, p = x.shape
+    min_leaf = data.draw(st.sampled_from(sorted({1, 2, max(1, n // 2), max(1, n // 3)})))
+    features = np.asarray(data.draw(st.permutations(range(p))), dtype=np.int64)
+    features = features[:data.draw(st.integers(1, p))]
+    assert one_pass_split(x, y, features, min_leaf) == \
+        serial_best_split(x, y, features, min_leaf)
+
+
+def test_tied_copies_let_the_first_candidate_win():
+    rng = np.random.default_rng(3)
+    col = rng.integers(0, 6, 40).astype(float)
+    x = np.column_stack([col, rng.standard_normal(40), col])
+    y = col + 0.1 * rng.standard_normal(40)
+    for features in ([0, 2], [2, 0], [1, 2, 0]):
+        features = np.asarray(features)
+        split = one_pass_split(x, y, features, 3)
+        assert split == serial_best_split(x, y, features, 3)
+        assert split[0] == features[features != 1][0]
+
+
+def test_half_the_rows_per_side_leaves_one_split_point():
+    x = np.array([[3.0], [1.0], [2.0], [1.0], [5.0], [4.0]])
+    y = np.array([1.0, 0.0, 0.0, 0.0, 2.0, 1.0])
+    split = one_pass_split(x, y, np.array([0]), 3)
+    assert split == serial_best_split(x, y, np.array([0]), 3)
+    assert split[1] == 2.5
+    x_tied = np.array([[1.0], [1.0], [2.0], [2.0]])
+    assert one_pass_split(x_tied, y[:4], np.array([0]), 2) == \
+        serial_best_split(x_tied, y[:4], np.array([0]), 2)
+    # equal neighbours at the only split point: no split
+    assert one_pass_split(np.array([[1.0], [1.0], [1.0], [2.0]]), y[:4],
+                          np.array([0]), 2) is None
+
+
+# --- grown trees --------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(min_rows=4, max_rows=40), st.integers(1, 3), st.integers(0, 99),
+       st.data())
+def test_trees_and_their_walk_match_the_serial_code(table, min_leaf, seed, data):
+    x, y = table
+    cfg = ForestConfig(ntree=4, mtry=data.draw(st.integers(1, x.shape[1])),
+                       min_leaf=min_leaf, seed=seed)
+    if x.shape[0] < 2 * min_leaf:
+        return
+    fast = fit_forest(dataset(x, y), "y", cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest, "_grow", serial_grow)
+        slow = fit_forest(dataset(x, y), "y", cfg)
+    # probe rows on the training values, so rows land exactly on and
+    # around the thresholds (midpoints of training values)
+    probe = np.vstack([x, (x[:-1] + x[1:]) / 2.0, x + 0.25])
+    for a, b in zip(fast.trees, slow.trees):
+        for name in ("feature", "threshold", "left", "right", "value", "gains"):
+            assert np.array_equal(getattr(a, name), np.asarray(getattr(b, name)))
+        assert np.array_equal(a.predict(probe), list_predict(b, probe))
+        assert a.predict(probe[:0]).shape == (0,)
+
+
+# --- permutation importance ---------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(min_rows=10, max_rows=40), st.integers(1, 8), st.integers(1, 3),
+       st.integers(0, 99))
+def test_importance_matches_the_per_tree_loop(table, ntree, repeats, seed):
+    x, y = table
+    model = fit_forest(dataset(x, y), "y", ForestConfig(ntree=ntree, min_leaf=2,
+                                                        seed=seed))
+    if not any(oob.size > 1 for oob in model.oob_rows):
+        return
+    report = permutation_importance(model, repeats=repeats, seed=seed + 1)
+    assert np.array_equal(report.permutation,
+                          serial_importance(model, repeats, seed + 1))
+
+
+# --- tuning and ablation --------------------------------------------------------
+
+
+@st.composite
+def grids(draw, p):
+    """Unsorted ntree values, mixed mtry, and repeated cells."""
+    cells = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, p)),
+                          min_size=1, max_size=6))
+    if draw(st.booleans()):
+        cells.append(draw(st.sampled_from(cells)))
+    return tuple(cells)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tables(min_rows=12, max_rows=30, max_predictors=3), st.data(),
+       st.integers(1, 2), st.integers(2, 3), st.integers(0, 99))
+def test_tuning_matches_the_per_cell_loop(table, data, k_repeats, k_folds, seed):
+    x, y = table
+    grid = data.draw(grids(x.shape[1]))
+    result = tune_forest(dataset(x, y), "y", grid, k_repeats=k_repeats,
+                         k_folds=k_folds, seed=seed, min_leaf=2)
+    cells, best = serial_tune(dataset(x, y), "y", grid, k_repeats, k_folds, seed, 2)
+    assert list(result.cells) == cells
+    assert result.best == best
+
+
+@settings(max_examples=15, deadline=None)
+@given(tables(min_rows=12, max_rows=30, max_predictors=3), st.integers(1, 5),
+       st.integers(0, 99))
+def test_ablation_matches_the_per_cell_loop(table, ntree, seed):
+    x, y = table
+    if x.shape[1] < 2:
+        x = np.column_stack([x, x[:, 0][::-1]])
+    data = dataset(x, y)
+    cfg = ForestConfig(ntree=ntree, min_leaf=2, seed=seed)
+    with_r2, without_r2 = ablate_predictor(data, "y", "x0", cfg, k_repeats=2,
+                                           k_folds=2, seed=seed)
+    reduced = ForestConfig(ntree=ntree, mtry=min(cfg.resolved_mtry(x.shape[1]),
+                                                 x.shape[1] - 1),
+                           min_leaf=2, seed=seed)
+    assert with_r2 == float(serial_cv_r2(data, "y", cfg, 2, 2, seed).mean())
+    assert without_r2 == float(
+        serial_cv_r2(data.drop("x0"), "y", reduced, 2, 2, seed).mean())

@@ -2,8 +2,8 @@
 
 The study table, the `learn` outputs and the `rf` outputs are the contract
 of a refactor that keeps the arithmetic: they must stay byte-identical.
-The digests were recorded from these exact runs; a change that moves any of them has changed
-what the program computes.
+The digests were recorded from these exact runs; a change that moves any
+of them has changed what the program computes.
 """
 
 import hashlib
