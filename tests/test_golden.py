@@ -2,6 +2,7 @@
 
 The study table, the `learn` outputs and the `rf` outputs are the contract
 of a refactor that keeps the arithmetic: they must stay byte-identical.
+The codes and cut points of `discretize` are pinned the same way.
 The digests were recorded from these exact runs; a change that moves any
 of them has changed what the program computes.
 """
@@ -13,6 +14,7 @@ import pytest
 
 from relqual.cli import EXIT_OK, main
 from relqual.dag import VariableSet
+from relqual.discretize import METHODS, DiscretizationSpec, discretize
 from relqual.data import Dataset, write_numeric_csv
 from relqual.gaussian import simulate
 from relqual.simstudy import SEARCH_KINDS, default_truth
@@ -97,3 +99,48 @@ def test_rf_outputs_are_byte_identical(tmp_path):
                 "--importance-repeats", 2, "--ablate", "coarse", "--seed", 6,
                 "--out", out]) == EXIT_OK
     assert {name: digest(out / name) for name in RF_DIGESTS} == RF_DIGESTS
+
+
+def discretize_table(seed):
+    """The default truth at n=200 with one column rounded to one decimal,
+    so that quantile cut points repeat and fine bins come out empty."""
+    data = simulate(default_truth(), 200, seed=seed)
+    rows = data.rows.copy()
+    rows[:, 2] = np.round(rows[:, 2], 1)
+    return Dataset(data.variables, rows)
+
+
+# (seed, bins) -> method -> (digest of the codes, digest of the cut points)
+DISCRETIZE_DIGESTS = {
+    (5, 3): {
+        "equal-interval": ("7593776fee1efc0afa0417af9e5d4e38fa82db9d4513d3096f160117bce14f78",
+                          "33e8d1547013dfdf5a7fadb9373f2be58dee67daaaae01a26755257b689364c1"),
+        "equal-frequency": ("b9d23c42dc29f3db806ac7dc8795995f4e0ad93dae0d9707391673a70c6bdf20",
+                           "cf380d4aecced56074206c5259ac97ebb57f8e68f476a6f9cde12d990d65dbda"),
+        "kmeans": ("d918380aad898fa3136a3a63893e06623645e4d17b1689c4842062f66f5e681d",
+                  "8d53a599dfe29a16a3a2993a8c9111b7496b5f2735f237874ac9a4846df4e7cc"),
+        "hartemink": ("cec5157cb82d5a001acea65c4930e189f31a829e283ad3f88e72c2b77339bbfb",
+                     "0bf264326dcb7201b0e3758bc7054432d4abb3b0b1b2e831dacd1907bf2c03d4"),
+    },
+    (23, 4): {
+        "equal-interval": ("b8f3814ec2f1090488ac23198c022b16ce2b21d26a636ce5ed1d7b208a654b37",
+                          "294684b7fe05a28d5c6ba25dc085c90b1559eb07cf589c4752cf963c5b96f588"),
+        "equal-frequency": ("10a24873fcd27116d95623970383ec4ce8535d9fc3a66b762ee21b7953acf7a1",
+                           "d2bd9a44613fa5f564473e1fc6f9c02269f497554b20c6179cf2c649b786854e"),
+        "kmeans": ("1f7dc7029ae17b3ddbb332ae2a5f3af6e81d5ccf8d64ba0be0713b51e99b77f4",
+                  "a309e9f2b0c5925b1923e494180a51387421e5c4e35375f039fa826e4ac00097"),
+        "hartemink": ("6a19e45501748ae8f96969163fb5ee4bdb64cdd48daece2d622493ceb6c1a8d8",
+                     "85476b6a76741d65a0a0fa921587480e072fa5e6ee30587bbd671be912c866d9"),
+    },
+}
+
+
+@pytest.mark.parametrize("seed,bins", [(5, 3), (23, 4)])
+@pytest.mark.parametrize("method", METHODS)
+def test_discretize_codes_and_edges_are_byte_identical(method, seed, bins):
+    out = discretize(discretize_table(seed), DiscretizationSpec(method=method, bins=bins))
+    codes = np.ascontiguousarray(out.dataset.rows, dtype="<i8").tobytes()
+    edges = b"".join(np.ascontiguousarray(e, dtype="<f8").tobytes() + b"|"
+                     for e in out.edges)
+    assert (hashlib.sha256(codes).hexdigest(), hashlib.sha256(edges).hexdigest()) == \
+        DISCRETIZE_DIGESTS[seed, bins][method]
