@@ -25,7 +25,7 @@ from . import __version__
 from .dag import VariableSet
 from .data import Dataset, load_numeric_csv
 from .discretize import DiscretizationSpec
-from .forest import ForestConfig, ablate_predictor, default_grid, fit_forest, \
+from .forest import ForestConfig, cv_r2_without, default_grid, fit_forest, \
     permutation_importance, tune_forest
 from .gaussian import GaussianBn, edge_inference
 from .ingest import CachedHttp, FetchSpec, HttpCache, build_daily_series, \
@@ -409,12 +409,13 @@ def cmd_rf(args) -> int:
               "oob_r2": model.oob_r2()}
 
     if args.ablate:
-        with_r2, without_r2 = ablate_predictor(
+        # the "with" run of the paired CV is the tuned best cell's own
+        without_r2 = cv_r2_without(
             data, args.response, args.ablate, best_cfg,
             k_repeats=args.repeats, k_folds=args.folds, seed=args.seed)
         ablate_path = out / "ablate.json"
         ablate_path.write_text(json.dumps({
-            "dropped": args.ablate, "r2_with": with_r2,
+            "dropped": args.ablate, "r2_with": tuned.best.mean_r2,
             "r2_without": without_r2}, indent=2))
         outputs.append(ablate_path)
         config["ablate"] = args.ablate

@@ -157,30 +157,34 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
     starts: list[list[int]] = [list(range(c)) for c in counts]
 
     def table_for(v: int, w: int) -> np.ndarray:
-        # rows always indexed by v
+        # rows always indexed by v.  Keep this layout: numpy sums the rows of
+        # the Fortran-ordered transpose sequentially and those of a C-ordered
+        # table pairwise, and the chosen merges depend on those bits
         return tables[(v, w)] if v < w else tables[(w, v)].T
 
-    def candidate_losses(v: int) -> np.ndarray:
-        b = len(starts[v])
-        losses = np.zeros(b - 1)
-        for w in range(p):
-            if w == v:
-                continue
-            t = table_for(v, w)
-            r = t.sum(axis=1)
-            c = t.sum(axis=0)
-            before = _mi_row_terms(t, r, c, n)
-            merged = t[:-1] + t[1:]
-            after = _mi_row_terms(merged, r[:-1] + r[1:], c, n)
-            losses += before[:-1] + before[1:] - after
-        return losses
+    def pair_losses(v: int, w: int) -> np.ndarray:
+        """n*MI between v and w lost by merging each adjacent pair of v's
+        levels."""
+        t = table_for(v, w)
+        r = t.sum(axis=1)
+        c = t.sum(axis=0)
+        before = _mi_row_terms(t, r, c, n)
+        after = _mi_row_terms(t[:-1] + t[1:], r[:-1] + r[1:], c, n)
+        return before[:-1] + before[1:] - after
+
+    # the loss vector of every ordered pair (v, w) whose v can still merge;
+    # a merge in v changes only the tables, and so the pairs, involving v
+    mergeable = [v for v in range(p) if len(starts[v]) > spec.bins]
+    pair_loss = {(v, w): pair_losses(v, w)
+                 for v in mergeable for w in range(p) if w != v}
 
     while True:
         best = None
-        for v in range(p):
-            if len(starts[v]) <= spec.bins:
-                continue
-            losses = candidate_losses(v)
+        for v in mergeable:
+            losses = np.zeros(len(starts[v]) - 1)   # summed in ascending w
+            for w in range(p):
+                if w != v:
+                    losses += pair_loss[v, w]
             i = int(np.argmin(losses))
             if best is None or losses[i] < best[0] - 1e-12:
                 best = (float(losses[i]), v, i)
@@ -199,6 +203,12 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
                 t[:, i] += t[:, i + 1]
                 tables[(w, v)] = np.delete(t, i + 1, axis=1)
         del starts[v][i + 1]
+        if len(starts[v]) == spec.bins:
+            mergeable.remove(v)
+        for u in mergeable:   # v's rows against every w; v's columns otherwise
+            for w in (range(p) if u == v else (v,)):
+                if w != u:
+                    pair_loss[u, w] = pair_losses(u, w)
 
     codes = np.zeros((n, p), dtype=np.int64)
     edges = []
@@ -255,14 +265,13 @@ class DiscreteScoreCache(FamilyScorer):
                                minlength=len(idx) * radix)
             cell = cell.reshape(len(idx), config_size, child_levels)
             config = cell.sum(axis=2)
-            # cell * ln(cell / config) on observed cells, 0 elsewhere; in
-            # place, with the operations of scoring each sample alone
-            observed = cell > 0
-            terms = np.where(observed, cell, 1.0)
-            terms /= np.where(config > 0, config, 1.0)[:, :, None]
-            np.log(terms, out=terms)
-            terms *= cell
-            terms[~observed] = 0.0
+            # cell * ln(cell / config) on observed cells, 0 elsewhere, with
+            # the operations of scoring each sample alone
+            observed = np.flatnonzero(cell)
+            counts = cell.ravel()[observed]
+            terms = np.zeros(cell.size)
+            terms[observed] = np.log(
+                counts / config.ravel()[observed // child_levels]) * counts
             loglik = terms.reshape(len(idx), -1).sum(axis=1)
             k = (child_levels - 1) * config_size
             scores[:, m] = loglik - 0.5 * k * self._log_n

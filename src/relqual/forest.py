@@ -383,15 +383,26 @@ def ablate_predictor(data: Dataset, response: str, drop: str,
 
     Both runs share identical fold assignments so the comparison is not
     confounded by the split."""
+    without = cv_r2_without(data, response, drop, cfg, k_repeats, k_folds, seed)
+    (with_scores,) = _cv_r2(data, response, cfg, (cfg.ntree,), k_repeats,
+                            k_folds, seed)
+    return float(with_scores.mean()), without
+
+
+def cv_r2_without(data: Dataset, response: str, drop: str, cfg: ForestConfig,
+                  k_repeats: int = 10, k_folds: int = 2, seed: int = 0) -> float:
+    """The "without" half of ``ablate_predictor``: mean CV R^2 with ``drop``
+    removed, on the folds that ``tune_forest`` and the "with" half use.
+
+    The "with" half is the tuned cell's own CV: for the best cell of a
+    ``tune_forest`` run with the same folds, repeats and seed it equals
+    ``best.mean_r2`` float for float."""
     if drop == response or drop not in data.variables.names:
         raise ValueError(f"{drop!r} is not a predictor column")
     p_without = len(data.variables) - 2
     if p_without < 1:
         raise ValueError("dropping the only predictor leaves nothing to fit")
     mtry_without = min(cfg.resolved_mtry(p_without + 1), p_without)
-    cfg_without = replace(cfg, mtry=mtry_without)
-    (with_scores,) = _cv_r2(data, response, cfg, (cfg.ntree,), k_repeats,
-                            k_folds, seed)
-    (without_scores,) = _cv_r2(data.drop(drop), response, cfg_without,
-                               (cfg.ntree,), k_repeats, k_folds, seed)
-    return float(with_scores.mean()), float(without_scores.mean())
+    (scores,) = _cv_r2(data.drop(drop), response, replace(cfg, mtry=mtry_without),
+                       (cfg.ntree,), k_repeats, k_folds, seed)
+    return float(scores.mean())

@@ -26,6 +26,7 @@ from relqual.forest import (
     _best_split,
     _fold_assignments,
     ablate_predictor,
+    cv_r2_without,
     fit_forest,
     permutation_importance,
     tune_forest,
@@ -316,3 +317,24 @@ def test_ablation_matches_the_per_cell_loop(table, ntree, seed):
     assert with_r2 == float(serial_cv_r2(data, "y", cfg, 2, 2, seed).mean())
     assert without_r2 == float(
         serial_cv_r2(data.drop("x0"), "y", reduced, 2, 2, seed).mean())
+
+
+@settings(max_examples=15, deadline=None)
+@given(tables(min_rows=12, max_rows=30, max_predictors=3), st.data(),
+       st.integers(1, 2), st.integers(0, 99))
+def test_tuned_best_cell_is_the_ablation_with_run(table, data, k_repeats, seed):
+    # `relqual rf --ablate` writes the tuned best cell's mean R^2 as r2_with
+    # and runs only the CV without the predictor
+    x, y = table
+    if x.shape[1] < 2:
+        x = np.column_stack([x, x[:, 0][::-1]])
+    grid = data.draw(grids(x.shape[1]))
+    tuned = tune_forest(dataset(x, y), "y", grid, k_repeats=k_repeats,
+                        k_folds=2, seed=seed, min_leaf=2)
+    cfg = ForestConfig(ntree=tuned.best.ntree, mtry=tuned.best.mtry, min_leaf=2,
+                       seed=seed)
+    with_r2, without_r2 = ablate_predictor(dataset(x, y), "y", "x0", cfg,
+                                           k_repeats=k_repeats, k_folds=2, seed=seed)
+    assert with_r2 == tuned.best.mean_r2
+    assert without_r2 == cv_r2_without(dataset(x, y), "y", "x0", cfg,
+                                       k_repeats=k_repeats, k_folds=2, seed=seed)
