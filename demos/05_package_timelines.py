@@ -58,7 +58,7 @@ def main():
     end = START + dt.timedelta(days=DAYS - 1)
     with tempfile.TemporaryDirectory() as cache_dir:
         http = CachedHttp(HttpCache(cache_dir), transport)
-        spec = FetchSpec(("demo-pkg",), START, end, cache_dir=cache_dir)
+        spec = FetchSpec(("demo-pkg",), START, end)
         result = fetch_downloads(spec, http)
         downloads = result.downloads["demo-pkg"]
         print(f"fetched {len(downloads.days)} days "

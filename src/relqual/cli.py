@@ -17,19 +17,21 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dag import VariableSet
-from .data import Dataset, load_numeric_csv
+from .data import Dataset, load_numeric_csv, write_numeric_csv
 from .discretize import DiscretizationSpec
 from .forest import ForestConfig, cv_r2_without, default_grid, fit_forest, \
     permutation_importance, tune_forest
 from .gaussian import GaussianBn, edge_inference
-from .ingest import CachedHttp, FetchSpec, HttpCache, build_daily_series, \
-    fetch_downloads, fetch_issues, load_usage_csv, requests_transport
+from .ingest import GITHUB_API, NPM_DOWNLOADS_API, CachedHttp, FetchSpec, \
+    GapInSeriesError, HttpCache, build_daily_series, fetch_downloads, \
+    fetch_issues, load_usage_csv, requests_transport
 from .ols import InsufficientRowsError, RankDeficientError, fit_power_law
 from .quality import DailySeries, InsufficientDataError, aggregate_usage, \
     direction_of_trend, log_transform, quality_metric, screen_significance, timeline
@@ -52,29 +54,52 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: dict, seed: int,
-                    inputs: list[Path], outputs: list[Path],
-                    started: float, **counts) -> None:
+@dataclass
+class _Run:
+    """What a command ran and wrote: the manifest's fields (``counts`` are
+    extra top-level entries) and the exit code."""
+
+    config: dict
+    seed: int
+    inputs: list[Path]
+    outputs: list[Path]
+    counts: dict = field(default_factory=dict)
+    code: int = EXIT_OK
+
+
+def _write_manifest(out: Path, command: str, run: _Run, started: float) -> None:
     manifest = {
-        **counts,
+        **run.counts,
         "command": command,
-        "config": config,
-        "seed": seed,
+        "config": run.config,
+        "seed": run.seed,
         "version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
+        "inputs": {str(p): _sha256(p) for p in run.inputs},
+        "outputs": [str(p) for p in run.outputs],
         "wall_time_s": round(time.time() - started, 3),
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True))
     log.info("%s: %d outputs and run_manifest.json written to %s in %.3f s",
-             command, len(outputs), out, manifest["wall_time_s"])
+             command, len(run.outputs), out, manifest["wall_time_s"])
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_csv(path: Path, header, rows) -> Path:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _checked(entry: dict, known, what: str) -> dict:
+    """``entry`` if every key is in ``known``; else a ValueError naming the
+    keys that are not."""
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(known)}")
+    return entry
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -96,84 +121,76 @@ _METHOD_SHORTHAND = {m.name.upper(): m for m in default_methods() + (
 )}
 
 
-def _method_from_dict(entry: dict) -> MethodSpec:
-    disc = entry.get("discretization")
-    spec = None
+def _spec(cls, entry: dict, what: str):
+    """``cls`` from the entry's own keys; the value of a field whose default
+    is a number is read as that number's type."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return cls(**{key: type(defaults[key])(value)
+                  if isinstance(defaults[key], (int, float)) else value
+                  for key, value in _checked(entry, list(defaults), what).items()})
+
+
+def _method(entry: dict) -> MethodSpec:
+    entry = dict(entry)
+    disc = entry.pop("discretization", None)
     if disc:
-        spec = DiscretizationSpec(
-            method=disc["method"], bins=int(disc.get("bins", 3)),
-            hartemink_initial_bins=int(disc.get("hartemink_initial_bins", 20)))
-    return MethodSpec(entry["name"], entry.get("search", "hc"), spec,
-                      float(entry.get("alpha", 0.05)))
+        entry["discretization"] = _spec(DiscretizationSpec, disc, "discretization")
+    return _spec(MethodSpec, entry, "method")
 
 
 def _simstudy_config(args) -> tuple[SimStudyConfig, dict, list[Path]]:
+    """The study from the settings given, a flag winning over the config
+    file; ``SimStudyConfig`` and ``HcConfig`` supply every other value."""
+    # the settings a config file may give, each also a flag of its own
+    keys = ("truth", "replicates", "sample_size", "boot_samples", "restarts",
+            "max_parents", "thresholds", "methods", "seed")
     settings: dict = {}
     inputs: list[Path] = []
     if args.config:
         path = Path(args.config)
         inputs.append(path)
-        settings.update(json.loads(path.read_text()))
+        settings.update(_checked(json.loads(path.read_text()), keys, "config"))
+    settings.update({key: getattr(args, key) for key in keys
+                     if getattr(args, key) is not None})
 
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return settings.get(key, fallback)
-
-    truth = default_truth()
-    truth_path = pick(args.truth, "truth", None)
-    if truth_path:
-        truth_path = Path(truth_path)
+    truth, truth_name = default_truth(), "default"
+    if settings.get("truth"):
+        truth_path = Path(settings["truth"])
         inputs.append(truth_path)
-        truth = GaussianBn.from_json(truth_path.read_text())
+        truth, truth_name = GaussianBn.from_json(truth_path.read_text()), str(truth_path)
 
-    methods: tuple[MethodSpec, ...]
+    study = {key: int(settings[key]) for key in
+             ("replicates", "sample_size", "boot_samples", "seed") if key in settings}
+    hc = {key: int(settings[key]) for key in
+          ("restarts", "max_parents", "seed") if key in settings}
     if args.methods is not None:
         try:
-            methods = tuple(_METHOD_SHORTHAND[name.strip().upper()]
-                            for name in args.methods.split(","))
+            study["methods"] = tuple(_METHOD_SHORTHAND[name.strip().upper()]
+                                     for name in args.methods.split(","))
         except KeyError as exc:
             raise ValueError(f"unknown arm {exc.args[0]!r}; known arms: "
                              f"{', '.join(_METHOD_SHORTHAND)}") from None
     elif "methods" in settings:
-        methods = tuple(_method_from_dict(m) for m in settings["methods"])
-    else:
-        methods = default_methods()
+        study["methods"] = tuple(_method(m) for m in settings["methods"])
+    if args.thresholds is not None:
+        study["thresholds"] = _parse_floats(args.thresholds)
+    elif "thresholds" in settings:
+        study["thresholds"] = tuple(settings["thresholds"])
 
-    thresholds = args.thresholds
-    if thresholds is not None:
-        thresholds = _parse_floats(thresholds)
-    else:
-        thresholds = tuple(settings.get("thresholds",
-                                        SimStudyConfig.__dataclass_fields__[
-                                            "thresholds"].default))
-
-    seed = int(pick(args.seed, "seed", 0))
-    cfg = SimStudyConfig(
-        truth=truth,
-        replicates=int(pick(args.replicates, "replicates", 100)),
-        sample_size=int(pick(args.sample_size, "sample_size", 200)),
-        methods=methods,
-        thresholds=thresholds,
-        boot_samples=int(pick(args.boot_samples, "boot_samples", 100)),
-        hc=HcConfig(restarts=int(pick(args.restarts, "restarts", 10)),
-                    max_parents=int(pick(args.max_parents, "max_parents", 5)),
-                    seed=seed),
-        seed=seed,
-    )
+    cfg = SimStudyConfig(truth=truth, **study)
+    if hc:
+        cfg = replace(cfg, hc=replace(cfg.hc, **hc))
     resolved = {
         "replicates": cfg.replicates, "sample_size": cfg.sample_size,
         "boot_samples": cfg.boot_samples, "restarts": cfg.hc.restarts,
         "max_parents": cfg.hc.max_parents, "thresholds": list(cfg.thresholds),
         "methods": [m.name for m in cfg.methods],
-        "truth": str(truth_path) if truth_path else "default",
+        "truth": truth_name,
     }
     return cfg, resolved, inputs
 
 
-def cmd_simstudy(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_simstudy(args, out: Path) -> _Run:
     cfg, resolved, inputs = _simstudy_config(args)
     report = run_simstudy(cfg, jobs=args.jobs)
     csv_path = out / "simstudy.csv"
@@ -181,10 +198,8 @@ def cmd_simstudy(args) -> int:
     table_path = out / "simstudy.txt"
     table_path.write_text(report.format_table())
     print(report.format_table())
-    _write_manifest(out, "simstudy", resolved, cfg.seed, inputs,
-                    [csv_path, table_path], started,
-                    arm_failures=report.metadata["arm_failures"])
-    return EXIT_OK
+    return _Run(resolved, cfg.seed, inputs, [csv_path, table_path],
+                {"arm_failures": report.metadata["arm_failures"]})
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +215,7 @@ def _standardized(data: Dataset) -> Dataset:
     return Dataset(data.variables, (rows - rows.mean(axis=0)) / sd)
 
 
-def cmd_learn(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_learn(args, out: Path) -> _Run:
     data_path = Path(args.data)
     data = load_numeric_csv(data_path)
     if not 0.0 <= args.threshold <= 1.0:
@@ -222,29 +235,22 @@ def cmd_learn(args) -> int:
 
     # coefficients and p-values reported from the unscaled fit
     inference = edge_inference(net.dag, data)
-    inference_path = out / "inference.csv"
-    with inference_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["from", "to", "coefficient", "p_value"])
-        for row in inference.rows():
-            writer.writerow([row[0], row[1], f"{row[2]:.10g}", f"{row[3]:.6g}"])
-    nodes_path = out / "nodes.csv"
-    with nodes_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node", "adjusted_r2"])
-        for i, name in enumerate(data.variables.names):
-            writer.writerow([name, f"{inference.adjusted_r2[i]:.6g}"])
+    inference_path = _write_csv(
+        out / "inference.csv", ["from", "to", "coefficient", "p_value"],
+        ([u, v, f"{coef:.10g}", f"{p:.6g}"] for u, v, coef, p in inference.rows()))
+    nodes_path = _write_csv(
+        out / "nodes.csv", ["node", "adjusted_r2"],
+        ([name, f"{inference.adjusted_r2[i]:.6g}"]
+         for i, name in enumerate(data.variables.names)))
 
     config = {"data": str(data_path), "method": args.method,
               "threshold": args.threshold, "boot_samples": args.boot_samples,
               "restarts": args.restarts, "max_parents": args.max_parents,
               "alpha": args.alpha, "scaled_search": not args.no_scale,
               "strict_threshold": args.strict_threshold}
-    _write_manifest(out, "learn", config, args.seed, [data_path],
-                    [arcs_path, network_path, inference_path, nodes_path],
-                    started)
     print(f"kept {len(net.dag.edges)} arcs at threshold {args.threshold}")
-    return EXIT_OK
+    return _Run(config, args.seed, [data_path],
+                [arcs_path, network_path, inference_path, nodes_path])
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +272,7 @@ def _load_series_csv(path: Path, package: str) -> DailySeries:
                        np.array(cumulative))
 
 
-def cmd_quality(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_quality(args, out: Path) -> _Run:
     inputs: list[Path] = []
     outputs: list[Path] = []
 
@@ -279,27 +283,22 @@ def cmd_quality(args) -> int:
         usage_path = Path(args.usage)
         inputs.append(usage_path)
         aggregates = aggregate_usage(load_usage_csv(usage_path))
-        agg_path = out / "aggregates.csv"
-        with agg_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["release", "release_date", "release_duration",
-                             "exceptions", "new_users", "usage_intensity",
-                             "usage_frequency", "quality", "flagged_infinite",
-                             "zero_users"])
-            for a in aggregates:
-                q = quality_metric(a.exceptions, a.new_users)
-                flagged = q == float("inf")
-                writer.writerow([a.release, a.release_date, a.release_duration,
-                                 a.exceptions, a.new_users,
-                                 f"{a.usage_intensity:.10g}",
-                                 f"{a.usage_frequency:.10g}",
-                                 "" if flagged else f"{q:.10g}",
-                                 int(flagged), int(a.zero_users)])
-        outputs.append(agg_path)
+        rows = []
+        for a in aggregates:
+            q = quality_metric(a.exceptions, a.new_users)
+            flagged = q == float("inf")
+            rows.append([a.release, a.release_date, a.release_duration,
+                         a.exceptions, a.new_users, f"{a.usage_intensity:.10g}",
+                         f"{a.usage_frequency:.10g}", "" if flagged else f"{q:.10g}",
+                         int(flagged), int(a.zero_users)])
+        outputs.append(_write_csv(
+            out / "aggregates.csv",
+            ["release", "release_date", "release_duration", "exceptions",
+             "new_users", "usage_intensity", "usage_frequency", "quality",
+             "flagged_infinite", "zero_users"], rows))
 
         transformed = log_transform(aggregates, policy=args.log_policy)
         model_path = out / "model_data.csv"
-        from .data import write_numeric_csv
         write_numeric_csv(model_path, transformed)
         outputs.append(model_path)
 
@@ -322,19 +321,18 @@ def cmd_quality(args) -> int:
         inputs.append(series_path)
         series = _load_series_csv(series_path, args.package or series_path.stem)
         line = timeline(series, span=args.span)
-        timeline_path = out / "timeline.csv"
-        with timeline_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["date", "downloads", "new_issues", "quality",
-                             "trend", "flagged_infinite"])
-            for i, day in enumerate(line.days):
-                flagged = bool(line.flagged[i])
-                trend = "" if line.trend is None else f"{line.trend[i]:.10g}"
-                writer.writerow([day.isoformat(), int(line.downloads[i]),
-                                 int(line.new_issues[i]),
-                                 "" if flagged else f"{line.quality[i]:.10g}",
-                                 trend, int(flagged)])
-        outputs.append(timeline_path)
+        rows = []
+        for i, day in enumerate(line.days):
+            flagged = bool(line.flagged[i])
+            rows.append([day.isoformat(), int(line.downloads[i]),
+                         int(line.new_issues[i]),
+                         "" if flagged else f"{line.quality[i]:.10g}",
+                         "" if line.trend is None else f"{line.trend[i]:.10g}",
+                         int(flagged)])
+        outputs.append(_write_csv(
+            out / "timeline.csv",
+            ["date", "downloads", "new_issues", "quality", "trend",
+             "flagged_infinite"], rows))
 
         summary = {"package": series.package,
                    "trend_direction": (direction_of_trend(line.trend)
@@ -356,17 +354,14 @@ def cmd_quality(args) -> int:
               "log_policy": args.log_policy, "span": args.span,
               "power_law": args.power_law,
               "with_date_control": args.with_date_control}
-    _write_manifest(out, "quality", config, args.seed, inputs, outputs, started)
-    return EXIT_OK
+    return _Run(config, args.seed, inputs, outputs)
 
 
 # ---------------------------------------------------------------------------
 # rf
 
 
-def cmd_rf(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_rf(args, out: Path) -> _Run:
     data_path = Path(args.data)
     data = load_numeric_csv(data_path)
     if args.response not in data.variables.names:
@@ -375,7 +370,7 @@ def cmd_rf(args) -> int:
     p = len(data.variables) - 1
 
     if args.ntree_grid or args.mtry_grid:
-        ntrees = _parse_ints(args.ntree_grid) if args.ntree_grid else (100,)
+        ntrees = _parse_ints(args.ntree_grid) if args.ntree_grid else (ForestConfig.ntree,)
         mtrys = _parse_ints(args.mtry_grid) if args.mtry_grid else tuple(range(1, p + 1))
         grid = tuple((nt, mt) for nt in ntrees for mt in mtrys)
     else:
@@ -392,13 +387,11 @@ def cmd_rf(args) -> int:
     model = fit_forest(data, args.response, best_cfg)
     report = permutation_importance(model, repeats=args.importance_repeats,
                                     seed=args.seed)
-    importance_path = out / "importance.csv"
-    with importance_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["predictor", "permutation_importance",
-                         "impurity_importance", "rank"])
-        for name, perm, impurity, rank in report.rows():
-            writer.writerow([name, f"{perm:.10g}", f"{impurity:.10g}", rank])
+    importance_path = _write_csv(
+        out / "importance.csv",
+        ["predictor", "permutation_importance", "impurity_importance", "rank"],
+        ([name, f"{perm:.10g}", f"{impurity:.10g}", rank]
+         for name, perm, impurity, rank in report.rows()))
 
     outputs = [tune_path, importance_path]
     config = {"data": str(data_path), "response": args.response,
@@ -420,10 +413,9 @@ def cmd_rf(args) -> int:
         outputs.append(ablate_path)
         config["ablate"] = args.ablate
 
-    _write_manifest(out, "rf", config, args.seed, [data_path], outputs, started)
     print(f"best: ntree={tuned.best.ntree} mtry={tuned.best.mtry} "
           f"mean R2={tuned.best.mean_r2:.3f} (sd: {tuned.best.sd_r2:.3f})")
-    return EXIT_OK
+    return _Run(config, args.seed, [data_path], outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +426,15 @@ def _safe_name(name: str) -> str:
     return name.replace("/", "__").replace("@", "_at_")
 
 
-def cmd_fetch(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_fetch(args, out: Path) -> _Run:
     packages = tuple(p for p in (args.packages or "").split(",") if p)
     repos = tuple(r for r in (args.repos or "").split(",") if r)
     if not packages and not repos:
         raise ValueError("give --packages and/or --repos")
+    pairs = tuple(pair for pair in (args.pairs or "").split(",") if pair)
+    for pair in pairs:
+        if "=" not in pair:
+            raise ValueError(f"--pairs entry {pair!r} is not package=owner/name")
     start = dt.date.fromisoformat(args.start)
     end = dt.date.fromisoformat(args.end)
     token = os.environ.get(args.token_env) if args.token_env else None
@@ -451,65 +445,54 @@ def cmd_fetch(args) -> int:
 
     outputs: list[Path] = []
     errors: dict[str, str] = {}
-    downloads_result = None
+    downloads: dict = {}
+    issues: dict = {}
 
     if packages:
-        spec = FetchSpec(packages, start, end, cache_dir=args.cache_dir,
-                         downloads_api_base=args.downloads_api,
+        spec = FetchSpec(packages, start, end, downloads_api_base=args.downloads_api,
                          max_window_days=args.max_window_days)
-        downloads_result = fetch_downloads(spec, http, politeness=args.politeness)
-        errors.update(downloads_result.errors)
-        gap_rows = []
-        for package, series in sorted(downloads_result.downloads.items()):
-            path = out / f"downloads_{_safe_name(package)}.csv"
-            with path.open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["date", "downloads"])
-                for day, count in zip(series.days, series.downloads):
-                    writer.writerow([day.isoformat(), int(count)])
-            outputs.append(path)
-            for day in series.gaps:
-                gap_rows.append((package, day.isoformat()))
-        gaps_path = out / "gaps.csv"
-        with gaps_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["package", "missing_date"])
-            writer.writerows(gap_rows)
-        outputs.append(gaps_path)
+        result = fetch_downloads(spec, http, politeness=args.politeness)
+        downloads, gap_rows = result.downloads, []
+        errors.update(result.errors)
+        for package, series in sorted(downloads.items()):
+            outputs.append(_write_csv(
+                out / f"downloads_{_safe_name(package)}.csv", ["date", "downloads"],
+                ([day.isoformat(), int(count)]
+                 for day, count in zip(series.days, series.downloads))))
+            gap_rows += [(package, day.isoformat()) for day in series.gaps]
+        outputs.append(_write_csv(out / "gaps.csv", ["package", "missing_date"],
+                                  gap_rows))
 
-    issues_result = None
     if repos:
-        spec = FetchSpec(repos, start, end, cache_dir=args.cache_dir,
-                         issues_api_base=args.issues_api, token=token,
-                         include_pulls=args.include_pulls)
-        issues_result = fetch_issues(spec, http, politeness=args.politeness)
-        errors.update(issues_result.errors)
-        for repo, dates in sorted(issues_result.issues.items()):
-            path = out / f"issues_{_safe_name(repo)}.csv"
-            with path.open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["created"])
-                for date in dates:
-                    writer.writerow([date.isoformat()])
-            outputs.append(path)
+        spec = FetchSpec(repos, start, end, issues_api_base=args.issues_api,
+                         token=token, include_pulls=args.include_pulls)
+        result = fetch_issues(spec, http, politeness=args.politeness)
+        issues = result.issues
+        errors.update(result.errors)
+        for repo, dates in sorted(issues.items()):
+            outputs.append(_write_csv(out / f"issues_{_safe_name(repo)}.csv",
+                                      ["created"], ([d.isoformat()] for d in dates)))
 
-    for pair in (args.pairs or "").split(","):
-        if not pair:
-            continue
+    # a pair that cannot give a series is reported, never sinks the others
+    for pair in pairs:
         package, _, repo = pair.partition("=")
-        if (downloads_result and package in downloads_result.downloads
-                and issues_result and repo in issues_result.issues):
-            series = build_daily_series(
-                package, downloads_result.downloads[package],
-                issues_result.issues[repo], start, end)
-            path = out / f"series_{_safe_name(package)}.csv"
-            with path.open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["date", "downloads", "cumulative_issues"])
-                for i, day in enumerate(series.days):
-                    writer.writerow([day.isoformat(), int(series.downloads[i]),
-                                     int(series.cumulative_issues[i])])
-            outputs.append(path)
+        if package not in downloads:
+            errors[pair] = f"no downloads fetched for {package!r}"
+            continue
+        if repo not in issues:
+            errors[pair] = f"no issues fetched for {repo!r}"
+            continue
+        try:
+            series = build_daily_series(package, downloads[package], issues[repo],
+                                        start, end)
+        except GapInSeriesError as exc:
+            errors[pair] = str(exc)
+            continue
+        outputs.append(_write_csv(
+            out / f"series_{_safe_name(package)}.csv",
+            ["date", "downloads", "cumulative_issues"],
+            ([day.isoformat(), int(series.downloads[i]), int(series.cumulative_issues[i])]
+             for i, day in enumerate(series.days))))
 
     if errors:
         errors_path = out / "errors.json"
@@ -521,19 +504,15 @@ def cmd_fetch(args) -> int:
               "cache_dir": str(args.cache_dir), "live": args.live,
               "downloads_api": args.downloads_api, "issues_api": args.issues_api,
               "include_pulls": args.include_pulls, "pairs": args.pairs}
-    _write_manifest(out, "fetch", config, args.seed, [], outputs, started)
-
-    fetched_anything = bool(
-        (downloads_result and downloads_result.downloads)
-        or (issues_result and issues_result.issues))
-    if errors and fetched_anything:
+    run = _Run(config, args.seed, [], outputs)
+    if errors and (downloads or issues):
         print(f"partial failure: {len(errors)} item(s) failed, "
               f"see {out / 'errors.json'}", file=sys.stderr)
-        return EXIT_PARTIAL
-    if errors:
+        run.code = EXIT_PARTIAL
+    elif errors:
         print(f"all items failed, see {out / 'errors.json'}", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+        run.code = EXIT_FAILURE
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "of a one-line message")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simstudy", help="structure-recovery simulation study")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", default="out")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("simstudy", cmd_simstudy, "structure-recovery simulation study")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--truth", help="ground-truth network JSON (default: built-in)")
     p.add_argument("--replicates", type=int)
@@ -566,26 +551,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      f"{','.join(_METHOD_SHORTHAND)}")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_simstudy)
 
-    p = sub.add_parser("learn", help="bootstrap-averaged structure learning")
+    p = command("learn", cmd_learn, "bootstrap-averaged structure learning")
     p.add_argument("data", help="numeric CSV with one column per variable")
     p.add_argument("--method", default="hc", choices=SEARCH_KINDS)
     p.add_argument("--threshold", type=float, default=0.85)
     p.add_argument("--strict-threshold", action="store_true",
                    dest="strict_threshold")
     p.add_argument("--boot-samples", type=int, default=100, dest="boot_samples")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-parents", type=int, default=5, dest="max_parents")
+    p.add_argument("--restarts", type=int, default=HcConfig.restarts)
+    p.add_argument("--max-parents", type=int, default=HcConfig.max_parents,
+                   dest="max_parents")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--no-scale", action="store_true", dest="no_scale",
                    help="search on the raw columns instead of unit scale")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_learn)
+    p.add_argument("--seed", type=int, default=HcConfig.seed)
 
-    p = sub.add_parser("quality", help="aggregate usage and build quality tables")
+    p = command("quality", cmd_quality, "aggregate usage and build quality tables")
     p.add_argument("--usage", help="usage-record CSV")
     p.add_argument("--series", help="daily series CSV "
                                     "(date,downloads,cumulative_issues)")
@@ -597,10 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-date-control", action="store_true",
                    dest="with_date_control")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_quality)
 
-    p = sub.add_parser("rf", help="tune a regression forest and rank predictors")
+    p = command("rf", cmd_rf, "tune a regression forest and rank predictors")
     p.add_argument("data")
     p.add_argument("--response", required=True)
     p.add_argument("--ntree-grid", dest="ntree_grid",
@@ -609,15 +589,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated mtry values")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--folds", type=int, default=2)
-    p.add_argument("--min-leaf", type=int, default=5, dest="min_leaf")
+    p.add_argument("--min-leaf", type=int, default=ForestConfig.min_leaf,
+                   dest="min_leaf")
     p.add_argument("--importance-repeats", type=int, default=5,
                    dest="importance_repeats")
     p.add_argument("--ablate", help="predictor to drop for the paired CV run")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_rf)
+    p.add_argument("--seed", type=int, default=ForestConfig.seed)
 
-    p = sub.add_parser("fetch", help="download counts and issue timelines")
+    p = command("fetch", cmd_fetch, "download counts and issue timelines")
     p.add_argument("--packages", help="comma-separated registry package names")
     p.add_argument("--repos", help="comma-separated owner/name repo slugs")
     p.add_argument("--pairs", help="package=owner/name pairs for daily series")
@@ -627,19 +606,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--live", action="store_true",
                    help="allow network fetches on cache misses")
     p.add_argument("--downloads-api", dest="downloads_api",
-                   default="https://api.npmjs.org/downloads/range")
-    p.add_argument("--issues-api", dest="issues_api",
-                   default="https://api.github.com")
+                   default=NPM_DOWNLOADS_API)
+    p.add_argument("--issues-api", dest="issues_api", default=GITHUB_API)
     p.add_argument("--token-env", dest="token_env",
                    help="environment variable holding the issues API token")
     p.add_argument("--include-pulls", action="store_true", dest="include_pulls")
-    p.add_argument("--max-window-days", type=int, default=540,
-                   dest="max_window_days")
+    p.add_argument("--max-window-days", type=int,
+                   default=FetchSpec.max_window_days, dest="max_window_days")
     p.add_argument("--politeness", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_fetch)
-
     return parser
 
 
@@ -653,7 +628,12 @@ def main(argv=None) -> int:
     package_log.addHandler(handler)
     package_log.setLevel(args.log_level)
     try:
-        return args.func(args)
+        started = time.time()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        run = args.func(args, out)
+        _write_manifest(out, args.command, run, started)
+        return run.code
     except Exception as exc:
         if args.debug:
             raise

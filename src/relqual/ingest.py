@@ -301,7 +301,6 @@ class FetchSpec:
     packages: tuple[str, ...]
     start: dt.date
     end: dt.date
-    cache_dir: str | Path = ".relqual-cache"
     downloads_api_base: str = NPM_DOWNLOADS_API
     issues_api_base: str = GITHUB_API
     token: str | None = None
@@ -357,8 +356,6 @@ def fetch_downloads(spec: FetchSpec, http: CachedHttp,
     Ranges longer than the endpoint's window limit are chunked and merged;
     a failing package is reported in ``errors`` without sinking the batch.
     """
-    result = FetchResult()
-
     def one(package: str):
         per_day: dict[dt.date, int] = {}
         for lo, hi in _windows(spec.start, spec.end, spec.max_window_days):
@@ -377,15 +374,24 @@ def fetch_downloads(spec: FetchSpec, http: CachedHttp,
                                 np.array([per_day[d] for d in days], dtype=np.int64),
                                 gaps)
 
+    downloads, errors = _fetch_each(spec.packages, one, politeness)
+    return FetchResult(downloads=downloads, errors=errors)
+
+
+def _fetch_each(names: tuple[str, ...], one: Callable[[str], object],
+                politeness: int) -> tuple[dict, dict[str, str]]:
+    """``one(name)`` for every name on ``politeness`` threads: the results,
+    and the message of each name whose fetch failed, both by name."""
     with ThreadPoolExecutor(max_workers=politeness) as pool:
-        futures = {package: pool.submit(one, package) for package in spec.packages}
-    for package, future in futures.items():
+        futures = {name: pool.submit(one, name) for name in names}
+    results, errors = {}, {}
+    for name, future in futures.items():
         try:
-            result.downloads[package] = future.result()
+            results[name] = future.result()
         except (HttpError, RateLimitedError, OfflineCacheMissError,
-                MalformedBodyError) as exc:
-            result.errors[package] = str(exc)
-    return result
+                MalformedBodyError, TruncatedPaginationError) as exc:
+            errors[name] = str(exc)
+    return results, errors
 
 
 _LINK_NEXT = re.compile(r'<([^>]+)>\s*;\s*rel="next"')
@@ -415,8 +421,6 @@ def fetch_issues(spec: FetchSpec, http: CachedHttp,
     how many problems users hit); pull requests are excluded unless asked
     for.  A page failing mid-stream surfaces as truncated pagination.
     """
-    result = FetchResult()
-
     def one(repo: str):
         headers = {"accept": "application/vnd.github+json"}
         if spec.token:
@@ -442,15 +446,8 @@ def fetch_issues(spec: FetchSpec, http: CachedHttp,
             page += 1
         return tuple(dates)
 
-    with ThreadPoolExecutor(max_workers=politeness) as pool:
-        futures = {repo: pool.submit(one, repo) for repo in spec.packages}
-    for repo, future in futures.items():
-        try:
-            result.issues[repo] = future.result()
-        except (HttpError, RateLimitedError, OfflineCacheMissError,
-                MalformedBodyError, TruncatedPaginationError) as exc:
-            result.errors[repo] = str(exc)
-    return result
+    issues, errors = _fetch_each(spec.packages, one, politeness)
+    return FetchResult(issues=issues, errors=errors)
 
 
 def build_daily_series(package: str, downloads: PackageDownloads,

@@ -24,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special
 
-from .dag import Dag, SizeLimitError, VariableSet
+from .dag import CycleError, Dag, SizeLimitError, VariableSet, add_edge_checked
 from .data import Dataset, DiscreteDataset
 from .discretize import DiscreteScoreCache
 from .gaussian import GaussianScoreCache
@@ -959,26 +959,6 @@ class AveragedNetwork:
     flipped: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
 
-def _ancestors(parents: list[int]) -> list[int]:
-    """Per node, the bitmask of every node with a directed path to it
-    (Warshall's closure on bitmask rows)."""
-    anc = list(parents)
-    nodes = range(len(anc))
-    for k in nodes:
-        through = anc[k]
-        if through:
-            bit = 1 << k
-            for v in nodes:
-                if anc[v] & bit:
-                    anc[v] |= through
-    return anc
-
-
-def _to_dag(parents: list[int], variables: VariableSet) -> Dag:
-    return Dag(variables, frozenset((u, v) for v, mask in enumerate(parents)
-                                    for u in _bits(mask)))
-
-
 def averaged_network(conf: ArcConfidence, threshold: float,
                      strict: bool = False) -> AveragedNetwork:
     """Keep pairs at or above the strength threshold, oriented by majority
@@ -1006,12 +986,12 @@ def averaged_network(conf: ArcConfidence, threshold: float,
                 kept.append((confidence, conf.strength[a, b], u, v))
     kept.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
 
-    parents = [0] * p
+    dag = Dag(conf.variables)
     flipped = set()
     for _, _, u, v in kept:
-        if _ancestors(parents)[u] & 1 << v:   # v reaches u: flip the pair
+        try:
+            dag = add_edge_checked(dag, u, v)
+        except CycleError:   # v reaches u: flip the pair
             flipped.add((u, v))
-            u, v = v, u
-        parents[v] |= 1 << u
-    return AveragedNetwork(_to_dag(parents, conf.variables), threshold, conf,
-                           frozenset(flipped))
+            dag = add_edge_checked(dag, v, u)
+    return AveragedNetwork(dag, threshold, conf, frozenset(flipped))

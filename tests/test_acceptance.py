@@ -435,7 +435,7 @@ def test_criterion_12_ingest_determinism(tmp_path):
         return TransportResponse(200, {}, json.dumps(fixtures[url]).encode())
 
     cache_dir = tmp_path / "cache"
-    spec = FetchSpec(("pkg",), start, end, cache_dir=cache_dir)
+    spec = FetchSpec(("pkg",), start, end)
     warm = fetch_downloads(spec, CachedHttp(HttpCache(cache_dir), transport))
     offline_http = CachedHttp(HttpCache(cache_dir), transport=None)
     replay = fetch_downloads(spec, offline_http)
@@ -446,7 +446,7 @@ def test_criterion_12_ingest_determinism(tmp_path):
 
     chunk_dir = tmp_path / "chunks"
     chunked = fetch_downloads(
-        FetchSpec(("pkg",), start, end, cache_dir=chunk_dir, max_window_days=10),
+        FetchSpec(("pkg",), start, end, max_window_days=10),
         CachedHttp(HttpCache(chunk_dir), transport))
     assert chunked.downloads["pkg"].days == warm.downloads["pkg"].days
     assert np.array_equal(chunked.downloads["pkg"].downloads,

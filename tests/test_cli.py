@@ -50,6 +50,37 @@ def test_simstudy_config_file_and_flags(tmp_path):
     assert manifest["arm_failures"] == {"HC": 0}
 
 
+SMALL_STUDY = {"replicates": 1, "sample_size": 40, "boot_samples": 2, "restarts": 1,
+               "thresholds": [1.0]}
+
+
+@pytest.mark.parametrize("settings, key", [
+    ({"replicate": 5}, "'replicate'"),
+    ({"methods": [{"name": "HC", "serach": "map"}]}, "'serach'"),
+    ({"methods": [{"name": "HC-D-F", "discretization": {
+        "method": "equal-frequency", "bin": 5}}]}, "'bin'"),
+])
+def test_simstudy_config_refuses_unknown_keys(tmp_path, capsys, settings, key):
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({**SMALL_STUDY, **settings}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", config, "--out", out]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and key in err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_simstudy_config_reads_spec_numbers_as_their_default_type(tmp_path):
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({**SMALL_STUDY, "methods": [{
+        "name": "HC-D-F", "alpha": "0.1",
+        "discretization": {"method": "equal-frequency", "bins": 3.0}}]}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", config, "--out", out]) == EXIT_OK
+    rows = (out / "simstudy.csv").read_text().splitlines()
+    assert rows[1].startswith("HC-D-F,equal-frequency-3,1.0")
+
+
 def test_simstudy_manifest_counts_arm_failures(tmp_path):
     # a constant column: every arm fails in every replicate
     truth = GaussianBn(Dag(VariableSet(["A", "B"])), np.zeros(2),
@@ -415,3 +446,49 @@ def test_fetch_partial_failure_exit_code(tmp_path):
     assert (tmp_path / "out" / "downloads_good.csv").exists()
     errors = json.loads((tmp_path / "out" / "errors.json").read_text())
     assert set(errors) == {"ghost"}
+
+
+def downloads_payload(start, days, skip=()):
+    return {"downloads": [{"day": (start + dt.timedelta(days=i)).isoformat(),
+                           "downloads": 5 + i} for i in range(days) if i not in skip]}
+
+
+def test_fetch_pair_without_a_series_is_reported_not_fatal(tmp_path):
+    start, end = dt.date(2018, 1, 1), dt.date(2018, 1, 6)
+    cache_dir = tmp_path / "cache"
+    downloads = f"https://api.npmjs.org/downloads/range/{start}:{end}/"
+    warm_cache(cache_dir, downloads + "ok", downloads_payload(start, 6))
+    warm_cache(cache_dir, downloads + "gap", downloads_payload(start, 6, skip={2}))
+    for repo in ("o/ok", "o/gap"):
+        CachedHttp(HttpCache(cache_dir), lambda u, params, h: TransportResponse(
+            200, {}, json.dumps([{"created_at": "2018-01-03T00:00:00Z"}]).encode())
+        ).get_json(f"https://api.github.com/repos/{repo}/issues",
+                   params={"state": "all", "per_page": 100, "page": 1})
+    out = tmp_path / "out"
+    code = run(["fetch", "--packages", "gap,ok", "--repos", "o/gap,o/ok",
+                "--pairs", "gap=o/gap,ok=o/ok,typo=o/ok,ok=o/typo",
+                "--start", start.isoformat(), "--end", end.isoformat(),
+                "--cache-dir", cache_dir, "--out", out])
+    assert code == EXIT_PARTIAL
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == {
+        "gap=o/gap": "gap: downloads missing for 1 days (first: 2018-01-03)",
+        "typo=o/ok": "no downloads fetched for 'typo'",
+        "ok=o/typo": "no issues fetched for 'o/typo'",
+    }
+    rows = (out / "series_ok.csv").read_text().splitlines()
+    assert rows[0] == "date,downloads,cumulative_issues" and len(rows) == 7
+    assert not (out / "series_gap.csv").exists()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert str(out / "series_ok.csv") in manifest["outputs"]
+
+
+def test_fetch_refuses_a_pair_without_equals_before_fetching(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["fetch", "--packages", "ok", "--pairs", "ok=o/ok,okonly",
+                "--start", "2018-01-01", "--end", "2018-01-02",
+                "--cache-dir", tmp_path / "cache", "--out", out])
+    assert code == EXIT_FAILURE
+    assert "'okonly'" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+    assert list(out.iterdir()) == []

@@ -101,8 +101,7 @@ def test_usage_csv_header_mismatch(tmp_path):
 def test_warm_cache_replays_without_network(tmp_path):
     url, payload = downloads_fixture("left-pad", START, 31)
     transport = FixtureTransport({(url, "{}"): ({}, payload)})
-    spec = FetchSpec(("left-pad",), START, START + dt.timedelta(days=30),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("left-pad",), START, START + dt.timedelta(days=30))
 
     http = CachedHttp(HttpCache(tmp_path), transport)
     first = fetch_downloads(spec, http)
@@ -139,10 +138,10 @@ def test_chunked_fetch_equals_whole_range(tmp_path):
         (url_b, "{}"): ({}, {"downloads": rows[12:]}),
     }
     whole = fetch_downloads(
-        FetchSpec(("pkg",), START, end, cache_dir=tmp_path / "a"),
+        FetchSpec(("pkg",), START, end),
         CachedHttp(HttpCache(tmp_path / "a"), FixtureTransport(fixtures)))
     chunked = fetch_downloads(
-        FetchSpec(("pkg",), START, end, cache_dir=tmp_path / "b",
+        FetchSpec(("pkg",), START, end,
                   max_window_days=12),
         CachedHttp(HttpCache(tmp_path / "b"), FixtureTransport(fixtures)))
     assert whole.downloads["pkg"].days == chunked.downloads["pkg"].days
@@ -154,8 +153,7 @@ def test_chunked_fetch_equals_whole_range(tmp_path):
 def test_unknown_package_surfaces_per_package(tmp_path):
     url, payload = downloads_fixture("good", START, 3)
     transport = FixtureTransport({(url, "{}"): ({}, payload)})
-    spec = FetchSpec(("good", "missing"), START, START + dt.timedelta(days=2),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("good", "missing"), START, START + dt.timedelta(days=2))
     result = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path), transport))
     assert "good" in result.downloads
     assert "missing" in result.errors and "404" in result.errors["missing"]
@@ -168,7 +166,7 @@ def test_gap_in_downloads_flagged_not_invented(tmp_path):
     rows = [{"day": (START + dt.timedelta(days=i)).isoformat(), "downloads": 5}
             for i in (0, 1, 3, 4)]  # day 2 missing
     transport = FixtureTransport({(url, "{}"): ({}, {"downloads": rows})})
-    result = fetch_downloads(FetchSpec(("pkg",), START, end, cache_dir=tmp_path),
+    result = fetch_downloads(FetchSpec(("pkg",), START, end),
                              CachedHttp(HttpCache(tmp_path), transport))
     pkg = result.downloads["pkg"]
     assert pkg.gaps == (START + dt.timedelta(days=2),)
@@ -244,7 +242,7 @@ def test_http_date_retry_after_does_not_sink_the_batch(tmp_path):
             return TransportResponse(429, {"retry-after": "Wed, 21 Oct 2015 07:28:00 GMT"}, b"")
         return FixtureTransport({(url, "{}"): ({}, payload)})(u, params, headers)
 
-    spec = FetchSpec(("pkg",), START, START + dt.timedelta(days=2), cache_dir=tmp_path)
+    spec = FetchSpec(("pkg",), START, START + dt.timedelta(days=2))
     result = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path), transport,
                                               sleeper=lambda s: None), politeness=1)
     assert result.errors == {}
@@ -367,8 +365,7 @@ def test_issue_pagination_three_pages(tmp_path):
         (page2, "{}"): ({"link": f'<{page3}>; rel="next"'}, issue_items(100, START)),
         (page3, "{}"): ({}, issue_items(37, START)),
     }
-    spec = FetchSpec(("o/r",), START, START + dt.timedelta(days=30),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("o/r",), START, START + dt.timedelta(days=30))
     result = fetch_issues(spec, CachedHttp(HttpCache(tmp_path),
                                            FixtureTransport(fixtures)))
     assert len(result.issues["o/r"]) == 237
@@ -380,14 +377,13 @@ def test_issue_pull_requests_excluded_by_default(tmp_path):
         (base, json.dumps({"page": 1, "per_page": 100, "state": "all"}, sort_keys=True)):
             ({}, issue_items(5, START, pulls=3)),
     }
-    spec = FetchSpec(("o/r",), START, START + dt.timedelta(days=5),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("o/r",), START, START + dt.timedelta(days=5))
     result = fetch_issues(spec, CachedHttp(HttpCache(tmp_path),
                                            FixtureTransport(fixtures)))
     assert len(result.issues["o/r"]) == 5
 
     spec_pulls = FetchSpec(("o/r",), START, START + dt.timedelta(days=5),
-                           cache_dir=tmp_path / "p", include_pulls=True)
+                           include_pulls=True)
     result_pulls = fetch_issues(spec_pulls,
                                 CachedHttp(HttpCache(tmp_path / "p"),
                                            FixtureTransport(fixtures)))
@@ -400,8 +396,7 @@ def test_issue_zero_issue_repo(tmp_path):
         (base, json.dumps({"page": 1, "per_page": 100, "state": "all"}, sort_keys=True)):
             ({}, []),
     }
-    spec = FetchSpec(("o/empty",), START, START + dt.timedelta(days=5),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("o/empty",), START, START + dt.timedelta(days=5))
     result = fetch_issues(spec, CachedHttp(HttpCache(tmp_path),
                                            FixtureTransport(fixtures)))
     assert result.issues["o/empty"] == ()
@@ -415,8 +410,7 @@ def test_issue_truncated_pagination_detected(tmp_path):
             ({"link": f'<{page2}>; rel="next"'}, issue_items(100, START)),
         # page2 missing -> fixture transport answers 404
     }
-    spec = FetchSpec(("o/r",), START, START + dt.timedelta(days=5),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("o/r",), START, START + dt.timedelta(days=5))
     result = fetch_issues(spec, CachedHttp(HttpCache(tmp_path),
                                            FixtureTransport(fixtures)))
     assert "o/r" in result.errors
@@ -440,8 +434,7 @@ def test_non_json_body_is_reported_and_never_cached(tmp_path, bad_body):
     bad_url, _ = downloads_fixture("bad-body", START, 3)
     fixtures = {(calm_url, "{}"): ({}, payload),
                 (bad_url, "{}"): TransportResponse(200, {}, bad_body)}
-    spec = FetchSpec(("calm", "bad-body"), START, START + dt.timedelta(days=2),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("calm", "bad-body"), START, START + dt.timedelta(days=2))
     result = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path),
                                               FixtureTransport(fixtures)))
     assert result.downloads["calm"].downloads.tolist() == [100, 101, 102]
@@ -474,8 +467,7 @@ def test_non_json_body_in_an_older_cache_is_reported_on_replay(tmp_path):
               TransportResponse(200, {}, json.dumps(payload).encode()))
     cache.put(HttpCache.key(bad_url, None), bad_url, None,
               TransportResponse(200, {}, b"<html></html>"))
-    spec = FetchSpec(("calm", "bad-body"), START, START + dt.timedelta(days=2),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("calm", "bad-body"), START, START + dt.timedelta(days=2))
     replay = fetch_downloads(spec, CachedHttp(HttpCache(tmp_path), None))
     assert replay.downloads["calm"].downloads.tolist() == [100, 101, 102]
     assert "not JSON" in replay.errors["bad-body"]
@@ -498,8 +490,7 @@ def test_non_json_issue_pages_are_reported(tmp_path, bad_body):
         (cut, first): ({"link": f'<{cut}?page=2>; rel="next"'}, issue_items(100, START)),
         (cut + "?page=2", "{}"): TransportResponse(200, {}, bad_body),
     }
-    spec = FetchSpec(("o/bad", "o/cut"), START, START + dt.timedelta(days=5),
-                     cache_dir=tmp_path)
+    spec = FetchSpec(("o/bad", "o/cut"), START, START + dt.timedelta(days=5))
     result = fetch_issues(spec, CachedHttp(HttpCache(tmp_path),
                                            FixtureTransport(fixtures)))
     assert result.issues == {}
