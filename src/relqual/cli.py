@@ -102,6 +102,15 @@ def _checked(entry: dict, known, what: str) -> dict:
     return entry
 
 
+def _whole(value, key: str, what: str) -> int:
+    """``value`` as an int if it is a whole number, a bool not counting as
+    one; else a ValueError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} key {key!r} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
@@ -123,10 +132,17 @@ _METHOD_SHORTHAND = {m.name.upper(): m for m in default_methods() + (
 
 def _spec(cls, entry: dict, what: str):
     """``cls`` from the entry's own keys; the value of a field whose default
-    is a number is read as that number's type."""
+    is an int must be a whole number, and that of a float field is read as
+    a float."""
     defaults = {f.name: f.default for f in fields(cls)}
-    return cls(**{key: type(defaults[key])(value)
-                  if isinstance(defaults[key], (int, float)) else value
+
+    def read(key, value):
+        kind = type(defaults[key])
+        if kind is int:
+            return _whole(value, key, what)
+        return float(value) if kind is float else value
+
+    return cls(**{key: read(key, value)
                   for key, value in _checked(entry, list(defaults), what).items()})
 
 
@@ -159,9 +175,9 @@ def _simstudy_config(args) -> tuple[SimStudyConfig, dict, list[Path]]:
         inputs.append(truth_path)
         truth, truth_name = GaussianBn.from_json(truth_path.read_text()), str(truth_path)
 
-    study = {key: int(settings[key]) for key in
+    study = {key: _whole(settings[key], key, "config") for key in
              ("replicates", "sample_size", "boot_samples", "seed") if key in settings}
-    hc = {key: int(settings[key]) for key in
+    hc = {key: _whole(settings[key], key, "config") for key in
           ("restarts", "max_parents", "seed") if key in settings}
     if args.methods is not None:
         try:

@@ -9,7 +9,9 @@ to exactly one bin and binning is monotone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,13 +114,55 @@ def discretize(data: Dataset, spec: DiscretizationSpec) -> Discretized:
     return Discretized(dataset, tuple(edges))
 
 
-def _mi_row_terms(block: np.ndarray, row_marg: np.ndarray,
-                  col_marg: np.ndarray, n: int) -> np.ndarray:
-    """Per-row contribution to n*MI for the given rows of a count table."""
+def _mi_terms(block: np.ndarray, row_marg: np.ndarray,
+              col_marg: np.ndarray, n: int) -> np.ndarray:
+    """Per-cell contribution to n*MI of the given rows of a count table,
+    C-ordered whatever the layout of ``block``, so that numpy sums each
+    row pairwise."""
+    block = np.ascontiguousarray(block)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = block * n / np.outer(row_marg, col_marg)
-        terms = np.where(block > 0, block * np.log(np.where(block > 0, ratio, 1.0)), 0.0)
-    return terms.sum(axis=1)
+        return np.where(block > 0, block * np.log(np.where(block > 0, ratio, 1.0)), 0.0)
+
+
+# n*MI lost by merging each adjacent pair of rows of a count table, for
+# several tables at once: one elementwise pass over the tables' rows and
+# their merged row pairs, then each table's rows summed on their own.  The
+# margins are level counts, whole numbers and so exact however summed.
+
+def _merge_terms(t: np.ndarray, r: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """The n*MI terms of the rows of ``t`` and then of its merged rows."""
+    return _mi_terms(np.concatenate([t, t[:-1] + t[1:]]), np.concatenate([r, r[:-1] + r[1:]]),
+                     c, n)
+
+
+def _merge_losses(sums: np.ndarray, rows: int) -> np.ndarray:
+    return sums[:rows - 1] + sums[1:rows] - sums[rows:]
+
+
+def _column_block_losses(t: np.ndarray, r: np.ndarray, c: np.ndarray,
+                         bounds: list[int], n: int) -> np.ndarray:
+    """The losses of the tables side by side in ``t``, whose columns
+    ``bounds[k]:bounds[k + 1]`` make table k: (tables, rows - 1)."""
+    terms = _merge_terms(t, r, c, n)
+    return np.array([_merge_losses(terms[:, lo:hi].sum(axis=1), len(r))
+                     for lo, hi in zip(bounds, bounds[1:])]).reshape(len(bounds) - 1, len(r) - 1)
+
+
+def _row_block_losses(t: np.ndarray, r: np.ndarray, c: np.ndarray,
+                      ends: list[int], n: int) -> list[np.ndarray]:
+    """The losses of the tables stacked in ``t``, whose rows end at
+    ``ends``; merged rows straddling two tables are computed and dropped."""
+    loss = _merge_losses(_merge_terms(t, r, c, n).sum(axis=1), len(r))
+    return [loss[lo:hi - 1] for lo, hi in zip([0, *ends], ends)]
+
+
+def _merge_next(t: np.ndarray, i: int) -> np.ndarray:
+    """``t`` with row i + 1 added into row i and dropped, in place: a view
+    of one row fewer."""
+    t[i] += t[i + 1]
+    t[i + 1:-1] = t[i + 2:]
+    return t[:-1]
 
 
 def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
@@ -145,70 +189,71 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
             raise DegenerateColumnError(
                 f"column {data.variables.names[j]} has only {used.size} distinct bins")
 
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(p):
-        for b in range(a + 1, p):
-            t = np.zeros((counts[a], counts[b]), dtype=float)
-            np.add.at(t, (base_codes[:, a], base_codes[:, b]), 1.0)
-            tables[(a, b)] = t
-
-    # groups[j][g] = list-like span of base bins forming current level g,
-    # tracked as the start index of each group
+    # starts[j][g] is the first base bin of variable j's current level g
     starts: list[list[int]] = [list(range(c)) for c in counts]
+    sizes = [np.bincount(base_codes[:, j]).astype(float) for j in range(p)]
 
-    def table_for(v: int, w: int) -> np.ndarray:
-        # rows always indexed by v.  Keep this layout: numpy sums the rows of
-        # the Fortran-ordered transpose sequentially and those of a C-ordered
-        # table pairwise, and the chosen merges depend on those bits
-        return tables[(v, w)] if v < w else tables[(w, v)].T
+    def bounds(v: int) -> list[int]:
+        """Where each other variable's block starts among the columns of
+        ``wide[v]``, in ascending order, and where the last one ends."""
+        return list(accumulate((len(starts[w]) for w in range(p) if w != v), initial=0))
 
-    def pair_losses(v: int, w: int) -> np.ndarray:
-        """n*MI between v and w lost by merging each adjacent pair of v's
-        levels."""
-        t = table_for(v, w)
-        r = t.sum(axis=1)
-        c = t.sum(axis=0)
-        before = _mi_row_terms(t, r, c, n)
-        after = _mi_row_terms(t[:-1] + t[1:], r[:-1] + r[1:], c, n)
-        return before[:-1] + before[1:] - after
+    # wide[v]: the count tables of v against every other variable, side by
+    # side in ascending order, with v's levels as rows.  Kept current while
+    # v can still merge, and through v's last merge.
+    wide = []
+    for v in range(p):
+        b = bounds(v)
+        cells = (base_codes[:, v, None] * b[-1] + base_codes[:, np.arange(p) != v]
+                 + np.array(b[:-1], dtype=np.int64))
+        wide.append(np.bincount(cells.ravel(), minlength=counts[v] * b[-1])
+                    .reshape(counts[v], b[-1]).astype(float))
 
-    # the loss vector of every ordered pair (v, w) whose v can still merge;
-    # a merge in v changes only the tables, and so the pairs, involving v
+    def row_losses(v: int) -> np.ndarray:
+        """v's losses against every other variable, one row per w."""
+        c = np.concatenate([np.empty(0)] + [sizes[w] for w in range(p) if w != v])
+        return _column_block_losses(wide[v], sizes[v], c, bounds(v), n)
+
+    def losses_against(v: int, us: list[int]) -> list[np.ndarray]:
+        """Each u's losses against v."""
+        b = bounds(v)
+        cols = np.concatenate([np.arange(b[u - (u > v)], b[u - (u > v) + 1]) for u in us])
+        return _row_block_losses(wide[v][:, cols].T, np.concatenate([sizes[u] for u in us]),
+                                 sizes[v], list(accumulate(len(starts[u]) for u in us)), n)
+
+    # the losses of every variable that can still merge; a merge in v
+    # changes only v's rows and every other variable's losses against v
     mergeable = [v for v in range(p) if len(starts[v]) > spec.bins]
-    pair_loss = {(v, w): pair_losses(v, w)
-                 for v in mergeable for w in range(p) if w != v}
+    pair_loss = {v: row_losses(v) for v in mergeable}
 
     while True:
         best = None
         for v in mergeable:
-            losses = np.zeros(len(starts[v]) - 1)   # summed in ascending w
-            for w in range(p):
-                if w != v:
-                    losses += pair_loss[v, w]
-            i = int(np.argmin(losses))
+            # summed in ascending w, one after the other
+            losses = pair_loss[v].cumsum(axis=0)[-1] if p > 1 \
+                else np.zeros(len(starts[v]) - 1)
+            i = int(losses.argmin())
             if best is None or losses[i] < best[0] - 1e-12:
                 best = (float(losses[i]), v, i)
         if best is None:
             break
         _, v, i = best
-        for w in range(p):
-            if w == v:
-                continue
-            if v < w:
-                t = tables[(v, w)]
-                t[i] += t[i + 1]
-                tables[(v, w)] = np.delete(t, i + 1, axis=0)
+        for u in mergeable:
+            if u == v:
+                wide[u] = _merge_next(wide[u], i)
             else:
-                t = tables[(w, v)]
-                t[:, i] += t[:, i + 1]
-                tables[(w, v)] = np.delete(t, i + 1, axis=1)
+                j = bounds(u)[v - (v > u)] + i
+                wide[u] = _merge_next(wide[u].T, j).T
+        sizes[v] = _merge_next(sizes[v], i)
         del starts[v][i + 1]
         if len(starts[v]) == spec.bins:
             mergeable.remove(v)
-        for u in mergeable:   # v's rows against every w; v's columns otherwise
-            for w in (range(p) if u == v else (v,)):
-                if w != u:
-                    pair_loss[u, w] = pair_losses(u, w)
+        else:
+            pair_loss[v] = row_losses(v)
+        others = [u for u in mergeable if u != v]
+        if others:
+            for u, loss in zip(others, losses_against(v, others)):
+                pair_loss[u][v - (v > u)] = loss
 
     codes = np.zeros((n, p), dtype=np.int64)
     edges = []
@@ -220,12 +265,27 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
     return Discretized(dataset, tuple(edges))
 
 
+# A fill across resamples counts every variable set as a marginal of one
+# joint count table while all the marginals of that table, samples *
+# prod(levels + 1) counts, hold at most this many (8 MiB, as a dense
+# family-score table); otherwise each family is counted on its own.
+MARGINAL_ENTRIES = 1 << 20
+
+
 class DiscreteScoreCache(FamilyScorer):
     """Multinomial BIC family scores of one dataset, or of bootstrap
     resamples of it.
 
-    ``family_scores`` scores parent sets of one child in every sample, one
-    bincount per family over all samples.
+    ``family_scores`` scores parent sets of one child in every sample.  In
+    a fill across resamples, every family's counts are marginals of one
+    joint count table over all variables, each summed out of a memoized
+    marginal of one more variable, as AD-trees share marginal counts
+    (Moore & Lee, 1998); in one sample, or where the marginals would not
+    fit in ``MARGINAL_ENTRIES``, each family takes one bincount.  Integer
+    sums are exact, so both give the same counts.  Across resamples, the
+    log term c ln(c/N) of a cell count c in a parent configuration of N
+    rows is read from a table of every count pair with an N seen so far;
+    one sample takes the logs of its observed cells.
     """
 
     # bound in this class too: a tracer wraps and restores it per scorer
@@ -239,6 +299,12 @@ class DiscreteScoreCache(FamilyScorer):
         self.levels = data.levels
         self.resamples = (np.arange(self.n)[None, :] if resamples is None
                           else np.asarray(resamples))
+        # (samples, marginal counts by descending variable tuple) of the
+        # fill in progress
+        self._memo: tuple[tuple[int, int, int], dict] | None = None
+        # c ln(c/N) at _term_rows[N] + c, -1 for an N not yet seen
+        self._term_rows = np.full(self.resamples.shape[1] + 1, -1, dtype=np.intp)
+        self._terms = np.empty(0)
 
     def family_scores(self, child: int, parent_sets: np.ndarray,
                       resamples: slice = slice(None)
@@ -249,33 +315,109 @@ class DiscreteScoreCache(FamilyScorer):
         idx = self.resamples[resamples]
         if parent_sets.shape[1] > self.max_parents:
             raise ValueError("parent set exceeds max_parents")
+        memo = self._marginals(resamples, idx)
         child_levels = self.levels[child]
         scores = np.empty((len(idx), len(parent_sets)))
-        for m, parents in enumerate(parent_sets):
-            config_size = 1
-            code = self.rows[:, child].copy()
-            radix = child_levels
-            for parent in parents:
-                code += radix * self.rows[:, parent]
-                radix *= self.levels[parent]
-                config_size *= self.levels[parent]
-            # sample b's cells sit at offset b * radix
-            offsets = np.arange(len(idx))[:, None] * radix
-            cell = np.bincount((code[idx] + offsets).ravel(),
-                               minlength=len(idx) * radix)
-            cell = cell.reshape(len(idx), config_size, child_levels)
-            config = cell.sum(axis=2)
-            # cell * ln(cell / config) on observed cells, 0 elsewhere, with
-            # the operations of scoring each sample alone
-            observed = np.flatnonzero(cell)
-            counts = cell.ravel()[observed]
-            terms = np.zeros(cell.size)
-            terms[observed] = np.log(
-                counts / config.ravel()[observed // child_levels]) * counts
-            loglik = terms.reshape(len(idx), -1).sum(axis=1)
-            k = (child_levels - 1) * config_size
+        for m, parents in enumerate(parent_sets.tolist()):
+            # counts as (sample, parents above the child, child, parents below)
+            if memo is None:
+                counts = self._counts(idx, [child, *parents]).reshape(
+                    len(idx), -1, child_levels, 1)
+                config = counts.sum(axis=2)
+            else:
+                family = tuple(sorted((child, *parents), reverse=True))
+                at = family.index(child)
+                config = self._marginal(memo, family[:at] + family[at + 1:])
+                counts = self._marginal(memo, family).reshape(
+                    len(idx), -1, child_levels, math.prod(self.levels[j] for j in family[at + 1:]))
+            loglik = self._log_terms(counts, config).reshape(len(idx), -1).sum(axis=1)
+            k = (child_levels - 1) * (config.size // len(idx))
             scores[:, m] = loglik - 0.5 * k * self._log_n
+        if child == self.p - 1 and parent_sets.shape[1] == self.max_parents:
+            # a fill (FamilyScoreTable._rows) ends with the last child's
+            # largest parent sets
+            self._memo = None
         return scores, {}
+
+    def _counts(self, idx: np.ndarray, variables: list[int]) -> np.ndarray:
+        """Counts (B, cells) of the joint levels of the ``variables`` in the
+        samples ``idx``, the first variable's level varying fastest."""
+        code = self.rows[:, variables[0]].copy()
+        radix = self.levels[variables[0]]
+        for j in variables[1:]:
+            code += radix * self.rows[:, j]
+            radix *= self.levels[j]
+        code = code[idx]
+        if len(idx) > 1:   # sample b's cells sit at offset b * radix
+            code += np.arange(0, len(idx) * radix, radix)[:, None]
+        return np.bincount(code.ravel(), minlength=len(idx) * radix).reshape(len(idx), radix)
+
+    def _marginals(self, resamples: slice, idx: np.ndarray) -> dict | None:
+        """The marginal memo of a fill across the samples ``idx``, started
+        with their joint count table; None for one sample or a joint whose
+        marginals would not fit."""
+        if len(idx) < 2 or len(idx) * math.prod(k + 1 for k in self.levels) > MARGINAL_ENTRIES:
+            return None
+        key = resamples.indices(self.samples)
+        if self._memo is None or self._memo[0] != key:
+            # variable j's level is digit j of the joint code, so the axes
+            # of the (B, levels...) table run from the last variable down
+            joint = self._counts(idx, list(range(self.p)))
+            self._memo = key, {tuple(range(self.p - 1, -1, -1)):
+                               joint.reshape((len(idx),) + self.levels[::-1])}
+        return self._memo[1]
+
+    def _marginal(self, memo: dict, variables: tuple[int, ...]) -> np.ndarray:
+        """Counts (B, levels...) of the ``variables`` (descending), summed
+        over one axis of the smallest memoized set of one more variable,
+        or of the smallest such set, derived first.  Ties go to the largest
+        extra variable, whose axis lies furthest out."""
+        counts = memo.get(variables)
+        if counts is None:
+            supersets = [tuple(sorted((*variables, j), reverse=True))
+                         for j in range(self.p - 1, -1, -1) if j not in variables]
+            known = [s for s in supersets if s in memo]
+            source = min(known or supersets,
+                         key=lambda s: math.prod(self.levels[j] for j in s))
+            extra = next(j for j in source if j not in variables)
+            counts = memo[variables] = self._marginal(memo, source).sum(
+                axis=1 + source.index(extra))
+        return counts
+
+    def _log_terms(self, counts: np.ndarray, config: np.ndarray) -> np.ndarray:
+        """c ln(c/N) of every cell count c whose configuration counts N
+        rows, 0 at c = 0, read from the count-pair table.  ``counts`` is
+        (sample, outer parents, child, inner parents) and the terms are
+        (sample, outer, inner, child), C-ordered: the layout of the cell
+        code child + levels * (first parent + levels * (second + ...)).
+        A row of the table holds the terms of c = 0..N, computed by the
+        same elementwise operations as on the counts themselves.  One
+        sample's few observed cells take their logs directly, which costs
+        less than the table rows their new counts would add."""
+        samples, outer, levels, inner = counts.shape
+        if samples == 1 and inner == 1:
+            cell = counts.ravel()
+            observed = np.flatnonzero(cell)
+            c = cell[observed]
+            terms = np.zeros(cell.size)
+            terms[observed] = np.log(c / config.ravel()[observed // levels]) * c
+            return terms
+        first = self._term_rows.take(config)
+        if (first < 0).any():
+            new = np.unique(config[first < 0])
+            width = new + 1
+            c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = np.log(c / np.repeat(new, width)) * c
+            rows[c == 0] = 0.0
+            self._term_rows[new] = self._terms.size + np.cumsum(width) - width
+            self._terms = np.concatenate([self._terms, rows])
+            first = self._term_rows.take(config)
+        index = np.empty((samples, outer, inner, levels), dtype=np.intp)
+        # iterated child-major, so the inner loop runs over the parents
+        np.add(first.reshape(samples, 1, outer, inner), counts.transpose(0, 2, 1, 3),
+               out=index.transpose(0, 3, 1, 2))
+        return self._terms.take(index)
 
 
 def bic_discrete(dag, data: DiscreteDataset) -> float:
@@ -306,6 +448,6 @@ def pairwise_mutual_information(data: DiscreteDataset) -> np.ndarray:
         for b in range(a + 1, p):
             t = np.zeros((data.levels[a], data.levels[b]))
             np.add.at(t, (data.rows[:, a], data.rows[:, b]), 1.0)
-            mi = float(_mi_row_terms(t, marginals[a], marginals[b], n).sum()) / n
+            mi = float(_mi_terms(t, marginals[a], marginals[b], n).sum(axis=1).sum()) / n
             out[a, b] = out[b, a] = max(mi, 0.0)
     return out

@@ -70,6 +70,25 @@ def test_simstudy_config_refuses_unknown_keys(tmp_path, capsys, settings, key):
     assert not (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("settings, key", [
+    ({"replicates": 1.9}, "'replicates'"),
+    ({"boot_samples": True}, "'boot_samples'"),
+    ({"methods": [{"name": "HC-D-F", "discretization": {
+        "method": "equal-frequency", "bins": 2.5}}]}, "'bins'"),
+    ({"methods": [{"name": "HC-D-F", "discretization": {
+        "method": "equal-frequency", "bins": "3"}}]}, "'bins'"),
+])
+def test_simstudy_config_refuses_counts_that_are_not_whole_numbers(
+        tmp_path, capsys, settings, key):
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({**SMALL_STUDY, **settings}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", config, "--out", out]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "whole number" in err
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_simstudy_config_reads_spec_numbers_as_their_default_type(tmp_path):
     config = tmp_path / "study.json"
     config.write_text(json.dumps({**SMALL_STUDY, "methods": [{

@@ -3,15 +3,18 @@
 Each reference below is the earlier implementation, kept test-local:
 
 - Hartemink's merge loop, which recomputed the loss vector of every
-  ordered variable pair at every merge step;
-- the multinomial family score that ran its `where`, division, `log` and
-  masking over every cell of the (sample, configuration, level) count
-  table, observed or not.
+  ordered variable pair at every merge step, one pair table at a time
+  (`_mi_row_terms`), C-ordered or as the transpose of a C-ordered table;
+- the multinomial family score that counted each family with its own
+  bincount and ran its `where`, division, `log` and masking over every
+  cell of the (sample, configuration, level) count table, observed or not.
 
 The fast paths must give the same floats, not merely close ones: the
 `simstudy` table and the digests of `discretize` are byte-identical
 contracts.
 """
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -27,14 +30,23 @@ from relqual.discretize import (
     DiscretizationSpec,
     Discretized,
     _assign,
+    _column_block_losses,
     _equal_frequency_edges,
-    _mi_row_terms,
+    _row_block_losses,
     discretize,
 )
 from relqual.search import FamilyScoreTable, _table
 
 
 # --- references ---------------------------------------------------------------
+
+
+def _mi_row_terms(block, row_marg, col_marg, n):
+    """Per-row contribution to n*MI for the given rows of a count table."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = block * n / np.outer(row_marg, col_marg)
+        terms = np.where(block > 0, block * np.log(np.where(block > 0, ratio, 1.0)), 0.0)
+    return terms.sum(axis=1)
 
 
 def serial_hartemink(data, spec):
@@ -166,9 +178,12 @@ def hartemink_cases(draw):
     """Columns that may be rounded (so quantile cut points repeat and
     fine bins come out empty), exact copies of an earlier column (so
     losses tie across variables), or constant; and a target bin count
-    anywhere from 2 up to the initial count, where no merge happens."""
-    p = draw(st.sampled_from(range(1, 6)))
-    n = draw(st.sampled_from([2, 3, 5, 8, 13, 21, 40, 60]))
+    anywhere from 2 up to the initial count, where no merge happens.  Up
+    to the simulation study's scale (six variables, 200 rows, 20 initial
+    bins), so that pair tables of 8 or more columns are merged in both
+    layouts."""
+    p = draw(st.sampled_from(range(1, 7)))
+    n = draw(st.sampled_from([2, 3, 5, 8, 13, 21, 40, 60, 120, 200]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.standard_normal((n, p))
     for j in range(p):
@@ -181,8 +196,8 @@ def hartemink_cases(draw):
             rows[:, j] = rows[:, draw(st.integers(0, j - 1))]
         elif kind == "constant" and draw(st.integers(0, 3)) == 0:
             rows[:, j] = 1.5
-    initial = draw(st.sampled_from(range(2, 15)))
-    bins = max(2, min(initial, n) - draw(st.sampled_from(range(13))))
+    initial = draw(st.sampled_from(range(2, 21)))
+    bins = max(2, min(initial, n) - draw(st.sampled_from(range(19))))
     data = Dataset(VariableSet([f"v{j}" for j in range(p)]), rows)
     return data, DiscretizationSpec(HARTEMINK, bins, hartemink_initial_bins=initial)
 
@@ -237,6 +252,55 @@ def test_hartemink_duplicated_columns_tie_across_variables():
     assert np.array_equal(got.dataset.rows[:, 0], got.dataset.rows[:, 1])
 
 
+def pair_losses(t, n):
+    """The loss vector of one pair table, as the full-recompute loop takes
+    it."""
+    r, c = t.sum(axis=1), t.sum(axis=0)
+    before = _mi_row_terms(t, r, c, n)
+    after = _mi_row_terms(t[:-1] + t[1:], r[:-1] + r[1:], c, n)
+    return before[:-1] + before[1:] - after
+
+
+@st.composite
+def pair_tables(draw):
+    """Count tables over up to 200 rows of one variable of 2 to 20 levels
+    against 1 to 5 others of 2 to 20 levels, with the first variable's
+    levels as rows: a C-ordered table (the first variable first in the
+    pair) or the transpose of one (the first variable second)."""
+    n = draw(st.sampled_from([2, 13, 60, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.lists(st.integers(2, 20), min_size=2, max_size=6))
+    codes = [rng.integers(0, k, size=n) for k in levels]
+    tables = []
+    for k, other in zip(levels[1:], codes[1:]):
+        first = draw(st.booleans())
+        t = np.zeros((levels[0], k) if first else (k, levels[0]))
+        np.add.at(t, (codes[0], other) if first else (other, codes[0]), 1.0)
+        tables.append(t if first else t.T)
+    return n, tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_tables())
+def test_batched_merge_losses_match_one_table_at_a_time(case):
+    n, tables = case
+    # the tables side by side: the first variable's losses against each
+    r = tables[0].sum(axis=1)
+    got = _column_block_losses(np.hstack(tables), r,
+                               np.concatenate([t.sum(axis=0) for t in tables]),
+                               list(accumulate((t.shape[1] for t in tables), initial=0)), n)
+    assert got.shape == (len(tables), len(r) - 1)
+    for row, t in zip(got, tables):
+        assert np.array_equal(bits(row), bits(pair_losses(t, n)))
+    # the transposes stacked: each other variable's losses against the first
+    flipped = [t.T for t in tables]
+    got = _row_block_losses(np.vstack(flipped), np.concatenate([t.sum(axis=1) for t in flipped]),
+                            r, list(accumulate(t.shape[0] for t in flipped)), n)
+    assert len(got) == len(flipped)
+    for loss, t in zip(got, flipped):
+        assert np.array_equal(bits(loss), bits(pair_losses(t, n)))
+
+
 def test_hartemink_still_rejects_columns_with_too_few_bins():
     rows = np.column_stack([np.arange(30.0), np.repeat([0.0, 1.0], 15)])
     data = Dataset(VariableSet(["x", "two"]), rows)
@@ -258,17 +322,22 @@ def test_hartemink_still_rejects_columns_with_too_few_bins():
 def discrete_tables(draw):
     """Level-coded data with unequal declared levels, some of them never
     observed, bootstrap resamples, and a parent cap anywhere from 0 up to
-    p - 1."""
-    p = draw(st.sampled_from(range(1, 6)))
-    n = draw(st.sampled_from([1, 2, 5, 12, 40]))
-    levels = tuple(draw(st.lists(st.sampled_from(range(1, 6)), min_size=p, max_size=p)))
+    p - 1.  One draw in eight has six variables of 8 to 10 levels, whose
+    joint count table has more marginals than ``MARGINAL_ENTRIES`` holds,
+    so that a fill across resamples counts each family on its own; its
+    cap stays at 2 or less to keep the reference's cell tables small."""
+    wide = draw(st.integers(0, 7)) == 0
+    p = 6 if wide else draw(st.sampled_from(range(1, 7)))
+    n = draw(st.sampled_from([1, 2, 5, 12, 40, 200]))
+    choices = range(8, 11) if wide else range(1, 6)
+    levels = tuple(draw(st.lists(st.sampled_from(choices), min_size=p, max_size=p)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     observed = [draw(st.integers(1, k)) for k in levels]
     rows = np.column_stack([rng.integers(0, m, size=n) for m in observed])
     data = DiscreteDataset(VariableSet([f"v{j}" for j in range(p)]), rows, levels)
     samples = draw(st.integers(2, 6))
     resamples = rng.integers(0, n, size=(samples, n))
-    return data, draw(st.integers(0, p - 1)), resamples
+    return data, draw(st.integers(0, 2 if wide else p - 1)), resamples
 
 
 def assert_same_table(got, want):
@@ -309,3 +378,30 @@ def test_family_scores_of_the_unequal_levels_example():
             got, _ = scorer.family_scores(child, sets)
             want, _ = reference.family_scores(child, sets)
             assert_same_table(got, want)
+
+
+def test_marginals_are_shared_only_where_they_fit():
+    rng = np.random.default_rng(9)
+    for levels, shared in (((3,) * 6, True), ((8,) * 6, False)):
+        rows = np.column_stack([rng.integers(0, k, 50) for k in levels])
+        data = DiscreteDataset(VariableSet([f"v{j}" for j in range(6)]), rows, levels)
+        resamples = rng.integers(0, 50, size=(2, 50))
+        table = _table(data, 2, resamples)
+        assert table.scorer._memo is None   # dropped when the fill ends
+        assert (table.scorer._marginals(slice(None), resamples) is not None) == shared
+        assert_same_table(
+            table.values,
+            FamilyScoreTable(DenseScoreCache(data, 2, resamples), data.variables).values)
+
+
+def test_the_count_pair_table_keeps_only_the_counts_seen():
+    rng = np.random.default_rng(3)
+    n = 20_000
+    data = DiscreteDataset(VariableSet(["a", "b", "c"]),
+                           rng.integers(0, 3, size=(n, 3)), (3, 3, 3))
+    resamples = rng.integers(0, n, size=(2, n))
+    table = _table(data, 2, resamples)
+    assert_same_table(
+        table.values,
+        FamilyScoreTable(DenseScoreCache(data, 2, resamples), data.variables).values)
+    assert table.scorer._terms.size < 0.01 * (n + 1) ** 2
