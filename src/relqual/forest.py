@@ -6,11 +6,20 @@ estimates, which also back the permutation importance measure.  Tuning is
 repeated k-fold cross-validation over an (ntree, mtry) grid; each fold
 grows the largest ntree of an mtry once and scores every smaller ntree
 from the first trees of that forest.
+
+Trees grow in lockstep, one lane per tree, each lane with its own
+depth-first stack and random stream: a step pops one node from every
+lane, takes the nodes' means and spreads in groups of equal size and
+scans all their candidate splits in padded blocks.  A forest's trees
+form one such run, and tuning grows the trees of every fold of an mtry
+in one.  Every tree, draw and prediction is the one that growing each
+tree on its own, recursively, would give, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -39,32 +48,19 @@ class ForestConfig:
         return mtry
 
 
+@dataclass(frozen=True, eq=False)
 class _Tree:
-    """Flat-array CART: internal nodes carry (feature, threshold), leaves
-    carry the training mean.  Nodes are appended to lists while the tree
-    grows; ``freeze`` then turns them into arrays for prediction."""
+    """Flat-array CART grown in depth-first pre-order: node 0 is the root
+    and an internal node's left child follows it.  Internal nodes carry
+    (feature, threshold) and both child ids, leaves feature -1 and the
+    training mean."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "gains")
-
-    def __init__(self, p: int):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.gains = np.zeros(p)
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def freeze(self) -> None:
-        for name in ("feature", "threshold", "left", "right", "value"):
-            setattr(self, name, np.asarray(getattr(self, name)))
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    gains: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf value per row; all rows descend one level per step."""
@@ -80,67 +76,215 @@ class _Tree:
         return self.value[node]
 
 
-def _best_split(block: np.ndarray, y: np.ndarray, mean: np.floating,
-                min_leaf: int) -> tuple[int, float, float] | None:
-    """Best (column, threshold, sse_reduction) over the candidate columns
-    of ``block``; ``mean`` is ``y.mean()``.
+# Bytes that one temporary of a split scan may take: a step's candidate
+# blocks are scanned in chunks of as many nodes as fit, and at least one.
+SCAN_BYTES = 1 << 17
+# Bootstrap rows that one batch of lockstep lanes may hold, counting each
+# lane at the table's row count.
+LANE_ROWS = 1 << 18
 
+
+def _bootstrap(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Tree t's stream and its n draws of rows below n; the stream goes on
+    to draw the tree's candidate features."""
+    rng = rng_from(split_seed(seed, 3, t))
+    return rng, rng.integers(0, n, size=n)
+
+
+def _ranked(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per feature (row of each table): every row's rank in the stable
+    sort of its column, and the column and ``y`` in that order.  A padding
+    row past the last ranks last, with +inf in x and 0 in y."""
+    n = x.shape[0]
+    by_rank = np.empty((x.shape[1], n + 1), dtype=np.int64)
+    by_rank[:, :n] = x.argsort(axis=0, kind="stable").T
+    by_rank[:, n] = n
+    rank = np.empty_like(by_rank)
+    np.put_along_axis(rank, by_rank, np.arange(n + 1), axis=1)
+    x = np.vstack([x, np.full(x.shape[1], np.inf)])
+    return rank, np.take_along_axis(x.T, by_rank, axis=1), np.append(y, 0.0)[by_rank]
+
+
+def _scan(ranked: tuple[np.ndarray, ...], rows: np.ndarray, start: np.ndarray,
+          size: np.ndarray, features: np.ndarray, total_sse: np.ndarray,
+          min_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (column, threshold, sse_reduction) per node, the column an index
+    into the node's row of ``features``.
+
+    Node i holds ``rows[start[i]:start[i] + size[i]]``, ascending row ids
+    into the tables ``_ranked`` made; nodes come largest first.
     Thresholds are midpoints between consecutive distinct sorted values;
-    both sides must keep at least min_leaf rows.  All candidate columns are
-    sorted and prefix-summed at once; a split must reduce the SSE by more
-    than 1e-12, and on a tie the first split point and the first column
-    win.
+    both sides must keep at least min_leaf rows.  A chunk of nodes is
+    padded with the padding row to its largest node.  Then every candidate
+    column is sorted and prefix-summed along the rows at once.  Sorting
+    the rows' ranks puts equal values in row order, which is their order
+    in the node, so each node's sorted prefix and running sums are those
+    of a stable sort of its own rows.  On a tie the first split point and
+    the first column win; a caller splits only where the reduction
+    exceeds 1e-12.
     """
-    n = y.shape[0]
-    if n < 2 * min_leaf:
-        return None
-    total_sse = float((y * y).sum() - n * mean ** 2)
-    cols = np.arange(block.shape[1])
-    order = block.argsort(axis=0, kind="stable")
-    xs = block[order, cols]
-    ys = y[order]
-    csum = ys.cumsum(axis=0)
-    csq = (ys * ys).cumsum(axis=0)
-    below = slice(min_leaf - 1, n - min_leaf)       # rows k - 1
-    k = np.arange(min_leaf, n - min_leaf + 1)[:, None]
-    left_sse = csq[below] - csum[below] ** 2 / k
-    rs = csum[-1] - csum[below]
-    rq = csq[-1] - csq[below]
-    right_sse = rq - rs ** 2 / (n - k)
-    reduction = total_sse - (left_sse + right_sse)
-    reduction[~(xs[below] < xs[min_leaf:n - min_leaf + 1])] = -np.inf
-    at = reduction.argmax(axis=0)
-    gains = reduction[at, cols]
-    c = int(gains.argmax())
-    if not gains[c] > 1e-12:
-        return None
-    split_at = min_leaf + at[c]
-    threshold = (xs[split_at - 1, c] + xs[split_at, c]) / 2.0
-    return c, float(threshold), float(gains[c])
+    rank, x_sorted, y_sorted = (table.ravel() for table in ranked)
+    m, mtry = features.shape
+    column = np.empty(m, dtype=np.int64)
+    threshold = np.empty(m)
+    gain = np.empty(m)
+    pad = ranked[0].shape[1] - 1
+    rows = np.append(rows, pad)
+    offset = (features * (pad + 1))[:, :, None]     # each feature's table row
+    a = 0
+    while a < m:
+        width = int(size[a])
+        b = min(m, a + max(1, SCAN_BYTES // (8 * mtry * width)))
+        node = np.arange(b - a)
+        n = size[a:b]
+        at = np.arange(width)
+        ids = rows[np.where(at < n[:, None], start[a:b, None] + at, rows.size - 1)]
+        # ranks are distinct but for repeats of one bootstrapped row, whose
+        # order does not matter
+        ranks = rank.take(offset[a:b] + ids[:, None, :])
+        ranks.sort(axis=-1)
+        ranks += offset[a:b]
+        xs = x_sorted.take(ranks)
+        ys = y_sorted.take(ranks)
+        csum = ys.cumsum(axis=-1)
+        csq = (ys * ys).cumsum(axis=-1)
+        below = slice(min_leaf - 1, width - min_leaf)   # rows k - 1
+        k = np.arange(min_leaf, width - min_leaf + 1)
+        rest = n[:, None, None] - k
+        # past a node's own rows rest reaches 0: those points are masked
+        # out below, after the arithmetic
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left_sse = csq[..., below] - csum[..., below] ** 2 / k
+            rs = csum[node, :, n - 1][..., None] - csum[..., below]
+            rq = csq[node, :, n - 1][..., None] - csq[..., below]
+            right_sse = rq - rs ** 2 / rest
+            reduction = total_sse[a:b, None, None] - (left_sse + right_sse)
+        distinct = xs[..., below] < xs[..., min_leaf:width - min_leaf + 1]
+        reduction[~((rest >= min_leaf) & distinct)] = -np.inf
+        gains = reduction.max(axis=-1)
+        best = gains.argmax(axis=-1)
+        split_at = min_leaf + reduction[node, best].argmax(axis=-1)
+        column[a:b] = best
+        gain[a:b] = gains[node, best]
+        threshold[a:b] = (xs[node, best, split_at - 1]
+                          + xs[node, best, split_at]) / 2.0
+        a = b
+    return column, threshold, gain
 
 
-def _grow(tree: _Tree, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
-          mtry: int, min_leaf: int, rng: np.random.Generator) -> int:
-    node = tree._new_node()
-    yn = y[rows]
-    mean = yn.mean()
-    tree.value[node] = float(mean)
-    if rows.size < 2 * min_leaf or np.ptp(yn) == 0.0:
-        return node
-    features = rng.choice(x.shape[1], size=mtry, replace=False)
-    block = x[rows[:, None], features]
-    split = _best_split(block, yn, mean, min_leaf)
-    if split is None:
-        return node
-    c, threshold, gain = split
-    f = int(features[c])
-    tree.gains[f] += gain
-    mask = block[:, c] < threshold
-    tree.feature[node] = f
-    tree.threshold[node] = threshold
-    tree.left[node] = _grow(tree, x, y, rows[mask], mtry, min_leaf, rng)
-    tree.right[node] = _grow(tree, x, y, rows[~mask], mtry, min_leaf, rng)
-    return node
+def _grow_trees(x: np.ndarray, y: np.ndarray, lanes, mtry: int, min_leaf: int):
+    """Yield (key, tree) for each (key, rng, rows) of ``lanes``, in order:
+    a CART tree on ``rows`` (ascending ids into ``x`` and ``y``, repeats
+    allowed) that draws its candidate features from ``rng``.
+
+    Trees grow in lockstep, one lane per tree, in batches of lanes that
+    hold at most LANE_ROWS rows between them.  Each lane keeps its own
+    depth-first stack (right child pushed first) and each step pops one
+    node per lane, so a lane draws its features in pre-order, as a
+    recursive grower would.
+    """
+    batch_lanes = max(1, LANE_ROWS // x.shape[0])
+    ranked = _ranked(x, y)
+    lanes = iter(lanes)
+    while batch := list(islice(lanes, batch_lanes)):
+        keys, rngs, bags = zip(*batch)
+        yield from zip(keys, _grow_batch(x, y, ranked, rngs, bags, mtry,
+                                         min_leaf))
+
+
+def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
+                rngs, bags, mtry: int, min_leaf: int) -> list[_Tree]:
+    """One batch of ``_grow_trees``, ``ranked`` the tables ``_ranked``
+    made of x and y.  A lane's node id is the step that popped it.
+
+    A node's sum and square sum come from the equal-size rows of a step's
+    nodes grouped by size, as numpy's pairwise sums depend on the length
+    summed; max and min are exact in any grouping.  Its total SSE is
+    ``float(q) - n * float(mean) ** 2``: that ``pow`` can differ from an
+    array square in the last bit."""
+    p = x.shape[1]
+    y2 = np.stack([y, y * y])
+    # entries (lane, rows, the parent's id for a right child, else -1)
+    stacks = [[(lane, rows, -1)] for lane, rows in enumerate(bags)]
+    active = list(range(len(bags)))
+    gains = np.zeros((len(bags), p))
+    steps = []
+    while active:
+        nodes = sorted((stacks[i].pop() for i in active),
+                       key=lambda node: -node[1].size)
+        lane = np.array([node[0] for node in nodes])
+        rows = [node[1] for node in nodes]
+        parent = np.array([node[2] for node in nodes])
+        size = np.array([r.size for r in rows])
+        start = np.cumsum(size) - size
+        flat = np.concatenate(rows)
+        # pairwise sums over rows that are not contiguous take another
+        # order: take keeps them contiguous, y2[:, flat] would not
+        both = y2.take(flat, axis=1)
+        sums = np.empty((2, size.size))
+        edges = [0, *(np.flatnonzero(np.diff(size)) + 1).tolist(), size.size]
+        for a, b in zip(edges[:-1], edges[1:]):
+            n = int(size[a])
+            sums[:, a:b] = both[:, start[a]:start[a] + (b - a) * n].reshape(
+                2, b - a, n).sum(axis=-1)
+        varies = (np.maximum.reduceat(both[0], start)
+                  > np.minimum.reduceat(both[0], start))
+        mean = sums[0] / size
+        feature = np.full(size.size, -1)
+        threshold = np.zeros(size.size)
+        can = np.flatnonzero((size >= 2 * min_leaf) & varies)
+        if can.size:
+            drawn = np.array([rngs[i].choice(p, size=mtry, replace=False)
+                              for i in lane[can].tolist()])
+            total_sse = np.array([q - n * m ** 2 for q, n, m in zip(
+                sums[1, can].tolist(), size[can].tolist(), mean[can].tolist())])
+            column, cut, gain = _scan(ranked, flat, start[can], size[can], drawn,
+                                      total_sse, min_leaf)
+            keep = gain > 1e-12
+            split = can[keep]
+            f = drawn[keep, column[keep]]
+            cut = cut[keep]
+            feature[split] = f
+            threshold[split] = cut
+            gains[lane[split], f] += gain[keep]
+            # each split node's rows, its left side then its right, both
+            # in the node's own order
+            chosen = np.zeros(size.size, dtype=bool)
+            chosen[split] = True
+            held = flat[np.repeat(chosen, size)]
+            which = np.repeat(np.arange(split.size), size[split])
+            side = 2 * which + (x[held, f[which]] >= cut[which])
+            held = held[np.argsort(side, kind="stable")]
+            ends = np.cumsum(np.bincount(side, minlength=2 * split.size)).tolist()
+            ends.insert(0, 0)
+            step = len(steps)
+            for i, owner in enumerate(lane[split].tolist()):
+                stacks[owner].append((owner, held[ends[2 * i + 1]:ends[2 * i + 2]],
+                                      step))
+                stacks[owner].append((owner, held[ends[2 * i]:ends[2 * i + 1]], -1))
+        steps.append((lane, parent, mean, feature, threshold))
+        active = [i for i in active if stacks[i]]
+    return _assemble(steps, gains)
+
+
+def _assemble(steps, gains: np.ndarray) -> list[_Tree]:
+    """Trees from a batch's per-step records of (lane, parent, value,
+    feature, threshold), node id = step."""
+    lane = np.concatenate([s[0] for s in steps])
+    node = np.repeat(np.arange(len(steps)), [s[0].size for s in steps])
+    order = np.argsort(lane, kind="stable")
+    lane, node = lane[order], node[order]
+    parent, value, feature, threshold = (np.concatenate(column)[order]
+                                         for column in list(zip(*steps))[1:])
+    count = np.bincount(lane, minlength=len(gains))
+    first = np.cumsum(count) - count
+    left = np.where(feature >= 0, node + 1, -1)
+    right = np.full(node.size, -1)
+    child = parent >= 0
+    right[first[lane[child]] + parent[child]] = node[child]
+    return [_Tree(*(column[s:s + c] for column in (feature, threshold, left, right,
+                                                  value)), gains[i])
+            for i, (s, c) in enumerate(zip(first.tolist(), count.tolist()))]
 
 
 @dataclass
@@ -176,6 +320,10 @@ class ForestModel:
 
     def oob_r2(self) -> float:
         preds, covered = self.oob_predictions()
+        if not covered.any():
+            raise InsufficientRowsError(
+                f"no row is out of bag for any of {len(self.trees)} trees; "
+                "out-of-bag R^2 needs more trees or more rows")
         y = self.y[covered]
         sse = float(np.sum((y - preds[covered]) ** 2))
         sst = float(np.sum((y - y.mean()) ** 2))
@@ -188,32 +336,33 @@ class ForestModel:
         return gains / len(self.trees)
 
 
-def fit_forest(data: Dataset, response: str, cfg: ForestConfig) -> ForestModel:
-    """Grow ntree bootstrap CART trees for ``response``; deterministic in
-    the seed, with one derived stream per tree."""
+def _design(data: Dataset, response: str, cfg: ForestConfig,
+            n: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, int]:
+    """Predictor names, their columns, the response column and mtry, for
+    trees that each bootstrap n rows."""
     predictors = tuple(v for v in data.variables.names if v != response)
     if not predictors:
         raise ValueError("no predictor columns")
-    cols = [data.variables.index(v) for v in predictors]
-    x = data.rows[:, cols]
-    y = data.column(response)
-    n = x.shape[0]
     if n < 2 * cfg.min_leaf:
         raise InsufficientRowsError(f"need at least {2 * cfg.min_leaf} rows")
     mtry = cfg.resolved_mtry(len(predictors))
+    x = data.rows[:, [data.variables.index(v) for v in predictors]]
+    return predictors, x, data.column(response), mtry
 
-    trees = []
+
+def fit_forest(data: Dataset, response: str, cfg: ForestConfig) -> ForestModel:
+    """Grow ntree bootstrap CART trees for ``response``; deterministic in
+    the seed, with one derived stream per tree."""
+    predictors, x, y, mtry = _design(data, response, cfg, data.n)
+    lanes = []
     oob_rows = []
     for t in range(cfg.ntree):
-        rng = rng_from(split_seed(cfg.seed, 3, t))
-        drawn = rng.integers(0, n, size=n)
-        in_bag = np.zeros(n, dtype=bool)
+        rng, drawn = _bootstrap(cfg.seed, t, data.n)
+        in_bag = np.zeros(data.n, dtype=bool)
         in_bag[drawn] = True
-        tree = _Tree(len(predictors))
-        _grow(tree, x, y, np.sort(drawn), mtry, cfg.min_leaf, rng)
-        tree.freeze()
-        trees.append(tree)
+        lanes.append((t, rng, np.sort(drawn)))
         oob_rows.append(np.flatnonzero(~in_bag))
+    trees = [tree for _, tree in _grow_trees(x, y, lanes, mtry, cfg.min_leaf)]
     return ForestModel(response, predictors, trees, oob_rows, x, y, cfg)
 
 
@@ -283,16 +432,29 @@ def _fold_assignments(n: int, k_folds: int, seed: int, repeat: int) -> np.ndarra
     return labels[rng.permutation(n)]
 
 
+def _cv_lanes(tests: list[np.ndarray], cfg: ForestConfig):
+    """(fold, rng, rows) for each tree of each fold's forest, in order: the
+    tree that ``fit_forest`` grows on the rows outside ``tests[fold]``,
+    with its rows as ids into the whole table."""
+    for fold, test in enumerate(tests):
+        train = np.flatnonzero(~test)
+        for t in range(cfg.ntree):
+            rng, drawn = _bootstrap(cfg.seed, t, train.size)
+            yield fold, rng, train[np.sort(drawn)]
+
+
 def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
            ntrees: tuple[int, ...], k_repeats: int, k_folds: int,
            seed: int) -> np.ndarray:
     """Held-out R^2 per (ntree, repeat, fold), SS_tot around the fold mean.
 
-    Each fold grows one forest of cfg.ntree = max(ntrees) trees and adds
-    their test predictions one tree at a time, as ``ForestModel.predict``
-    does; tree t's stream does not depend on ntree, so the running sum
-    after tree k divided by k is the k-tree forest's prediction, float for
-    float."""
+    Every fold's forest of cfg.ntree = max(ntrees) trees grows in one
+    lockstep run over the whole table, each tree on the rows that
+    ``fit_forest`` would draw from the fold's training rows.  A fold adds
+    its trees' test predictions one tree at a time, as
+    ``ForestModel.predict`` does; tree t's stream does not depend on
+    ntree, so the running sum after tree k divided by k is the k-tree
+    forest's prediction, float for float."""
     if k_repeats < 1:
         raise ValueError(f"k_repeats must be >= 1, got {k_repeats}")
     if not 2 <= k_folds <= data.n:
@@ -300,26 +462,27 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
                          f"got {k_folds}")
     if min(ntrees) < 1:
         raise ValueError("ntree must be >= 1")
+    # fold 0 holds the most rows, so its training set is the smallest
+    _, x, y, mtry = _design(data, response, cfg, data.n - -(-data.n // k_folds))
     row_of = {ntree: i for i, ntree in enumerate(ntrees)}
-    y_col = data.variables.index(response)
-    x_cols = [i for i in range(data.rows.shape[1]) if i != y_col]
-    scores = np.empty((len(ntrees), k_repeats * k_folds))
+    tests = []      # test rows per fold, fold counted as repeat * k_folds + fold
     for repeat in range(k_repeats):
         folds = _fold_assignments(data.n, k_folds, seed, repeat)
-        for fold in range(k_folds):
-            test = folds == fold
-            model = fit_forest(data.take_rows(np.flatnonzero(~test)), response,
-                               cfg)
-            x_test = data.rows[test][:, x_cols]
-            y_test = data.rows[test, y_col]
+        tests += [folds == fold for fold in range(k_folds)]
+    votes = [np.zeros(test.sum()) for test in tests]
+    grown = [0] * len(tests)
+    scores = np.empty((len(ntrees), len(tests)))
+    for fold, tree in _grow_trees(x, y, _cv_lanes(tests, cfg), mtry,
+                                  cfg.min_leaf):
+        test = tests[fold]
+        votes[fold] += tree.predict(x[test])
+        grown[fold] += 1
+        t = grown[fold]
+        if t in row_of:
+            y_test = y[test]
             sst = float(np.sum((y_test - y_test.mean()) ** 2))
-            votes = np.zeros(y_test.shape[0])
-            for t, tree in enumerate(model.trees, start=1):
-                votes += tree.predict(x_test)
-                if t in row_of:
-                    sse = float(np.sum((y_test - votes / t) ** 2))
-                    scores[row_of[t], repeat * k_folds + fold] = \
-                        1.0 - sse / sst if sst > 0 else 0.0
+            sse = float(np.sum((y_test - votes[fold] / t) ** 2))
+            scores[row_of[t], fold] = 1.0 - sse / sst if sst > 0 else 0.0
     return scores
 
 

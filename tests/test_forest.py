@@ -198,6 +198,15 @@ def test_importance_without_usable_oob_rows_names_the_cause():
         permutation_importance(model)
 
 
+def test_oob_r2_without_out_of_bag_rows_names_the_cause():
+    # both rows drawn into the one tree's bootstrap: no row is ever held out
+    data = Dataset(VariableSet(["x", "y"]), np.array([[0.0, 1.0], [1.0, 3.0]]))
+    model = fit_forest(data, "y", ForestConfig(ntree=1, min_leaf=1, seed=1))
+    assert model.oob_rows[0].size == 0
+    with pytest.raises(InsufficientRowsError, match="no row is out of bag"):
+        model.oob_r2()
+
+
 def test_importance_rejects_zero_repeats():
     model = fit_forest(informative_vs_noise(3, n=60), "y", ForestConfig(ntree=5))
     with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):

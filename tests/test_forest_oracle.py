@@ -2,7 +2,8 @@
 
 Each reference below is the earlier implementation, kept test-local:
 
-- the per-feature `_best_split` loop and the `_grow` that called it;
+- the per-feature split loop and the recursive grower that called it,
+  one tree at a time, appending nodes to lists;
 - the list-based `_Tree.predict` walk;
 - the per-tree permutation loop of `permutation_importance`;
 - the per-cell CV loop of `tune_forest`, which grew one forest per cell
@@ -23,8 +24,11 @@ from relqual.data import Dataset
 from relqual.forest import (
     ForestConfig,
     TuneCell,
-    _best_split,
+    _cv_lanes,
     _fold_assignments,
+    _grow_trees,
+    _ranked,
+    _scan,
     ablate_predictor,
     cv_r2_without,
     fit_forest,
@@ -66,6 +70,21 @@ def serial_best_split(x, y, features, min_leaf):
     return best
 
 
+class ListTree:
+    """The tree the serial grower appends nodes to, one list per field."""
+
+    def __init__(self, p):
+        self.feature, self.threshold, self.left, self.right, self.value = \
+            [], [], [], [], []
+        self.gains = np.zeros(p)
+
+    def _new_node(self):
+        for name, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                            ("right", -1), ("value", 0.0)):
+            getattr(self, name).append(blank)
+        return len(self.feature) - 1
+
+
 def serial_grow(tree, x, y, rows, mtry, min_leaf, rng):
     node = tree._new_node()
     yn = y[rows]
@@ -86,10 +105,32 @@ def serial_grow(tree, x, y, rows, mtry, min_leaf, rng):
     return node
 
 
+def serial_forest(x, y, cfg):
+    """`fit_forest`'s trees, grown one at a time on each tree's stream."""
+    mtry = cfg.resolved_mtry(x.shape[1])
+    trees = []
+    for t in range(cfg.ntree):
+        rng = rng_from(split_seed(cfg.seed, 3, t))
+        drawn = rng.integers(0, x.shape[0], size=x.shape[0])
+        tree = ListTree(x.shape[1])
+        serial_grow(tree, x, y, np.sort(drawn), mtry, cfg.min_leaf, rng)
+        trees.append(tree)
+    return trees
+
+
 def one_pass_split(x, y, features, min_leaf):
-    """`_best_split` in the reference's terms: a feature, not a column."""
-    split = _best_split(x[:, features], y, y.mean(), min_leaf)
-    return None if split is None else (int(features[split[0]]),) + split[1:]
+    """The lockstep scan on one node, in the reference's terms: a feature,
+    not a column, and None unless the split gains more than 1e-12."""
+    n = y.shape[0]
+    if n < 2 * min_leaf:
+        return None
+    total_sse = float(np.sum(y * y)) - n * float(y.mean()) ** 2
+    column, threshold, gain = _scan(
+        _ranked(x, y), np.arange(n), np.array([0]), np.array([n]),
+        features[None, :], np.array([total_sse]), min_leaf)
+    if not gain[0] > 1e-12:
+        return None
+    return int(features[column[0]]), float(threshold[0]), float(gain[0])
 
 
 def list_predict(tree, x):
@@ -234,27 +275,87 @@ def test_half_the_rows_per_side_leaves_one_split_point():
 # --- grown trees --------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
-@given(tables(min_rows=4, max_rows=40), st.integers(1, 3), st.integers(0, 99),
-       st.data())
-def test_trees_and_their_walk_match_the_serial_code(table, min_leaf, seed, data):
+def assert_same_trees(fast, slow, x):
+    assert len(fast) == len(slow)
+    # probe rows on the training values, so rows land exactly on and
+    # around the thresholds (midpoints of training values)
+    probe = np.vstack([x, (x[:-1] + x[1:]) / 2.0, x + 0.25])
+    for a, b in zip(fast, slow):
+        for name in ("feature", "threshold", "left", "right", "value", "gains"):
+            assert np.array_equal(getattr(a, name), np.asarray(getattr(b, name)))
+        assert np.array_equal(a.predict(probe), list_predict(b, probe))
+        assert a.predict(probe[:0]).shape == (0,)
+
+
+def check_forest(table, min_leaf, seed, data):
     x, y = table
     cfg = ForestConfig(ntree=4, mtry=data.draw(st.integers(1, x.shape[1])),
                        min_leaf=min_leaf, seed=seed)
     if x.shape[0] < 2 * min_leaf:
         return
     fast = fit_forest(dataset(x, y), "y", cfg)
+    assert_same_trees(fast.trees, serial_forest(x, y, cfg), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(min_rows=4, max_rows=40), st.integers(1, 3), st.integers(0, 99),
+       st.data())
+def test_trees_and_their_walk_match_the_serial_code(table, min_leaf, seed, data):
+    check_forest(table, min_leaf, seed, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables(min_rows=4, max_rows=40), st.integers(1, 3), st.integers(0, 99),
+       st.data())
+def test_trees_match_the_serial_code_one_node_per_scan_chunk(table, min_leaf,
+                                                              seed, data):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forest, "_grow", serial_grow)
-        slow = fit_forest(dataset(x, y), "y", cfg)
-    # probe rows on the training values, so rows land exactly on and
-    # around the thresholds (midpoints of training values)
-    probe = np.vstack([x, (x[:-1] + x[1:]) / 2.0, x + 0.25])
-    for a, b in zip(fast.trees, slow.trees):
-        for name in ("feature", "threshold", "left", "right", "value", "gains"):
-            assert np.array_equal(getattr(a, name), np.asarray(getattr(b, name)))
-        assert np.array_equal(a.predict(probe), list_predict(b, probe))
-        assert a.predict(probe[:0]).shape == (0,)
+        mp.setattr(forest, "SCAN_BYTES", 1)
+        check_forest(table, min_leaf, seed, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(min_rows=5, max_rows=41), st.sampled_from([2, 3]),
+       st.integers(1, 3), st.integers(0, 99), st.sampled_from([None, 1]),
+       st.data())
+def test_cv_lanes_from_unequal_folds_match_the_serial_code(
+        table, k_folds, min_leaf, seed, lane_rows, data):
+    # an odd row count splits into folds of unequal size, so lanes of one
+    # batch bootstrap different numbers of rows
+    x, y = table
+    if x.shape[0] % 2 == 0:
+        x, y = x[1:], y[1:]
+    n, p = x.shape
+    cfg = ForestConfig(ntree=3, mtry=data.draw(st.integers(1, p)),
+                       min_leaf=min_leaf, seed=seed)
+    tests = []
+    for repeat in range(2):
+        folds = _fold_assignments(n, k_folds, seed, repeat)
+        tests += [folds == fold for fold in range(k_folds)]
+    if n - max(test.sum() for test in tests) < 2 * min_leaf:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        if lane_rows is not None:
+            mp.setattr(forest, "LANE_ROWS", lane_rows)
+        grown = list(_grow_trees(x, y, _cv_lanes(tests, cfg), cfg.mtry, min_leaf))
+    assert [fold for fold, _ in grown] == \
+        [fold for fold in range(len(tests)) for _ in range(cfg.ntree)]
+    for fold, test in enumerate(tests):
+        train = np.flatnonzero(~test)
+        fast = [tree for at, tree in grown if at == fold]
+        assert_same_trees(fast, serial_forest(x[train], y[train], cfg), x)
+
+
+def test_gains_of_a_fixed_case_are_the_serial_bits():
+    # the total SSE must square each node mean as a Python float does:
+    # an array square of the means changes these gains
+    rng = np.random.default_rng(68)
+    x = rng.standard_normal((20, 2))
+    y = x[:, 0] + rng.standard_normal(20)
+    cfg = ForestConfig(ntree=4, mtry=2, min_leaf=1, seed=0)
+    fast = fit_forest(dataset(x, y), "y", cfg)
+    for a, b in zip(fast.trees, serial_forest(x, y, cfg), strict=True):
+        assert np.array_equal(a.gains, b.gains)
 
 
 # --- permutation importance ---------------------------------------------------
