@@ -63,17 +63,34 @@ class _Tree:
     gains: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value per row; all rows descend one level per step."""
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        active = np.arange(x.shape[0])
-        while active.size:
-            at = node[active]
-            f = self.feature[at]
-            inner = f >= 0
-            active, at, f = active[inner], at[inner], f[inner]
-            goes_left = x[active, f] < self.threshold[at]
-            node[active] = np.where(goes_left, self.left[at], self.right[at])
-        return self.value[node]
+        """Leaf value per row."""
+        return _predict_all([self], x, [np.arange(x.shape[0])])[0]
+
+
+def _predict_all(trees: list[_Tree], x: np.ndarray,
+                 rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Leaf value per row of ``x[rows[i]]`` in ``trees[i]``, for every i:
+    all trees' rows descend together, one level per step, over the trees'
+    node arrays laid end to end."""
+    size = np.array([tree.feature.size for tree in trees])
+    first = np.cumsum(size) - size
+    shift = np.repeat(first, size)
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    left, right = left + shift, right + shift
+    count = [r.size for r in rows]
+    row = np.concatenate(rows)
+    node = np.repeat(first, count)
+    active = np.arange(row.size)
+    while active.size:
+        at = node[active]
+        f = feature[at]
+        inner = f >= 0
+        active, at, f = active[inner], at[inner], f[inner]
+        goes_left = x[row[active], f] < threshold[at]
+        node[active] = np.where(goes_left, left[at], right[at])
+    return np.split(value[node], np.cumsum(count)[:-1])
 
 
 # Bytes that one temporary of a split scan may take: a step's candidate
@@ -450,8 +467,9 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
 
     Every fold's forest of cfg.ntree = max(ntrees) trees grows in one
     lockstep run over the whole table, each tree on the rows that
-    ``fit_forest`` would draw from the fold's training rows.  A fold adds
-    its trees' test predictions one tree at a time, as
+    ``fit_forest`` would draw from the fold's training rows.  Each batch
+    of grown trees walks its folds' test rows together; a fold still adds
+    its trees' test predictions one tree at a time, in tree order, as
     ``ForestModel.predict`` does; tree t's stream does not depend on
     ntree, so the running sum after tree k divided by k is the k-tree
     forest's prediction, float for float."""
@@ -469,20 +487,22 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
     for repeat in range(k_repeats):
         folds = _fold_assignments(data.n, k_folds, seed, repeat)
         tests += [folds == fold for fold in range(k_folds)]
-    votes = [np.zeros(test.sum()) for test in tests]
+    test_rows = [np.flatnonzero(test) for test in tests]
+    votes = [np.zeros(rows.size) for rows in test_rows]
     grown = [0] * len(tests)
     scores = np.empty((len(ntrees), len(tests)))
-    for fold, tree in _grow_trees(x, y, _cv_lanes(tests, cfg), mtry,
-                                  cfg.min_leaf):
-        test = tests[fold]
-        votes[fold] += tree.predict(x[test])
-        grown[fold] += 1
-        t = grown[fold]
-        if t in row_of:
-            y_test = y[test]
-            sst = float(np.sum((y_test - y_test.mean()) ** 2))
-            sse = float(np.sum((y_test - votes[fold] / t) ** 2))
-            scores[row_of[t], fold] = 1.0 - sse / sst if sst > 0 else 0.0
+    trees = _grow_trees(x, y, _cv_lanes(tests, cfg), mtry, cfg.min_leaf)
+    while batch := list(islice(trees, max(1, LANE_ROWS // x.shape[0]))):
+        folds, batch = zip(*batch)
+        for fold, pred in zip(folds, _predict_all(batch, x, [test_rows[f] for f in folds])):
+            votes[fold] += pred
+            grown[fold] += 1
+            t = grown[fold]
+            if t in row_of:
+                y_test = y[test_rows[fold]]
+                sst = float(np.sum((y_test - y_test.mean()) ** 2))
+                sse = float(np.sum((y_test - votes[fold] / t) ** 2))
+                scores[row_of[t], fold] = 1.0 - sse / sst if sst > 0 else 0.0
     return scores
 
 

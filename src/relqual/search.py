@@ -8,8 +8,11 @@ every (resample, restart) pair at once, each a lane of numpy bitmask
 arrays: a step derives the legal moves of all lanes from their parent,
 child and ancestor masks, gathers the moves' gains from the table, and
 picks one move per lane by the first-strictly-best rule of a serial scan.
-All randomness flows through counter-split seeds; results do not depend
-on scheduling.
+The random starts are lanes too: every (resample, restart) start takes
+its perturbing moves at once, each resample's generator draws one block
+of raw values, and each lane replays numpy's bounded draws from its own
+position in that block.  All randomness flows through counter-split
+seeds; results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -239,33 +242,114 @@ def _apply_moves(parents: np.ndarray, children: np.ndarray, lanes: np.ndarray,
     return u, v, reverse
 
 
-def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
-                      rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Parents and children, (p, samples, restarts - 1), of every perturbed
-    start: the empty graph after up to ``cfg.perturb`` random legal moves.
+class _RawDraws:
+    """Each generator's raw uint32 draws (numpy's ``next_uint32``), one row
+    per generator: a first block of ``width`` draws, topped up from the
+    same generators by another ``width`` whenever a read runs past it."""
 
-    Scores are never read.  Each sample draws from its own generator, one
-    ``integers(count)`` per move, restart after restart, and a restart
-    with no legal move left stops early, as the serial search drew them.
+    def __init__(self, rngs: list, width: int):
+        self.rngs, self.width = rngs, width
+        self.block = self._draw()
+
+    def _draw(self) -> np.ndarray:
+        return np.stack([rng.integers(0, 2**32, size=self.width, dtype=np.uint32)
+                         for rng in self.rngs])
+
+    def __call__(self, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The draws at positions ``at`` of generators ``rows``."""
+        while at.max() >= self.block.shape[1]:
+            self.block = np.hstack([self.block, self._draw()])
+        return self.block[rows, at]
+
+
+def _integers(raw: _RawDraws, rows: np.ndarray, at: np.ndarray,
+              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(count)`` of each (generator row, position,
+    count > 0), replayed from raw draws; returns the values and the
+    positions past the draws they used.
+
+    This is numpy's bounded draw (Lemire 2019, with numpy's rejection
+    rule): a count of 1 draws nothing; otherwise m = x * count in 64 bits,
+    a draw whose low word is below (2^32 - count) mod count is rejected
+    for the next one, and the value is m >> 32.
+    """
+    bound = counts.astype(np.uint64)
+    threshold = (2**32 - bound) % bound
+    values = np.zeros(len(counts), dtype=np.int64)
+    at = at.copy()
+    todo = np.flatnonzero(counts > 1)
+    while todo.size:
+        m = raw(rows[todo], at[todo]).astype(np.uint64) * bound[todo]
+        at[todo] += 1
+        values[todo] = m >> 32
+        todo = todo[(m & 0xFFFFFFFF) < threshold[todo]]
+    return values, at
+
+
+def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
+                      rngs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parents and children, (p, samples, restarts - 1), of every perturbed
+    start: the empty graph after up to ``cfg.perturb`` random legal moves;
+    and the raw draws each sample's generator used.
+
+    Scores are never read.  The serial search drew, per sample, one
+    ``integers(count)`` per move from the sample's generator, restart
+    after restart, a restart with no legal move left stopping early.  Here
+    every (sample, restart) is a lane, each generator draws one block of
+    raw draws, and each lane replays its ``integers`` calls (``_integers``)
+    from its own base position in the block.
+
+    A lane's base is the sum of the draws its sample's earlier restarts
+    used.  It is guessed as restart * perturb, which is exact unless a
+    draw is rejected (below 1e-7 per draw at p = 6): a sample that allows
+    any pair has at least two legal moves at every step (two adds, or a
+    delete and the reverse of a lone edge), so each of its restarts draws
+    once per move, and one that allows none draws nothing (base 0).  After
+    a pass the bases are recomputed from the draws the lanes used, and the
+    lanes whose base moved run again until none does; restart r's base is
+    right after r passes at the latest.
+
+    The replay holds as long as numpy's ``Generator.integers`` keeps this
+    algorithm, unchanged since numpy 1.17; tests/test_search_oracle.py
+    checks it against the installed numpy.
     """
     p, samples = allow.shape
-    parents = np.zeros((p, samples, cfg.restarts - 1), dtype=np.int64)
+    restarts, moves = cfg.restarts - 1, cfg.perturb
+    lanes = samples * restarts
+    parents = np.zeros((p, lanes), dtype=np.int64)
     children = np.zeros_like(parents)
-    for r in range(cfg.restarts - 1):
-        par, chi = parents[:, :, r], children[:, :, r]
-        live = np.arange(samples)
-        for _ in range(cfg.perturb):
-            flags = _move_flags(par[:, live], chi[:, live], allow[:, live],
-                                cfg.max_parents).reshape(-1, live.size)
-            counts = flags.sum(axis=0)
-            live, flags, counts = live[counts > 0], flags[:, counts > 0], counts[counts > 0]
-            if not live.size:
-                break
-            picks = [rngs[s].integers(c) for s, c in zip(live.tolist(), counts.tolist())]
-            # the k-th legal move is the first whose running count exceeds k
-            moves = (flags.cumsum(axis=0) <= np.array(picks)).sum(axis=0)
-            _apply_moves(par, chi, live, moves)
-    return parents, children
+    used = np.zeros(lanes, dtype=np.int64)
+    if lanes and moves:
+        raw = _RawDraws(rngs, restarts * moves)
+        sample = np.repeat(np.arange(samples), restarts)
+        pairs = (allow & ~(np.int64(1) << np.arange(p))[:, None]).any(axis=0)
+        base = np.where(pairs[sample], np.tile(np.arange(restarts) * moves, samples), 0)
+        todo = np.arange(lanes)
+        while todo.size:
+            par = np.zeros((p, todo.size), dtype=np.int64)
+            chi = np.zeros_like(par)
+            lane_allow, lane_sample, at = allow[:, sample[todo]], sample[todo], base[todo]
+            live = np.arange(todo.size)
+            for _ in range(moves):
+                flags = _move_flags(par[:, live], chi[:, live], lane_allow[:, live],
+                                    cfg.max_parents).reshape(-1, live.size)
+                counts = flags.sum(axis=0)
+                live, flags, counts = live[counts > 0], flags[:, counts > 0], counts[counts > 0]
+                if not live.size:
+                    break
+                picks, at[live] = _integers(raw, lane_sample[live], at[live], counts)
+                # the legal moves lane by lane, as flat (lane, move) indices:
+                # each lane's k-th sits at its offset
+                legal = np.flatnonzero(flags.T)[np.cumsum(counts) - counts + picks]
+                _apply_moves(par, chi, live, legal % len(flags))
+            parents[:, todo], children[:, todo] = par, chi
+            used[todo] = at - base[todo]
+            per_sample = used.reshape(samples, restarts)
+            moved = (np.cumsum(per_sample, axis=1) - per_sample).ravel()
+            todo, base = np.flatnonzero(moved != base), moved
+    shape = (p, samples, restarts)
+    return (parents.reshape(shape), children.reshape(shape),
+            used.reshape(samples, restarts).sum(axis=1))
 
 
 def _ascend(table: FamilyScoreTable, sample: np.ndarray, parents: np.ndarray,
@@ -376,8 +460,13 @@ def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
     allow = np.stack([_allow_masks(p, r) for r in restricts], axis=1)
     parents = np.zeros((p, len(samples), restarts), dtype=np.int64)
     children = np.zeros_like(parents)
-    parents[..., 1:], children[..., 1:] = _perturbed_starts(
-        allow, cfg, [rng_from(s) for s in seeds])
+    rngs = [rng_from(s) for s in seeds]
+    # a caller's generator ends where the serial draws left it
+    states = {i: rng.bit_generator.state for i, rng in enumerate(rngs) if rng is seeds[i]}
+    parents[..., 1:], children[..., 1:], used = _perturbed_starts(allow, cfg, rngs)
+    for i, state in states.items():
+        rngs[i].bit_generator.state = state
+        rngs[i].integers(0, 2**32, size=used[i], dtype=np.uint32)
     parents, children = parents.reshape(p, -1), children.reshape(p, -1)
     sample = np.repeat(np.asarray(samples, dtype=np.intp), restarts)
     scores, failure = _ascend(table, sample, parents, children,
@@ -415,13 +504,26 @@ def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
     cycle.  The restart with the highest final score wins, earliest restart
     on ties.
 
-    Given a whole table, every sample that ``seed`` (one seed per sample)
-    covers climbs at once, ``restrict`` is None or one pair set per sample,
-    and the result is one DAG per sample.
+    Given a whole table, every sample that ``seed`` (one seed per sample,
+    from the first, at most the table's sample count) covers climbs at
+    once, ``restrict`` is None or one pair set per seed, and the result is
+    one DAG per sample.  A seed that is a ``Generator`` ends where the
+    serial draws of its sample's restarts would leave it.
     """
     if isinstance(data, FamilyScoreTable):
         _check_cap(data, cfg.max_parents)
+        if seed is None:
+            raise ValueError(f"a table of {data.samples} samples needs one seed per "
+                             "sample to climb; got seed=None")
+        if len(seed) > data.samples:
+            raise ValueError(f"{len(seed)} seeds for a table of {data.samples} samples")
+        generators = [s for s in seed if isinstance(s, np.random.Generator)]
+        if len(set(map(id, generators))) < len(generators):
+            raise ValueError("a Generator appears more than once among the seeds; "
+                             "each sample draws from its own")
         restricts = [None] * len(seed) if restrict is None else restrict
+        if len(restricts) != len(seed):
+            raise ValueError(f"{len(restricts)} restricts for {len(seed)} seeds")
         return _search(data, list(range(len(seed))), cfg, restricts, seed)
     seed = split_seed(cfg.seed, 0) if seed is None else seed
     return _search(_table(data, cfg.max_parents), [0], cfg, [restrict], [seed])[0]

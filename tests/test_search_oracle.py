@@ -31,10 +31,14 @@ from relqual.search import (
     FamilyScoreTable,
     HcConfig,
     SingularCorrelationError,
+    _allow_masks,
     _ascend,
     _dag_weight_sums,
     _edge_posteriors,
     _family_weight_tables,
+    _integers,
+    _perturbed_starts,
+    _RawDraws,
     _table,
     bootstrap_average,
     exact_map_edge_probabilities,
@@ -682,6 +686,195 @@ def test_discrete_bootstrap_matches_reference():
     counts = ref_bootstrap_counts(
         data, lambda d, s: ref_hill_climb(d, cfg, seed=s), 4, seed=5)
     assert np.array_equal(conf.strength, _strength(counts, 4))
+
+
+# ---------------------------------------------------------------------------
+# the perturbed starts: every restart's draws replayed from one raw block
+
+
+class PlantedStream:
+    """A stand-in generator over a planted uint32 stream.  ``integers(count)``
+    is numpy's bounded draw, one value at a time (Lemire's method with
+    numpy's rejection rule); ``integers(0, 2**32, size, dtype=np.uint32)``
+    returns the next raw values.  A raw 0 is rejected for every count that
+    is not a power of two."""
+
+    def __init__(self, values):
+        self.values, self.pos = [int(v) for v in values], 0
+
+    def _next(self):
+        self.pos += 1
+        return self.values[self.pos - 1]
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        if high is None:
+            if low == 1:
+                return 0
+            while True:
+                m = self._next() * low
+                if m & 0xFFFFFFFF >= (2**32 - low) % low:
+                    return m >> 32
+        assert (low, high, dtype) == (0, 2**32, np.uint32)
+        return np.array([self._next() for _ in range(size)], dtype=np.uint32)
+
+
+def replay(counts, raw):
+    """``_integers`` of one generator row, one count at a time: the values
+    and the raw draws used."""
+    at, got = np.zeros(1, dtype=np.int64), []
+    for c in counts:
+        value, at = _integers(raw, np.zeros(1, dtype=np.intp), at, np.array([c]))
+        got.append(int(value[0]))
+    return got, int(at[0])
+
+
+COUNTS = st.one_of(st.integers(1, 2**32 - 1),
+                   st.sampled_from([1, 2, 3, 6, 2**31, 2**31 + 1, 2**32 - 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(COUNTS, min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_replayed_draws_equal_generator_integers(counts, seed):
+    """The same values as ``Generator.integers(count)`` call by call, from
+    the same number of raw draws: a generator that made exactly that many
+    raw draws is where the serial one is.  Blocks of 4 make reads run
+    past the block and top it up."""
+    serial = np.random.default_rng(seed)
+    want = [int(serial.integers(c)) for c in counts]
+    got, used = replay(counts, _RawDraws([np.random.default_rng(seed)], 4))
+    assert got == want
+    raw = np.random.default_rng(seed)
+    raw.integers(0, 2**32, size=used, dtype=np.uint32)
+    assert raw.bit_generator.state == serial.bit_generator.state
+    assert raw.integers(0, 2**32, dtype=np.uint32) == \
+        serial.integers(0, 2**32, dtype=np.uint32)
+    # the stand-in generator draws as numpy does
+    planted = PlantedStream(np.random.default_rng(seed).integers(
+        0, 2**32, size=used + 1, dtype=np.uint32))
+    assert [planted.integers(c) for c in counts] == want and planted.pos == used
+
+
+def test_about_half_the_draws_are_rejected_at_two_to_the_31_plus_one():
+    """(2^32 - c) mod c is 2^31 - 1 at c = 2^31 + 1: a draw is rejected
+    whenever its low word falls below it, about every other draw."""
+    counts = [2**31 + 1] * 200
+    serial = np.random.default_rng(7)
+    want = [int(serial.integers(c)) for c in counts]
+    got, used = replay(counts, _RawDraws([np.random.default_rng(7)], 64))
+    assert got == want
+    assert 300 < used < 500
+    assert np.random.default_rng(7).integers(0, 2**32, size=used + 1, dtype=np.uint32)[-1] \
+        == serial.integers(0, 2**32, dtype=np.uint32)
+
+
+def serial_starts(p, cfg, restrict, rng):
+    """The reference's perturbed starts, restart after restart from one
+    generator, with the stream position after each restart when the
+    generator is a ``PlantedStream``."""
+    starts, ends = [], []
+    for _ in range(cfg.restarts - 1):
+        starts.append(ref_perturbed_start(p, cfg.perturb, cfg.max_parents, restrict, rng))
+        ends.append(getattr(rng, "pos", None))
+    return starts, ends
+
+
+def assert_starts_equal(parents, children, refs):
+    """Library starts of one sample, (p, restarts - 1), against reference
+    graphs."""
+    for r, state in enumerate(refs):
+        assert parents[:, r].tolist() == state.parents, r
+        assert children[:, r].tolist() == state.children, r
+
+
+def test_rejected_draws_shift_every_later_restart():
+    """Raw zeros planted in restart 0, in a middle restart and as a run
+    that outlasts the block in the last restart: each is rejected, so
+    those restarts draw more than ``perturb`` values and every later
+    restart reads from further on, as the serial draws did."""
+    p, cfg = 5, HcConfig(restarts=5, perturb=3, max_parents=2)
+    stream = np.random.default_rng(3).integers(1, 2**32, size=400, dtype=np.uint32)
+    stream[[0, 7]] = 0        # the first move of restart 0 and of restart 2
+    stream[12:32] = 0         # restart 3's second move, past the block of 12
+    refs, ends = serial_starts(p, cfg, None, PlantedStream(stream))
+    drawn = np.diff([0] + ends)
+    assert drawn[0] > cfg.perturb and drawn[2] > cfg.perturb and drawn[3] > 20
+    assert ends[-1] > (cfg.restarts - 1) * cfg.perturb
+    allow = np.full((p, 1), (1 << p) - 1, dtype=np.int64)
+    parents, children, used = _perturbed_starts(allow, cfg, [PlantedStream(stream)])
+    assert_starts_equal(parents[:, 0], children[:, 0], refs)
+    assert used.tolist() == [ends[-1]]
+
+
+def test_samples_replay_their_own_streams_with_planted_rejections():
+    """Three samples, the middle one allowing no pair: it draws nothing,
+    and the others' rejections move only their own restarts."""
+    p, cfg = 4, HcConfig(restarts=4, perturb=4, max_parents=3)
+    restricts = [None, frozenset(), frozenset({(0, 1), (1, 3), (2, 3)})]
+    streams = [np.random.default_rng(s).integers(1, 2**32, size=200, dtype=np.uint32)
+               for s in range(3)]
+    streams[0][[1, 5]] = 0
+    streams[2][[4, 9, 10]] = 0
+    refs = [serial_starts(p, cfg, r, PlantedStream(s)) for r, s in zip(restricts, streams)]
+    assert refs[1][1] == [0] * 3 and refs[0][1][-1] > 12 and refs[2][1][-1] > 12
+    allow = np.stack([_allow_masks(p, r) for r in restricts], axis=1)
+    parents, children, used = _perturbed_starts(
+        allow, cfg, [PlantedStream(s) for s in streams])
+    for s, (states, ends) in enumerate(refs):
+        assert_starts_equal(parents[:, s], children[:, s], states)
+        assert used[s] == ends[-1]
+
+
+def test_a_caller_s_generator_ends_where_the_serial_draws_leave_it():
+    data = gaussian_data(4, 5, 40)
+    cfg = HcConfig(restarts=6, perturb=4, max_parents=3)
+    mine, ref = np.random.default_rng(12), np.random.default_rng(12)
+    assert hill_climb(data, cfg, seed=mine) == ref_hill_climb(data, cfg, seed=ref)
+    assert mine.bit_generator.state == ref.bit_generator.state
+    # on a table, a generator among the seeds; the others are the callee's
+    idx = resamples(data.n, 3, seed=2)
+    mine, ref = np.random.default_rng(5), np.random.default_rng(5)
+    seeds = [split_seed(2, 2, 0), mine, 7]
+    refs = [split_seed(2, 2, 0), ref, 7]
+    assert hill_climb(_table(data, 3, idx), cfg, seed=seeds) == [
+        ref_hill_climb(data.take_rows(i), cfg, seed=s) for i, s in zip(idx, refs)]
+    assert mine.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("restarts,perturb,p", [(1, 5, 5), (4, 0, 5), (4, 3, 1),
+                                                (2, 1, 2), (1, 0, 1)])
+def test_search_edge_cases_match_the_reference(restarts, perturb, p):
+    """No perturbed start, no perturbing move, a single node (no pair at
+    all), and the smallest graphs; resamples whose restrict allows no
+    pair draw nothing."""
+    data = gaussian_data(restarts + perturb, p, 30)
+    cfg = HcConfig(restarts=restarts, perturb=perturb, max_parents=2, seed=1)
+    assert hill_climb(data, cfg) == ref_hill_climb(data, cfg)
+    idx = resamples(data.n, 4, seed=3)
+    pairs = frozenset(itertools.combinations(range(p), 2))
+    restricts = [frozenset(), pairs, None, frozenset()]
+    mine = [np.random.default_rng(s) for s in range(4)]
+    ref = [np.random.default_rng(s) for s in range(4)]
+    assert hill_climb(_table(data, 2, idx), cfg, restrict=restricts, seed=mine) == [
+        ref_hill_climb(data.take_rows(i), cfg, restrict=r, seed=s)
+        for i, r, s in zip(idx, restricts, ref)]
+    assert [g.bit_generator.state for g in mine] == [g.bit_generator.state for g in ref]
+
+
+def test_climbing_a_table_checks_its_seeds_and_restricts():
+    data = gaussian_data(1, 4, 30)
+    table = _table(data, 2, resamples(data.n, 3, seed=1))
+    cfg = HcConfig(restarts=2, max_parents=2)
+    seeds = [split_seed(1, 2, i) for i in range(3)]
+    with pytest.raises(ValueError, match="table of 3 samples"):
+        hill_climb(table, cfg)
+    with pytest.raises(ValueError, match="2 restricts for 3 seeds"):
+        hill_climb(table, cfg, restrict=[None, frozenset()], seed=seeds)
+    with pytest.raises(ValueError, match="4 seeds for a table of 3 samples"):
+        hill_climb(table, cfg, seed=seeds + [split_seed(1, 2, 3)])
+    shared = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="Generator appears more than once"):
+        hill_climb(table, cfg, seed=[shared, seeds[1], shared])
+    assert len(hill_climb(table, cfg, seed=seeds[:2])) == 2
 
 
 # ---------------------------------------------------------------------------
