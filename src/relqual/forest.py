@@ -64,32 +64,39 @@ class _Tree:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf value per row."""
-        return _predict_all([self], x, [np.arange(x.shape[0])])[0]
+        node = np.zeros(x.shape[0], dtype=np.int64)
+        return self.value[_descend(self.feature, self.threshold, self.left,
+                                   self.right, x, node)]
+
+
+def _descend(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
+             right: np.ndarray, x: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` walked from its start ``node`` down to a leaf, in
+    place; all rows descend one level per step."""
+    active = np.arange(x.shape[0])
+    while active.size:
+        at = node[active]
+        f = feature[at]
+        inner = f >= 0
+        active, at, f = active[inner], at[inner], f[inner]
+        goes_left = x[active, f] < threshold[at]
+        node[active] = np.where(goes_left, left[at], right[at])
+    return node
 
 
 def _predict_all(trees: list[_Tree], x: np.ndarray,
                  rows: list[np.ndarray]) -> list[np.ndarray]:
-    """Leaf value per row of ``x[rows[i]]`` in ``trees[i]``, for every i:
-    all trees' rows descend together, one level per step, over the trees'
-    node arrays laid end to end."""
+    """``trees[i].predict(x[rows[i]])`` for every i: all trees' rows
+    descend together over the trees' node arrays laid end to end."""
     size = np.array([tree.feature.size for tree in trees])
     first = np.cumsum(size) - size
     shift = np.repeat(first, size)
     feature, threshold, left, right, value = (
         np.concatenate([getattr(tree, name) for tree in trees])
         for name in ("feature", "threshold", "left", "right", "value"))
-    left, right = left + shift, right + shift
     count = [r.size for r in rows]
-    row = np.concatenate(rows)
-    node = np.repeat(first, count)
-    active = np.arange(row.size)
-    while active.size:
-        at = node[active]
-        f = feature[at]
-        inner = f >= 0
-        active, at, f = active[inner], at[inner], f[inner]
-        goes_left = x[row[active], f] < threshold[at]
-        node[active] = np.where(goes_left, left[at], right[at])
+    node = _descend(feature, threshold, left + shift, right + shift,
+                    x[np.concatenate(rows)], np.repeat(first, count))
     return np.split(value[node], np.cumsum(count)[:-1])
 
 
