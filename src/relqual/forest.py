@@ -12,8 +12,13 @@ depth-first stack and random stream: a step pops one node from every
 lane, takes the nodes' means and spreads in groups of equal size and
 scans all their candidate splits in padded blocks.  A forest's trees
 form one such run, and tuning grows the trees of every fold of an mtry
-in one.  Every tree, draw and prediction is the one that growing each
-tree on its own, recursively, would give, bit for bit.
+in one.  A lane's candidate features are numpy's
+``choice(p, mtry, replace=False)`` of each of its splits, replayed for
+many splits at once from raw blocks of the lane's stream
+(``rng.replay_choice``); the replay holds only while numpy keeps its
+``choice`` and ``integers`` algorithms, which the property tests check
+against the installed numpy.  Every tree, draw and prediction is the one
+that growing each tree on its own, recursively, would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .ols import InsufficientRowsError
-from .rng import rng_from, split_seed
+from .rng import RawDraws, choice_counts, replay_choice, rng_from, split_seed
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,8 @@ def _descend(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
     return node
 
 
-def _predict_all(trees: list[_Tree], x: np.ndarray,
-                 rows: list[np.ndarray]) -> list[np.ndarray]:
-    """``trees[i].predict(x[rows[i]])`` for every i: all trees' rows
+def _predict_all(trees: list[_Tree], xs: list[np.ndarray]) -> list[np.ndarray]:
+    """``[tree.predict(x) for tree, x in zip(trees, xs)]``: all trees' rows
     descend together over the trees' node arrays laid end to end."""
     size = np.array([tree.feature.size for tree in trees])
     first = np.cumsum(size) - size
@@ -94,10 +98,30 @@ def _predict_all(trees: list[_Tree], x: np.ndarray,
     feature, threshold, left, right, value = (
         np.concatenate([getattr(tree, name) for tree in trees])
         for name in ("feature", "threshold", "left", "right", "value"))
-    count = [r.size for r in rows]
+    count = [x.shape[0] for x in xs]
     node = _descend(feature, threshold, left + shift, right + shift,
-                    x[np.concatenate(rows)], np.repeat(first, count))
+                    np.concatenate(xs), np.repeat(first, count))
     return np.split(value[node], np.cumsum(count)[:-1])
+
+
+def _walk(items):
+    """Yield (key, ``tree.predict(x)``) for each (key, tree, x) of
+    ``items``, in order.  The trees walk together (``_predict_all``) in
+    batches of at most WALK_ROWS rows, or of one tree that has more."""
+    batch, rows = [], 0
+    for item in items:
+        if batch and rows + item[2].shape[0] > WALK_ROWS:
+            yield from _walk_batch(batch)
+            batch, rows = [], 0
+        batch.append(item)
+        rows += item[2].shape[0]
+    if batch:
+        yield from _walk_batch(batch)
+
+
+def _walk_batch(batch):
+    keys, trees, xs = zip(*batch)
+    return zip(keys, _predict_all(trees, xs))
 
 
 # Bytes that one temporary of a split scan may take: a step's candidate
@@ -106,11 +130,20 @@ SCAN_BYTES = 1 << 17
 # Bootstrap rows that one batch of lockstep lanes may hold, counting each
 # lane at the table's row count.
 LANE_ROWS = 1 << 18
+# Rows that one walk of trees may take down at once, or one tree's when
+# it has more: larger walks saved little and raised the peak memory.
+WALK_ROWS = 1 << 14
+# Raw draws, in bytes, that a batch's feature draws may replay at once:
+# each lane replays as many splits as its tree can have, or fewer when
+# they would not fit, and the next ones when it runs past them.
+DRAW_BYTES = 1 << 20
 
 
 def _bootstrap(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
-    """Tree t's stream and its n draws of rows below n; the stream goes on
-    to draw the tree's candidate features."""
+    """Tree t's stream and its n draws of rows below n.  The stream goes on
+    to draw the tree's candidate features; the grower reads it in raw
+    blocks, so it ends past where drawing split by split would leave it,
+    and nothing reads it after growth."""
     rng = rng_from(split_seed(seed, 3, t))
     return rng, rng.integers(0, n, size=n)
 
@@ -216,32 +249,75 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, lanes, mtry: int, min_leaf: int):
                                          min_leaf))
 
 
+class _FeatureDraws:
+    """Each lane's candidate features, split after split: its stream's
+    ``choice(p, mtry, replace=False)`` calls, replayed ``calls`` at a time
+    per lane from one raw block (``replay_choice``).  ``calls`` is the
+    most splits a lane can draw for, or fewer when their raw draws would
+    not fit in DRAW_BYTES; a lane that runs past its replayed calls
+    replays the next ``calls``."""
+
+    def __init__(self, rngs, p: int, mtry: int, splits: int):
+        each = choice_counts(p, mtry).size
+        calls = max(1, min(splits, DRAW_BYTES // (4 * max(1, each) * len(rngs))))
+        self.p, self.mtry, self.calls = p, mtry, calls
+        self.raw = RawDraws(rngs, max(1, calls * each))
+        self.at = np.zeros(len(rngs), dtype=np.int64)
+        self.picks = np.empty((len(rngs), calls, mtry), dtype=np.int64)
+        self.used = np.full(len(rngs), calls)
+
+    def __call__(self, lanes: np.ndarray) -> np.ndarray:
+        """The next feature subset of each of ``lanes`` (distinct)."""
+        out = lanes[self.used[lanes] == self.calls]
+        if out.size:
+            self.raw.release(out, self.at[out])
+            self.picks[out], self.at[out] = replay_choice(
+                self.raw, out, self.at[out], self.p, self.mtry, self.calls)
+            self.used[out] = 0
+        drawn = self.picks[lanes, self.used[lanes]]
+        self.used[lanes] += 1
+        return drawn
+
+
 def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
                 rngs, bags, mtry: int, min_leaf: int) -> list[_Tree]:
     """One batch of ``_grow_trees``, ``ranked`` the tables ``_ranked``
     made of x and y.  A lane's node id is the step that popped it.
 
+    The lanes' bags lie end to end in one row buffer, and a node is a
+    segment of it: a split partitions its node's segment in place,
+    stably, into [left | right], so every segment holds ascending row
+    ids.  Each lane's stack is a row of (start, size, parent) slots, the
+    parent being its id for a right child and -1 for a left one, with a
+    depth per lane.
+
     A node's sum and square sum come from the equal-size rows of a step's
-    nodes grouped by size, as numpy's pairwise sums depend on the length
-    summed; max and min are exact in any grouping.  Its total SSE is
+    nodes grouped by size, one reshaped sum per distinct size, as numpy's
+    pairwise sums depend on the length summed; max and min are exact in
+    any grouping.  Its total SSE is
     ``float(q) - n * float(mean) ** 2``: that ``pow`` can differ from an
     array square in the last bit."""
     p = x.shape[1]
     y2 = np.stack([y, y * y])
-    # entries (lane, rows, the parent's id for a right child, else -1)
-    stacks = [[(lane, rows, -1)] for lane, rows in enumerate(bags)]
-    active = list(range(len(bags)))
-    gains = np.zeros((len(bags), p))
+    rows = np.concatenate(bags)
+    bag = np.array([r.size for r in bags])
+    stack = np.empty((bag.size, 8, 3), dtype=np.int64)
+    stack[:, 0] = np.column_stack([np.cumsum(bag) - bag, bag, np.full(bag.size, -1)])
+    depth = np.ones(bag.size, dtype=np.int64)
+    # a node draws only with 2 * min_leaf rows or more, so a tree has at
+    # most 2 * (n // (2 * min_leaf)) - 1 drawing nodes
+    draws = _FeatureDraws(rngs, p, mtry, 2 * (int(bag.max()) // (2 * min_leaf)) - 1)
+    gains = np.zeros((bag.size, p))
     steps = []
-    while active:
-        nodes = sorted((stacks[i].pop() for i in active),
-                       key=lambda node: -node[1].size)
-        lane = np.array([node[0] for node in nodes])
-        rows = [node[1] for node in nodes]
-        parent = np.array([node[2] for node in nodes])
-        size = np.array([r.size for r in rows])
-        start = np.cumsum(size) - size
-        flat = np.concatenate(rows)
+    live = np.arange(bag.size)
+    while live.size:
+        depth[live] -= 1
+        start, size, parent = stack[live, depth[live]].T
+        order = np.argsort(-size, kind="stable")
+        lane, start, size, parent = live[order], start[order], size[order], parent[order]
+        first = np.cumsum(size) - size
+        at = np.repeat(start - first, size) + np.arange(first[-1] + size[-1])
+        flat = rows[at]
         # pairwise sums over rows that are not contiguous take another
         # order: take keeps them contiguous, y2[:, flat] would not
         both = y2.take(flat, axis=1)
@@ -249,20 +325,19 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
         edges = [0, *(np.flatnonzero(np.diff(size)) + 1).tolist(), size.size]
         for a, b in zip(edges[:-1], edges[1:]):
             n = int(size[a])
-            sums[:, a:b] = both[:, start[a]:start[a] + (b - a) * n].reshape(
+            sums[:, a:b] = both[:, first[a]:first[a] + (b - a) * n].reshape(
                 2, b - a, n).sum(axis=-1)
-        varies = (np.maximum.reduceat(both[0], start)
-                  > np.minimum.reduceat(both[0], start))
+        varies = (np.maximum.reduceat(both[0], first)
+                  > np.minimum.reduceat(both[0], first))
         mean = sums[0] / size
         feature = np.full(size.size, -1)
         threshold = np.zeros(size.size)
         can = np.flatnonzero((size >= 2 * min_leaf) & varies)
         if can.size:
-            drawn = np.array([rngs[i].choice(p, size=mtry, replace=False)
-                              for i in lane[can].tolist()])
+            drawn = draws(lane[can])
             total_sse = np.array([q - n * m ** 2 for q, n, m in zip(
                 sums[1, can].tolist(), size[can].tolist(), mean[can].tolist())])
-            column, cut, gain = _scan(ranked, flat, start[can], size[can], drawn,
+            column, cut, gain = _scan(ranked, flat, first[can], size[can], drawn,
                                       total_sse, min_leaf)
             keep = gain > 1e-12
             split = can[keep]
@@ -271,23 +346,27 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
             feature[split] = f
             threshold[split] = cut
             gains[lane[split], f] += gain[keep]
-            # each split node's rows, its left side then its right, both
+            # each split node's segment, its left rows then its right, both
             # in the node's own order
             chosen = np.zeros(size.size, dtype=bool)
             chosen[split] = True
-            held = flat[np.repeat(chosen, size)]
+            inside = np.repeat(chosen, size)
+            held = flat[inside]
             which = np.repeat(np.arange(split.size), size[split])
             side = 2 * which + (x[held, f[which]] >= cut[which])
-            held = held[np.argsort(side, kind="stable")]
-            ends = np.cumsum(np.bincount(side, minlength=2 * split.size)).tolist()
-            ends.insert(0, 0)
-            step = len(steps)
-            for i, owner in enumerate(lane[split].tolist()):
-                stacks[owner].append((owner, held[ends[2 * i + 1]:ends[2 * i + 2]],
-                                      step))
-                stacks[owner].append((owner, held[ends[2 * i]:ends[2 * i + 1]], -1))
+            rows[at[inside]] = held[np.argsort(side, kind="stable")]
+            left, right = np.bincount(side, minlength=2 * split.size).reshape(-1, 2).T
+            owner = lane[split]
+            top = depth[owner]
+            if (top + 2 > stack.shape[1]).any():
+                stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
+            stack[owner, top] = np.column_stack(
+                [start[split] + left, right, np.full(split.size, len(steps))])
+            stack[owner, top + 1] = np.column_stack(
+                [start[split], left, np.full(split.size, -1)])
+            depth[owner] += 2
         steps.append((lane, parent, mean, feature, threshold))
-        active = [i for i in active if stacks[i]]
+        live = np.flatnonzero(depth)
     return _assemble(steps, gains)
 
 
@@ -333,10 +412,10 @@ class ForestModel:
         n = self.y.shape[0]
         total = np.zeros(n)
         hits = np.zeros(n)
-        for tree, oob in zip(self.trees, self.oob_rows):
-            if oob.size:
-                total[oob] += tree.predict(self.x[oob])
-                hits[oob] += 1
+        for oob, pred in _walk((oob, tree, self.x[oob])
+                               for tree, oob in zip(self.trees, self.oob_rows)):
+            total[oob] += pred
+            hits[oob] += 1
         covered = hits > 0
         preds = np.full(n, np.nan)
         preds[covered] = total[covered] / hits[covered]
@@ -409,7 +488,7 @@ def permutation_importance(model: ForestModel, repeats: int = 5,
 
     Permutations are drawn in (repeat, predictor, tree) order from one
     stream per repeat; each tree then predicts its OOB rows and all their
-    permuted copies in one call."""
+    permuted copies, the trees walking together (``_walk``)."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     p = len(model.predictors)
@@ -428,15 +507,19 @@ def permutation_importance(model: ForestModel, repeats: int = 5,
                 drawn[r * p + j] = rng.permutation(oob.size)
     copy = np.arange(copies)
     feature = copy % p
-    bump = np.zeros((repeats, p))
-    for (tree, oob), drawn in zip(usable, perms):
+
+    def stacked(oob, drawn):
         # block 0 holds the OOB rows as they are, block 1 + r * p + j the
         # rows with predictor j permuted by repeat r's draw
         x_oob = model.x[oob]
-        stacked = np.tile(x_oob, (1 + copies, 1, 1))
-        stacked[1 + copy, :, feature] = x_oob[drawn, feature[:, None]]
-        pred = tree.predict(stacked.reshape(-1, p)).reshape(1 + copies, oob.size)
-        errs = np.mean((model.y[oob] - pred) ** 2, axis=1)
+        blocks = np.tile(x_oob, (1 + copies, 1, 1))
+        blocks[1 + copy, :, feature] = x_oob[drawn, feature[:, None]]
+        return blocks.reshape(-1, p)
+
+    bump = np.zeros((repeats, p))
+    for oob, pred in _walk((oob, tree, stacked(oob, drawn))
+                           for (tree, oob), drawn in zip(usable, perms)):
+        errs = np.mean((model.y[oob] - pred.reshape(1 + copies, oob.size)) ** 2, axis=1)
         bump += errs[1:].reshape(repeats, p) - errs[0]
     increases = np.zeros(p)
     for r in range(repeats):
@@ -474,8 +557,8 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
 
     Every fold's forest of cfg.ntree = max(ntrees) trees grows in one
     lockstep run over the whole table, each tree on the rows that
-    ``fit_forest`` would draw from the fold's training rows.  Each batch
-    of grown trees walks its folds' test rows together; a fold still adds
+    ``fit_forest`` would draw from the fold's training rows.  The grown
+    trees walk their folds' test rows together (``_walk``); a fold still adds
     its trees' test predictions one tree at a time, in tree order, as
     ``ForestModel.predict`` does; tree t's stream does not depend on
     ntree, so the running sum after tree k divided by k is the k-tree
@@ -499,17 +582,15 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
     grown = [0] * len(tests)
     scores = np.empty((len(ntrees), len(tests)))
     trees = _grow_trees(x, y, _cv_lanes(tests, cfg), mtry, cfg.min_leaf)
-    while batch := list(islice(trees, max(1, LANE_ROWS // x.shape[0]))):
-        folds, batch = zip(*batch)
-        for fold, pred in zip(folds, _predict_all(batch, x, [test_rows[f] for f in folds])):
-            votes[fold] += pred
-            grown[fold] += 1
-            t = grown[fold]
-            if t in row_of:
-                y_test = y[test_rows[fold]]
-                sst = float(np.sum((y_test - y_test.mean()) ** 2))
-                sse = float(np.sum((y_test - votes[fold] / t) ** 2))
-                scores[row_of[t], fold] = 1.0 - sse / sst if sst > 0 else 0.0
+    for fold, pred in _walk((fold, tree, x[test_rows[fold]]) for fold, tree in trees):
+        votes[fold] += pred
+        grown[fold] += 1
+        t = grown[fold]
+        if t in row_of:
+            y_test = y[test_rows[fold]]
+            sst = float(np.sum((y_test - y_test.mean()) ** 2))
+            sse = float(np.sum((y_test - votes[fold] / t) ** 2))
+            scores[row_of[t], fold] = 1.0 - sse / sst if sst > 0 else 0.0
     return scores
 
 

@@ -31,7 +31,7 @@ from .dag import CycleError, Dag, SizeLimitError, VariableSet, add_edge_checked
 from .data import Dataset, DiscreteDataset
 from .discretize import DiscreteScoreCache
 from .gaussian import GaussianScoreCache
-from .rng import rng_from, split_seed
+from .rng import RawDraws, replay_integers, rng_from, split_seed
 
 DataLike = Union[Dataset, DiscreteDataset]
 
@@ -242,50 +242,6 @@ def _apply_moves(parents: np.ndarray, children: np.ndarray, lanes: np.ndarray,
     return u, v, reverse
 
 
-class _RawDraws:
-    """Each generator's raw uint32 draws (numpy's ``next_uint32``), one row
-    per generator: a first block of ``width`` draws, topped up from the
-    same generators by another ``width`` whenever a read runs past it."""
-
-    def __init__(self, rngs: list, width: int):
-        self.rngs, self.width = rngs, width
-        self.block = self._draw()
-
-    def _draw(self) -> np.ndarray:
-        return np.stack([rng.integers(0, 2**32, size=self.width, dtype=np.uint32)
-                         for rng in self.rngs])
-
-    def __call__(self, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The draws at positions ``at`` of generators ``rows``."""
-        while at.max() >= self.block.shape[1]:
-            self.block = np.hstack([self.block, self._draw()])
-        return self.block[rows, at]
-
-
-def _integers(raw: _RawDraws, rows: np.ndarray, at: np.ndarray,
-              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Generator.integers(count)`` of each (generator row, position,
-    count > 0), replayed from raw draws; returns the values and the
-    positions past the draws they used.
-
-    This is numpy's bounded draw (Lemire 2019, with numpy's rejection
-    rule): a count of 1 draws nothing; otherwise m = x * count in 64 bits,
-    a draw whose low word is below (2^32 - count) mod count is rejected
-    for the next one, and the value is m >> 32.
-    """
-    bound = counts.astype(np.uint64)
-    threshold = (2**32 - bound) % bound
-    values = np.zeros(len(counts), dtype=np.int64)
-    at = at.copy()
-    todo = np.flatnonzero(counts > 1)
-    while todo.size:
-        m = raw(rows[todo], at[todo]).astype(np.uint64) * bound[todo]
-        at[todo] += 1
-        values[todo] = m >> 32
-        todo = todo[(m & 0xFFFFFFFF) < threshold[todo]]
-    return values, at
-
-
 def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
                       rngs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parents and children, (p, samples, restarts - 1), of every perturbed
@@ -296,8 +252,8 @@ def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
     ``integers(count)`` per move from the sample's generator, restart
     after restart, a restart with no legal move left stopping early.  Here
     every (sample, restart) is a lane, each generator draws one block of
-    raw draws, and each lane replays its ``integers`` calls (``_integers``)
-    from its own base position in the block.
+    raw draws, and each lane replays its ``integers`` calls
+    (``rng.replay_integers``) from its own base position in the block.
 
     A lane's base is the sum of the draws its sample's earlier restarts
     used.  It is guessed as restart * perturb, which is exact unless a
@@ -309,9 +265,8 @@ def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
     lanes whose base moved run again until none does; restart r's base is
     right after r passes at the latest.
 
-    The replay holds as long as numpy's ``Generator.integers`` keeps this
-    algorithm, unchanged since numpy 1.17; tests/test_search_oracle.py
-    checks it against the installed numpy.
+    The replay holds as long as numpy's ``Generator.integers`` keeps its
+    algorithm (see relqual.rng).
     """
     p, samples = allow.shape
     restarts, moves = cfg.restarts - 1, cfg.perturb
@@ -320,7 +275,7 @@ def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
     children = np.zeros_like(parents)
     used = np.zeros(lanes, dtype=np.int64)
     if lanes and moves:
-        raw = _RawDraws(rngs, restarts * moves)
+        raw = RawDraws(rngs, restarts * moves)
         sample = np.repeat(np.arange(samples), restarts)
         pairs = (allow & ~(np.int64(1) << np.arange(p))[:, None]).any(axis=0)
         base = np.where(pairs[sample], np.tile(np.arange(restarts) * moves, samples), 0)
@@ -337,7 +292,7 @@ def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
                 live, flags, counts = live[counts > 0], flags[:, counts > 0], counts[counts > 0]
                 if not live.size:
                     break
-                picks, at[live] = _integers(raw, lane_sample[live], at[live], counts)
+                picks, at[live] = replay_integers(raw, lane_sample[live], at[live], counts)
                 # the legal moves lane by lane, as flat (lane, move) indices:
                 # each lane's k-th sits at its offset
                 legal = np.flatnonzero(flags.T)[np.cumsum(counts) - counts + picks]

@@ -7,7 +7,10 @@ Each reference below is the earlier implementation, kept test-local:
 - the list-based `_Tree.predict` walk;
 - the per-tree permutation loop of `permutation_importance`;
 - the per-cell CV loop of `tune_forest`, which grew one forest per cell
-  and scored it through `ForestModel.predict`.
+  and scored it through `ForestModel.predict`;
+- the per-tree out-of-bag loop of `ForestModel.oob_predictions`;
+- numpy's `Generator.choice(p, mtry, replace=False)`, called split after
+  split, which the lockstep grower replays from raw blocks.
 
 The fast paths must give the same floats, not merely close ones: the
 `rf` outputs are byte-identical contracts.
@@ -24,6 +27,7 @@ from relqual.data import Dataset
 from relqual.forest import (
     ForestConfig,
     TuneCell,
+    _FeatureDraws,
     _cv_lanes,
     _fold_assignments,
     _grow_trees,
@@ -35,7 +39,8 @@ from relqual.forest import (
     permutation_importance,
     tune_forest,
 )
-from relqual.rng import rng_from, split_seed
+from relqual.rng import RawDraws, choice_counts, replay_choice, rng_from, split_seed
+from test_search_oracle import PlantedStream
 
 
 # --- references ---------------------------------------------------------------
@@ -202,6 +207,38 @@ def serial_tune(data, response, grid, k_repeats, k_folds, seed, min_leaf):
         cells.append(TuneCell(ntree, mtry, float(scores.mean()),
                               float(scores.std(ddof=1)) if scores.size > 1 else 0.0))
     return cells, max(cells, key=lambda c: c.mean_r2)
+
+
+def serial_oob_predictions(model):
+    n = model.y.shape[0]
+    total, hits = np.zeros(n), np.zeros(n)
+    for tree, oob in zip(model.trees, model.oob_rows):
+        total[oob] += list_predict(tree, model.x[oob])
+        hits[oob] += 1
+    covered = hits > 0
+    preds = np.full(n, np.nan)
+    preds[covered] = total[covered] / hits[covered]
+    return preds, covered
+
+
+def serial_choice(rng, p, mtry):
+    """numpy's `choice(p, mtry, replace=False)`, one bounded draw at a time
+    from `rng.integers`: Floyd's sampling, then a shuffle of the picks; or,
+    when p > 10000 and mtry > p // 50, a partial shuffle of arange(p)."""
+    if p > 10000 and mtry > p // 50:
+        entries = list(range(p))
+        for i in range(p - 1, max(p - mtry, 1) - 1, -1):
+            j = int(rng.integers(i + 1))
+            entries[i], entries[j] = entries[j], entries[i]
+        return entries[p - mtry:]
+    picks = []
+    for j in range(p - mtry, p):
+        v = int(rng.integers(j + 1))
+        picks.append(j if v in picks else v)
+    for i in range(mtry - 1, 0, -1):
+        j = int(rng.integers(i + 1))
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
 
 
 # --- data ---------------------------------------------------------------------
@@ -439,3 +476,136 @@ def test_tuned_best_cell_is_the_ablation_with_run(table, data, k_repeats, seed):
     assert with_r2 == tuned.best.mean_r2
     assert without_r2 == cv_r2_without(dataset(x, y), "y", "x0", cfg,
                                        k_repeats=k_repeats, k_folds=2, seed=seed)
+
+
+# --- out-of-bag walk --------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables(min_rows=10, max_rows=40), st.integers(1, 8), st.integers(0, 99),
+       st.sampled_from([None, 1, 60]))
+def test_oob_predictions_and_importance_match_the_per_tree_loop(table, ntree, seed,
+                                                                walk_rows):
+    # WALK_ROWS = 1 walks one tree at a time; 60 splits a forest's walk
+    # into batches of a few trees
+    x, y = table
+    model = fit_forest(dataset(x, y), "y", ForestConfig(ntree=ntree, min_leaf=2,
+                                                        seed=seed))
+    usable = any(oob.size > 1 for oob in model.oob_rows)
+    with pytest.MonkeyPatch.context() as mp:
+        if walk_rows is not None:
+            mp.setattr(forest, "WALK_ROWS", walk_rows)
+        preds, covered = model.oob_predictions()
+        report = permutation_importance(model, repeats=2, seed=seed) if usable else None
+    want_preds, want_covered = serial_oob_predictions(model)
+    assert np.array_equal(covered, want_covered)
+    assert np.array_equal(preds, want_preds, equal_nan=True)
+    if usable:
+        assert np.array_equal(report.permutation, serial_importance(model, 2, seed))
+
+
+# --- feature draws ----------------------------------------------------------------
+
+
+def raw_after(seed, before):
+    """A generator of ``seed`` after ``before`` raw uint32 draws: an odd
+    count leaves half of a 64-bit output buffered, an even one none."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**32, size=before, dtype=np.uint32)
+    return rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.data(), st.integers(0, 2**32 - 1), st.integers(0, 5),
+       st.integers(1, 6), st.integers(1, 9))
+def test_replayed_feature_draws_equal_generator_choice(p, data, seed, before, calls,
+                                                       width):
+    mtry = data.draw(st.integers(1, p))
+    serial = raw_after(seed, before)
+    want = [serial.choice(p, size=mtry, replace=False).tolist() for _ in range(calls)]
+    raw = RawDraws([raw_after(seed, before)], width)
+    picks, at = replay_choice(raw, np.array([0]), np.array([0]), p, mtry, calls)
+    assert picks[0].tolist() == want
+    assert raw(np.array([0]), at)[0] == serial.integers(0, 2**32, dtype=np.uint32)
+    reference = raw_after(seed, before)
+    assert [serial_choice(reference, p, mtry) for _ in range(calls)] == want
+
+
+@pytest.mark.parametrize("mtry", [200, 201])
+def test_feature_draws_on_each_side_of_numpys_branch(mtry):
+    # numpy's choice switches from Floyd's sampling (2 * mtry - 1 draws)
+    # to a partial shuffle of arange(p) (mtry draws) above p // 50 = 200
+    p = 10001
+    assert choice_counts(p, mtry).size == (399 if mtry == 200 else 201)
+    serial = np.random.default_rng(mtry)
+    want = [serial.choice(p, size=mtry, replace=False).tolist() for _ in range(3)]
+    raw = RawDraws([np.random.default_rng(mtry)], 64)
+    picks, at = replay_choice(raw, np.array([0]), np.array([0]), p, mtry, 3)
+    assert picks[0].tolist() == want
+    assert raw(np.array([0]), at)[0] == serial.integers(0, 2**32, dtype=np.uint32)
+    reference = np.random.default_rng(mtry)
+    assert [serial_choice(reference, p, mtry) for _ in range(3)] == want
+
+
+def test_rejected_feature_draws_shift_every_later_split():
+    # p = 7, mtry = 3 draws below 5, 6, 7, 3 and 2 per split.  A planted
+    # raw 0 is rejected for every count but 2: here at the first split,
+    # at the fourth (position 16 after one rejection) and at the seventh
+    # (32 after two), past the first replay of 4 splits
+    p, mtry, calls, splits = 7, 3, 4, 10
+    clean = np.random.default_rng(8).integers(1, 2**32, size=120, dtype=np.uint32)
+    planted = clean.copy()
+    planted[[0, 16, 32]] = 0
+    late = clean.copy()
+    late[[22]] = 0
+    streams = [clean, planted, late]
+    draws = _FeatureDraws([PlantedStream(s) for s in streams], p, mtry, calls)
+    got = {lane: [] for lane in range(len(streams))}
+    order = np.random.default_rng(9)
+    while min(len(g) for g in got.values()) < splits:
+        # lanes draw at different paces, as lanes of unequal trees do
+        lanes = np.flatnonzero(order.random(len(streams)) < 0.7)
+        for lane, subset in zip(lanes.tolist(), draws(lanes).tolist()):
+            got[lane].append(subset)
+    for lane, values in enumerate(streams):
+        reference = PlantedStream(values)
+        want = [serial_choice(reference, p, mtry) for _ in range(len(got[lane]))]
+        assert got[lane] == want, lane
+    used = PlantedStream(planted)
+    for _ in range(splits):
+        serial_choice(used, p, mtry)
+    assert used.pos == 5 * splits + 3
+
+
+# --- array stacks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("draw_bytes, lane_rows", [(None, None), (1, None),
+                                                   (1800, None), (None, 1)])
+def test_deep_trees_match_the_serial_code(draw_bytes, lane_rows):
+    # min_leaf = 1 on n = 300 gives trees of about 190 drawing splits:
+    # DRAW_BYTES = 1 replays one split per lane at a time, 1800 fifty, and
+    # LANE_ROWS = 1 grows one lane per batch
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((300, 3))
+    y = x[:, 0] + rng.standard_normal(300)
+    cfg = ForestConfig(ntree=3, mtry=2, min_leaf=1, seed=4)
+    with pytest.MonkeyPatch.context() as mp:
+        if draw_bytes is not None:
+            mp.setattr(forest, "DRAW_BYTES", draw_bytes)
+        if lane_rows is not None:
+            mp.setattr(forest, "LANE_ROWS", lane_rows)
+        fast = fit_forest(dataset(x, y), "y", cfg)
+    assert min((tree.feature >= 0).sum() for tree in fast.trees) > 50
+    assert_same_trees(fast.trees, serial_forest(x, y, cfg), x)
+
+
+def test_one_predictor_forest_draws_no_features():
+    rng = np.random.default_rng(30)
+    x = rng.integers(0, 6, size=(40, 1)) / 2.0
+    y = x[:, 0] + rng.standard_normal(40)
+    assert choice_counts(1, 1).size == 0
+    cfg = ForestConfig(ntree=5, mtry=1, min_leaf=2, seed=3)
+    fast = fit_forest(dataset(x, y), "y", cfg)
+    assert all((tree.feature >= 0).any() for tree in fast.trees)
+    assert_same_trees(fast.trees, serial_forest(x, y, cfg), x)

@@ -25,7 +25,7 @@ from relqual.data import Dataset, DiscreteDataset
 from relqual.discretize import DiscretizationSpec, discretize
 from relqual.gaussian import DegenerateVarianceError
 from relqual.ols import InsufficientRowsError, RankDeficientError
-from relqual.rng import rng_from, split_seed
+from relqual.rng import RawDraws, replay_integers, rng_from, split_seed
 from relqual.search import (
     MAX_EXACT_NODES,
     FamilyScoreTable,
@@ -36,9 +36,7 @@ from relqual.search import (
     _dag_weight_sums,
     _edge_posteriors,
     _family_weight_tables,
-    _integers,
     _perturbed_starts,
-    _RawDraws,
     _table,
     bootstrap_average,
     exact_map_edge_probabilities,
@@ -719,11 +717,11 @@ class PlantedStream:
 
 
 def replay(counts, raw):
-    """``_integers`` of one generator row, one count at a time: the values
+    """``replay_integers`` of one generator row, one count at a time: the values
     and the raw draws used."""
     at, got = np.zeros(1, dtype=np.int64), []
     for c in counts:
-        value, at = _integers(raw, np.zeros(1, dtype=np.intp), at, np.array([c]))
+        value, at = replay_integers(raw, np.zeros(1, dtype=np.intp), at, np.array([c]))
         got.append(int(value[0]))
     return got, int(at[0])
 
@@ -741,7 +739,7 @@ def test_replayed_draws_equal_generator_integers(counts, seed):
     past the block and top it up."""
     serial = np.random.default_rng(seed)
     want = [int(serial.integers(c)) for c in counts]
-    got, used = replay(counts, _RawDraws([np.random.default_rng(seed)], 4))
+    got, used = replay(counts, RawDraws([np.random.default_rng(seed)], 4))
     assert got == want
     raw = np.random.default_rng(seed)
     raw.integers(0, 2**32, size=used, dtype=np.uint32)
@@ -760,7 +758,7 @@ def test_about_half_the_draws_are_rejected_at_two_to_the_31_plus_one():
     counts = [2**31 + 1] * 200
     serial = np.random.default_rng(7)
     want = [int(serial.integers(c)) for c in counts]
-    got, used = replay(counts, _RawDraws([np.random.default_rng(7)], 64))
+    got, used = replay(counts, RawDraws([np.random.default_rng(7)], 64))
     assert got == want
     assert 300 < used < 500
     assert np.random.default_rng(7).integers(0, 2**32, size=used + 1, dtype=np.uint32)[-1] \
