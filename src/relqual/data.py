@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .dag import Dag, VariableSet
+
+
+def mask_members(masks: np.ndarray, p: int) -> np.ndarray:
+    """The members of each of the nonempty ``masks``, bitmasks of one size
+    k over p nodes, in increasing order: an (len(masks), k) array."""
+    member = np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(p) & 1
+    return np.nonzero(member)[1].reshape(len(member), -1)
 
 
 class FamilyScorer:
@@ -29,13 +37,25 @@ class FamilyScorer:
     def family_score(self, child: int, parent_mask: int, sample: int = 0) -> float:
         """One family's score in one sample (the first, or only, by
         default)."""
-        parents = np.array([[i for i in range(self.p) if parent_mask >> i & 1]],
-                           dtype=np.intp)
-        scores, failures = self.family_scores(child, parents,
+        scores, failures = self.family_scores(child, mask_members([parent_mask], self.p),
                                               slice(sample, sample + 1))
         if failures:
             raise failures[0, 0]
         return float(scores[0, 0])
+
+    def fill(self, samples: slice) -> np.ndarray:
+        """Every family within the cap in the ``samples``, as (sample,
+        child, parent mask), batched per child and parent count; -inf at
+        masks outside the cap or holding the child."""
+        values = np.full((len(range(self.samples)[samples]), self.p, 1 << self.p), -np.inf)
+        for child in range(self.p):
+            others = [i for i in range(self.p) if i != child]
+            for k in range(self.max_parents + 1):
+                sets = list(combinations(others, k))
+                sets = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+                scores, _ = self.family_scores(child, sets, samples)
+                values[:, child, (1 << sets).sum(axis=1)] = scores
+        return values
 
     def score_dag(self, dag: Dag) -> float:
         total = 0.0

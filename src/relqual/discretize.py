@@ -265,10 +265,10 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
     return Discretized(dataset, tuple(edges))
 
 
-# A fill across resamples counts every variable set as a marginal of one
-# joint count table while all the marginals of that table, samples *
-# prod(levels + 1) counts, hold at most this many (8 MiB, as a dense
-# family-score table); otherwise each family is counted on its own.
+# A fill counts every variable set as a marginal of one joint count table
+# while all the marginals of that table, samples * prod(levels + 1) counts,
+# hold at most this many (8 MiB, as a dense family-score table); otherwise
+# each family is counted on its own.
 MARGINAL_ENTRIES = 1 << 20
 
 
@@ -276,16 +276,18 @@ class DiscreteScoreCache(FamilyScorer):
     """Multinomial BIC family scores of one dataset, or of bootstrap
     resamples of it.
 
-    ``family_scores`` scores parent sets of one child in every sample.  In
-    a fill across resamples, every family's counts are marginals of one
-    joint count table over all variables, each summed out of a memoized
-    marginal of one more variable, as AD-trees share marginal counts
-    (Moore & Lee, 1998); in one sample, or where the marginals would not
-    fit in ``MARGINAL_ENTRIES``, each family takes one bincount.  Integer
-    sums are exact, so both give the same counts.  Across resamples, the
-    log term c ln(c/N) of a cell count c in a parent configuration of N
-    rows is read from a table of every count pair with an N seen so far;
-    one sample takes the logs of its observed cells.
+    ``family_scores`` scores parent sets of one child in every sample.
+    Within one ``fill`` whose marginals fit in ``MARGINAL_ENTRIES``, every
+    family's counts are marginals of one joint count table over all
+    variables, each summed out of a memoized marginal of one more variable,
+    as AD-trees share marginal counts (Moore & Lee, 1998); the memo lives
+    as long as that fill.  Otherwise each family takes one bincount, and
+    its configurations' counts are summed out of it.  Integer sums are
+    exact, so both give the same counts, laid out as (sample, levels of the
+    variables in descending order).  Across
+    resamples, the log term c ln(c/N) of a cell count c in a parent
+    configuration of N rows is read from a table of every count pair with
+    an N seen so far; one sample takes the logs of its observed cells.
     """
 
     # bound in this class too: a tracer wraps and restores it per scorer
@@ -299,12 +301,23 @@ class DiscreteScoreCache(FamilyScorer):
         self.levels = data.levels
         self.resamples = (np.arange(self.n)[None, :] if resamples is None
                           else np.asarray(resamples))
-        # (samples, marginal counts by descending variable tuple) of the
-        # fill in progress
-        self._memo: tuple[tuple[int, int, int], dict] | None = None
+        # marginal counts by descending variable tuple, during a fill
+        self._memo: dict | None = None
         # c ln(c/N) at _term_rows[N] + c, -1 for an N not yet seen
         self._term_rows = np.full(self.resamples.shape[1] + 1, -1, dtype=np.intp)
         self._terms = np.empty(0)
+
+    def fill(self, samples: slice) -> np.ndarray:
+        """``FamilyScorer.fill``, counting through a memo started with the
+        samples' joint count table where its marginals fit."""
+        idx = self.resamples[samples]
+        if len(idx) * math.prod(k + 1 for k in self.levels) <= MARGINAL_ENTRIES:
+            joint = tuple(range(self.p - 1, -1, -1))
+            self._memo = {joint: self._marginal(idx, joint)}
+        try:
+            return super().fill(samples)
+        finally:
+            self._memo = None
 
     def family_scores(self, child: int, parent_sets: np.ndarray,
                       resamples: slice = slice(None)
@@ -315,28 +328,19 @@ class DiscreteScoreCache(FamilyScorer):
         idx = self.resamples[resamples]
         if parent_sets.shape[1] > self.max_parents:
             raise ValueError("parent set exceeds max_parents")
-        memo = self._marginals(resamples, idx)
         child_levels = self.levels[child]
         scores = np.empty((len(idx), len(parent_sets)))
         for m, parents in enumerate(parent_sets.tolist()):
             # counts as (sample, parents above the child, child, parents below)
-            if memo is None:
-                counts = self._counts(idx, [child, *parents]).reshape(
-                    len(idx), -1, child_levels, 1)
-                config = counts.sum(axis=2)
-            else:
-                family = tuple(sorted((child, *parents), reverse=True))
-                at = family.index(child)
-                config = self._marginal(memo, family[:at] + family[at + 1:])
-                counts = self._marginal(memo, family).reshape(
-                    len(idx), -1, child_levels, math.prod(self.levels[j] for j in family[at + 1:]))
+            family = tuple(sorted((child, *parents), reverse=True))
+            at = family.index(child)
+            counts = self._marginal(idx, family).reshape(
+                len(idx), -1, child_levels, math.prod(self.levels[j] for j in family[at + 1:]))
+            config = (counts.sum(axis=2) if self._memo is None
+                      else self._marginal(idx, family[:at] + family[at + 1:]))
             loglik = self._log_terms(counts, config).reshape(len(idx), -1).sum(axis=1)
             k = (child_levels - 1) * (config.size // len(idx))
             scores[:, m] = loglik - 0.5 * k * self._log_n
-        if child == self.p - 1 and parent_sets.shape[1] == self.max_parents:
-            # a fill (FamilyScoreTable._rows) ends with the last child's
-            # largest parent sets
-            self._memo = None
         return scores, {}
 
     def _counts(self, idx: np.ndarray, variables: list[int]) -> np.ndarray:
@@ -352,35 +356,26 @@ class DiscreteScoreCache(FamilyScorer):
             code += np.arange(0, len(idx) * radix, radix)[:, None]
         return np.bincount(code.ravel(), minlength=len(idx) * radix).reshape(len(idx), radix)
 
-    def _marginals(self, resamples: slice, idx: np.ndarray) -> dict | None:
-        """The marginal memo of a fill across the samples ``idx``, started
-        with their joint count table; None for one sample or a joint whose
-        marginals would not fit."""
-        if len(idx) < 2 or len(idx) * math.prod(k + 1 for k in self.levels) > MARGINAL_ENTRIES:
-            return None
-        key = resamples.indices(self.samples)
-        if self._memo is None or self._memo[0] != key:
-            # variable j's level is digit j of the joint code, so the axes
-            # of the (B, levels...) table run from the last variable down
-            joint = self._counts(idx, list(range(self.p)))
-            self._memo = key, {tuple(range(self.p - 1, -1, -1)):
-                               joint.reshape((len(idx),) + self.levels[::-1])}
-        return self._memo[1]
-
-    def _marginal(self, memo: dict, variables: tuple[int, ...]) -> np.ndarray:
-        """Counts (B, levels...) of the ``variables`` (descending), summed
-        over one axis of the smallest memoized set of one more variable,
-        or of the smallest such set, derived first.  Ties go to the largest
-        extra variable, whose axis lies furthest out."""
-        counts = memo.get(variables)
+    def _marginal(self, idx: np.ndarray, variables: tuple[int, ...]) -> np.ndarray:
+        """Counts (B, levels...) of the ``variables`` (descending) in the
+        samples ``idx``.  During a fill, they are summed over one axis of
+        the smallest memoized set of one more variable, or of the smallest
+        such set, derived first; ties go to the largest extra variable,
+        whose axis lies furthest out.  Otherwise they take one bincount."""
+        if self._memo is None:
+            # variable j's level is a digit of the code, the last one's the
+            # most significant, so the axes run from the last variable down
+            return self._counts(idx, variables[::-1]).reshape(
+                (len(idx),) + tuple(self.levels[j] for j in variables))
+        counts = self._memo.get(variables)
         if counts is None:
             supersets = [tuple(sorted((*variables, j), reverse=True))
                          for j in range(self.p - 1, -1, -1) if j not in variables]
-            known = [s for s in supersets if s in memo]
+            known = [s for s in supersets if s in self._memo]
             source = min(known or supersets,
                          key=lambda s: math.prod(self.levels[j] for j in s))
             extra = next(j for j in source if j not in variables)
-            counts = memo[variables] = self._marginal(memo, source).sum(
+            counts = self._memo[variables] = self._marginal(idx, source).sum(
                 axis=1 + source.index(extra))
         return counts
 
@@ -395,8 +390,8 @@ class DiscreteScoreCache(FamilyScorer):
         sample's few observed cells take their logs directly, which costs
         less than the table rows their new counts would add."""
         samples, outer, levels, inner = counts.shape
-        if samples == 1 and inner == 1:
-            cell = counts.ravel()
+        if samples == 1:
+            cell = counts.transpose(0, 1, 3, 2).ravel()
             observed = np.flatnonzero(cell)
             c = cell[observed]
             terms = np.zeros(cell.size)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from io import StringIO
-from itertools import combinations
 from pathlib import Path
 from typing import Callable, Union
 
@@ -28,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .dag import CycleError, Dag, SizeLimitError, VariableSet, add_edge_checked
-from .data import Dataset, DiscreteDataset
+from .data import Dataset, DiscreteDataset, mask_members
 from .discretize import DiscreteScoreCache
 from .gaussian import GaussianScoreCache
 from .rng import RawDraws, replay_integers, rng_from, split_seed
@@ -80,15 +79,6 @@ def _table(data: DataLike, max_parents: int,
     return FamilyScoreTable(cache(data, max_parents, resamples), data.variables)
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _first_best(top: np.ndarray, pick: np.ndarray, candidates,
                 margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """A serial scan, elementwise: over (value, choice) candidates in
@@ -103,9 +93,12 @@ def _first_best(top: np.ndarray, pick: np.ndarray, candidates,
 class FamilyScoreTable:
     """Family scores of one dataset, or of each of its bootstrap resamples.
 
-    A family whose score raises (singular parent covariance, degenerate
-    residual variance, too few rows) is marked NaN, and raises only when a
-    search reads it.
+    A dense table holds the scorer's ``fill`` of every sample; a lazy one
+    scores each family on its first read, and fills the rows that
+    ``read_rows`` asks for on each read.  A family whose score raises
+    (singular parent covariance, degenerate residual variance, too few
+    rows) is marked NaN, and raises, through the scorer's
+    ``family_score``, only when a search reads it.
     """
 
     def __init__(self, scorer, variables: VariableSet):
@@ -119,22 +112,8 @@ class FamilyScoreTable:
         entries = scorer.samples * self.p << self.p
         if scorer.samples > 1 and entries <= DENSE_TABLE_ENTRIES:
             # the values, flat after one -inf that stands for unwanted reads
-            self._store = np.concatenate([[-np.inf], self._rows(slice(None)).ravel()])
+            self._store = np.concatenate([[-np.inf], scorer.fill(slice(None)).ravel()])
             self.values = self._store[1:].reshape(scorer.samples, self.p, 1 << self.p)
-
-    def _rows(self, samples: slice) -> np.ndarray:
-        """Every family within the cap in the ``samples``, as (sample,
-        child, parent mask), batched per child and parent count; -inf at
-        masks outside the cap or holding the child."""
-        values = np.full((len(range(self.samples)[samples]), self.p, 1 << self.p), -np.inf)
-        for child in range(self.p):
-            others = [i for i in range(self.p) if i != child]
-            for k in range(self.max_parents + 1):
-                sets = list(combinations(others, k))
-                sets = np.array(sets, dtype=np.intp).reshape(len(sets), k)
-                scores, _ = self.scorer.family_scores(child, sets, samples)
-                values[:, child, (1 << sets).sum(axis=1)] = scores
-        return values
 
     def read(self, samples: np.ndarray, children: np.ndarray, masks: np.ndarray,
              wanted: np.ndarray) -> np.ndarray:
@@ -155,9 +134,8 @@ class FamilyScoreTable:
             if key not in self._scored:
                 sample, child, mask = key
                 missing.setdefault((sample, child, mask.bit_count()), []).append(mask)
-        for (sample, child, k), group in missing.items():
-            sets = np.array([_bits(mask) for mask in group], dtype=np.intp)
-            scores, _ = self.scorer.family_scores(child, sets.reshape(len(group), k),
+        for (sample, child, _), group in missing.items():
+            scores, _ = self.scorer.family_scores(child, mask_members(group, self.p),
                                                   slice(sample, sample + 1))
             self._scored.update(zip(((sample, child, mask) for mask in group),
                                     scores[0].tolist()))
@@ -169,16 +147,12 @@ class FamilyScoreTable:
         parent mask), -inf outside the cap; raises the error of the first
         marked family in that order.  A table that is not dense scores the
         rows on each read, batched per child and parent count."""
-        values = self._rows(samples) if self.values is None else self.values[samples]
+        values = self.scorer.fill(samples) if self.values is None else self.values[samples]
         marked = np.flatnonzero(np.isnan(values))
         if marked.size:
             sample, child, mask = np.unravel_index(marked[0], values.shape)
-            self.raise_marked(range(self.samples)[samples][sample], int(child), int(mask))
+            self.scorer.family_score(int(child), int(mask), range(self.samples)[samples][sample])
         return values
-
-    def raise_marked(self, sample: int, child: int, mask: int) -> None:
-        """Raise the error that marked the family."""
-        self.scorer.family_score(child, mask, sample)
 
 
 def _check_cap(table: FamilyScoreTable, max_parents: int) -> None:
@@ -393,14 +367,16 @@ def _ascend(table: FamilyScoreTable, sample: np.ndarray, parents: np.ndarray,
 
 
 def _allow_masks(p: int, restrict: frozenset[tuple[int, int]] | None) -> np.ndarray:
-    """Per node, the bitmask of nodes it may share an edge with."""
+    """Per node, the bitmask of nodes it may share an edge with; a pair
+    allows the edge either way, in whichever order it names its nodes."""
     if restrict is None:
         return np.full(p, (1 << p) - 1, dtype=np.int64)
     allow = [0] * p
-    for a, b in restrict:   # pairs are (lower, higher) index
-        if a < b:
-            allow[a] |= 1 << b
-            allow[b] |= 1 << a
+    for a, b in restrict:
+        if a == b or not (0 <= a < p and 0 <= b < p):
+            raise ValueError(f"restrict pair {(a, b)} is not two distinct nodes of {p}")
+        allow[a] |= 1 << b
+        allow[b] |= 1 << a
     return np.array(allow, dtype=np.int64)
 
 
@@ -428,7 +404,7 @@ def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
                               np.repeat(allow, restarts, axis=1), cfg.max_parents)
     if failure is not None:
         lane, child, mask = failure
-        table.raise_marked(int(sample[lane]), child, mask)
+        table.scorer.family_score(child, mask, int(sample[lane]))
     # the restart with the highest final score wins, earliest on ties
     scores = scores.reshape(-1, restarts)
     _, pick = _first_best(scores[:, 0], np.zeros(len(samples), dtype=np.intp),
@@ -457,7 +433,8 @@ def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
     family-score table of ``data`` (built here for a dataset); an add or
     reverse is legal when each node's ancestor bitmask says it closes no
     cycle.  The restart with the highest final score wins, earliest restart
-    on ties.
+    on ties.  ``restrict``, when given, holds the node pairs, in either
+    order, that an edge may join.
 
     Given a whole table, every sample that ``seed`` (one seed per sample,
     from the first, at most the table's sample count) covers climbs at
@@ -536,24 +513,28 @@ def _grow_shrink_blanket(corr: np.ndarray, n: int, target: int, p: int,
     return set(blanket)
 
 
+def _symmetric_pairs(data: Dataset, alpha: float,
+                     neighbours: Callable[[np.ndarray, int, int, int, float], set[int]]
+                     ) -> frozenset[tuple[int, int]]:
+    """The (lower, higher) pairs in which each node is among the other's
+    ``neighbours(corr, n, target, p, alpha)``, tested on the correlations
+    of ``data``."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0,1)")
+    corr = np.corrcoef(data.rows, rowvar=False)
+    p = data.rows.shape[1]
+    sets = [neighbours(corr, data.n, t, p, alpha) for t in range(p)]
+    return frozenset((a, b) for a in range(p) for b in range(a + 1, p)
+                     if b in sets[a] and a in sets[b])
+
+
 def restrict_gs(data: Dataset, alpha: float = 0.05) -> frozenset[tuple[int, int]]:
     """Pairs allowed by per-node Grow-Shrink blanket estimation.
 
     Tests are Fisher-z on partial correlations; a pair survives only when
     each node lands in the other's blanket (symmetry in both directions).
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0,1)")
-    corr = np.corrcoef(data.rows, rowvar=False)
-    p = data.rows.shape[1]
-    n = data.n
-    blankets = [_grow_shrink_blanket(corr, n, t, p, alpha) for t in range(p)]
-    pairs = set()
-    for a in range(p):
-        for b in range(a + 1, p):
-            if b in blankets[a] and a in blankets[b]:
-                pairs.add((a, b))
-    return frozenset(pairs)
+    return _symmetric_pairs(data, alpha, _grow_shrink_blanket)
 
 
 def _subsets(items: tuple[int, ...]):
@@ -589,18 +570,7 @@ def _mmpc_parents_children(corr: np.ndarray, n: int, target: int, p: int,
 def restrict_mmpc(data: Dataset, alpha: float = 0.05) -> frozenset[tuple[int, int]]:
     """Pairs allowed by the max-min parents-children heuristic: grow by the
     best worst-case association, prune backward, keep symmetric hits."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0,1)")
-    corr = np.corrcoef(data.rows, rowvar=False)
-    p = data.rows.shape[1]
-    n = data.n
-    sets = [_mmpc_parents_children(corr, n, t, p, alpha) for t in range(p)]
-    pairs = set()
-    for a in range(p):
-        for b in range(a + 1, p):
-            if b in sets[a] and a in sets[b]:
-                pairs.add((a, b))
-    return frozenset(pairs)
+    return _symmetric_pairs(data, alpha, _mmpc_parents_children)
 
 
 def _restrict_pairs(data: Dataset, restrict: str,
@@ -682,8 +652,7 @@ def _layers(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     layers = []
     for k in range(p + 1):
         sets = masks[np.bitwise_count(masks) == k]
-        member = sets[:, None] >> np.arange(p) & 1
-        layers.append((sets, np.nonzero(member)[1].reshape(len(sets), k)))
+        layers.append((sets, mask_members(sets, p)))
     return layers
 
 

@@ -380,18 +380,83 @@ def test_family_scores_of_the_unequal_levels_example():
             assert_same_table(got, want)
 
 
-def test_marginals_are_shared_only_where_they_fit():
+def test_marginals_are_shared_only_where_they_fit(monkeypatch):
+    """A fill whose marginals fit counts the joint table of all six
+    variables once and nothing else; one whose marginals do not fit
+    counts each family on its own and never the joint."""
+    real = DiscreteScoreCache._counts
+    counted = []
+
+    def counts(scorer, idx, variables):
+        counted.append(len(variables))
+        return real(scorer, idx, variables)
+
+    monkeypatch.setattr(DiscreteScoreCache, "_counts", counts)
     rng = np.random.default_rng(9)
     for levels, shared in (((3,) * 6, True), ((8,) * 6, False)):
         rows = np.column_stack([rng.integers(0, k, 50) for k in levels])
         data = DiscreteDataset(VariableSet([f"v{j}" for j in range(6)]), rows, levels)
         resamples = rng.integers(0, 50, size=(2, 50))
+        counted.clear()
         table = _table(data, 2, resamples)
         assert table.scorer._memo is None   # dropped when the fill ends
-        assert (table.scorer._marginals(slice(None), resamples) is not None) == shared
+        if shared:
+            assert counted == [6]
+        else:
+            assert counted and 6 not in counted
         assert_same_table(
             table.values,
             FamilyScoreTable(DenseScoreCache(data, 2, resamples), data.variables).values)
+
+
+def test_one_dataset_with_the_child_between_its_parents():
+    """One dataset of unequal levels, one never observed, scored for
+    children whose parents lie on both sides of them: lone families take
+    their own bincounts, a fill reads them from the memo, and both match
+    the cell table bit for bit."""
+    rng = np.random.default_rng(13)
+    levels = (3, 2, 5, 4)
+    rows = np.column_stack([rng.integers(0, 3, 80), rng.integers(0, 2, 80),
+                            rng.integers(0, 4, 80), rng.integers(0, 4, 80)])
+    data = DiscreteDataset(VariableSet(["a", "b", "c", "d"]), rows, levels)
+    scorer, reference = DiscreteScoreCache(data, 3), DenseScoreCache(data, 3)
+    for child, sets in ((1, [[0, 2], [0, 3], [0, 2, 3]]), (2, [[0, 3], [1, 3], [0, 1, 3]])):
+        for k in (2, 3):
+            group = np.array([s for s in sets if len(s) == k], dtype=np.intp)
+            got, _ = scorer.family_scores(child, group)
+            want, _ = reference.family_scores(child, group)
+            assert_same_table(got, want)
+    assert_same_table(scorer.fill(slice(None)), reference.fill(slice(None)))
+    assert scorer._memo is None
+
+
+def test_an_interrupted_fill_leaves_no_counts_behind():
+    """A fill that raises part way drops its memo: the other resamples'
+    lone families and fill still match the cell table."""
+    rng = np.random.default_rng(17)
+    levels = (3, 2, 4, 3)
+    rows = np.column_stack([rng.integers(0, k, 60) for k in levels])
+    data = DiscreteDataset(VariableSet(["a", "b", "c", "d"]), rows, levels)
+    resamples = rng.integers(0, 60, size=(5, 60))
+    scorer, reference = DiscreteScoreCache(data, 2, resamples), DenseScoreCache(data, 2, resamples)
+    calls = []
+
+    def log_terms(counts, config):
+        calls.append(1)
+        if len(calls) == 6:
+            raise RuntimeError("interrupted")
+        return DiscreteScoreCache._log_terms(scorer, counts, config)
+
+    scorer._log_terms = log_terms
+    with pytest.raises(RuntimeError, match="interrupted"):
+        scorer.fill(slice(0, 2))
+    del scorer._log_terms
+    assert scorer._memo is None
+    sets = np.array([[0, 2], [2, 3]], dtype=np.intp)
+    got, _ = scorer.family_scores(1, sets, slice(2, 5))
+    want, _ = reference.family_scores(1, sets, slice(2, 5))
+    assert_same_table(got, want)
+    assert_same_table(scorer.fill(slice(2, 5)), reference.fill(slice(2, 5)))
 
 
 def test_the_count_pair_table_keeps_only_the_counts_seen():

@@ -25,6 +25,7 @@ from relqual.search import (
     _dag_weight_sums,
     _zeta_transform,
 )
+from relqual.simstudy import default_truth
 
 AB = VariableSet(["A", "B"])
 ABC = VariableSet(["A", "B", "C"])
@@ -156,6 +157,22 @@ def test_hybrid_full_restrict_equals_plain_climb():
     cfg = HcConfig(restarts=4, seed=3)
     all_pairs = frozenset((a, b) for a in range(3) for b in range(a + 1, 3))
     assert hill_climb(data, cfg, restrict=all_pairs) == hill_climb(data, cfg)
+
+
+def test_restrict_pairs_are_unordered():
+    data = simulate(default_truth(), 200, seed=1)
+    cfg = HcConfig(restarts=2)
+    learned = hill_climb(data, cfg, restrict=frozenset({(2, 3)}))
+    assert learned.edges == frozenset({(2, 3)})
+    assert hill_climb(data, cfg, restrict=frozenset({(3, 2)})) == learned
+    assert hill_climb(data, cfg, restrict=frozenset({(3, 2), (2, 3)})) == learned
+
+
+@pytest.mark.parametrize("pair", [(2, 9), (9, 2), (-1, 2), (6, 0), (4, 4)])
+def test_restrict_pairs_outside_the_variables_are_refused(pair):
+    data = simulate(default_truth(), 200, seed=1)
+    with pytest.raises(ValueError, match=rf"restrict pair \({pair[0]}, {pair[1]}\)"):
+        hill_climb(data, HcConfig(restarts=2), restrict=frozenset({(0, 1), pair}))
 
 
 def test_hybrid_search_recovers_chain_skeleton():

@@ -356,7 +356,7 @@ def read_family(table, sample, child, mask):
     if value == value:
         return value
     try:
-        table.raise_marked(sample, child, mask)
+        table.scorer.family_score(child, mask, sample)
     except (RankDeficientError, DegenerateVarianceError,
             InsufficientRowsError) as exc:
         return type(exc)
@@ -654,7 +654,7 @@ def test_lowest_lane_reports_its_first_marked_read():
                          np.full((5, 3), 0b11111), 2)
     assert failure == (0, 0, 0b10010)
     with pytest.raises(DegenerateVarianceError, match="node 0"):
-        table.raise_marked(1, 0, 0b10010)
+        table.scorer.family_score(0, 0b10010, 1)
 
 
 def test_marks_behind_illegal_moves_are_never_read():
