@@ -173,6 +173,14 @@ def _check_cap(table: FamilyScoreTable, max_parents: int) -> None:
 MAX_GREEDY_NODES = 63
 
 
+def _ancestors(parents: np.ndarray) -> np.ndarray:
+    """Each node's ancestor masks, from its (p, lanes) parent masks."""
+    anc = parents.copy()
+    for k in range(len(parents)):   # Warshall's closure: -1 is all bits, 0 none
+        anc |= -((anc >> k) & 1) & anc[k]
+    return anc
+
+
 def _move_flags(parents: np.ndarray, children: np.ndarray, allow: np.ndarray,
                 max_parents: int) -> np.ndarray:
     """Which moves are legal in each lane, as (p, p, 2, lanes) flags.
@@ -188,9 +196,7 @@ def _move_flags(parents: np.ndarray, children: np.ndarray, allow: np.ndarray,
     """
     p = len(parents)
     bits = (np.int64(1) << np.arange(p))[:, None]
-    anc = parents.copy()
-    for k in range(p):   # Warshall's closure: -1 is all bits, 0 none
-        anc |= -((anc >> k) & 1) & anc[k]
+    anc = _ancestors(parents)
     room = np.bitwise_count(parents) < max_parents
     adds = allow & (room * bits).sum(axis=0) & ~(children | anc | bits)
     flags = np.empty((p, p, 2, parents.shape[1]), dtype=bool)
@@ -382,9 +388,9 @@ def _allow_masks(p: int, restrict: frozenset[tuple[int, int]] | None) -> np.ndar
 
 def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
             restricts: list[frozenset[tuple[int, int]] | None],
-            seeds: list) -> list[Dag]:
+            seeds: list) -> np.ndarray:
     """Random-restart greedy search of each sample, all climbs at once as
-    lanes (sample, restart) in that order; one DAG per sample."""
+    lanes (sample, restart) in that order; (p, samples) parent masks."""
     p, restarts = table.p, cfg.restarts
     if p > MAX_GREEDY_NODES:
         raise SizeLimitError(f"greedy search limited to {MAX_GREEDY_NODES} variables")
@@ -409,22 +415,18 @@ def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
     scores = scores.reshape(-1, restarts)
     _, pick = _first_best(scores[:, 0], np.zeros(len(samples), dtype=np.intp),
                           ((scores[:, r], r) for r in range(1, restarts)), 1e-12)
-    return _dags(table.variables,
-                 parents.reshape(p, -1, restarts)[:, np.arange(len(samples)), pick])
+    return parents.reshape(p, -1, restarts)[:, np.arange(len(samples)), pick]
 
 
-def _dags(variables: VariableSet, parents: np.ndarray) -> list[Dag]:
-    """One DAG per column of ``parents``, (p, samples) parent masks."""
-    edges = [set() for _ in range(parents.shape[1])]
-    for v, s, u in zip(*(a.tolist() for a in np.nonzero(
-            parents[:, :, None] >> np.arange(len(parents)) & 1))):
-        edges[s].add((u, v))
-    return [Dag(variables, frozenset(e)) for e in edges]
+def _dag(variables: VariableSet, parents: np.ndarray) -> Dag:
+    """The DAG of one dataset's (p, 1) parent masks."""
+    v, u = np.nonzero(parents[:, :1] >> np.arange(len(parents)) & 1)
+    return Dag(variables, frozenset(zip(u.tolist(), v.tolist())))
 
 
 def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
                restrict: frozenset[tuple[int, int]] | list | None = None,
-               seed=None) -> Dag | list[Dag]:
+               seed=None) -> Dag | np.ndarray:
     """Best DAG over random-restart greedy search.
 
     Each restart perturbs the empty graph with random legal edge operations
@@ -438,9 +440,10 @@ def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
 
     Given a whole table, every sample that ``seed`` (one seed per sample,
     from the first, at most the table's sample count) covers climbs at
-    once, ``restrict`` is None or one pair set per seed, and the result is
-    one DAG per sample.  A seed that is a ``Generator`` ends where the
-    serial draws of its sample's restarts would leave it.
+    once, ``restrict`` is None or a list of one pair set (or None) per
+    seed, and the result is (p, seeds) int64 parent masks, bit u of
+    ``[v, s]`` the edge u -> v.  A seed that is a ``Generator`` ends where
+    the serial draws of its sample's restarts would leave it.
     """
     if isinstance(data, FamilyScoreTable):
         _check_cap(data, cfg.max_parents)
@@ -454,11 +457,16 @@ def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
             raise ValueError("a Generator appears more than once among the seeds; "
                              "each sample draws from its own")
         restricts = [None] * len(seed) if restrict is None else restrict
+        if not isinstance(restricts, (list, tuple)) or not all(
+                r is None or isinstance(r, (set, frozenset))
+                and all(isinstance(t, tuple) and len(t) == 2 for t in r) for r in restricts):
+            raise ValueError("a table takes one pair set (or None) per seed as restrict")
         if len(restricts) != len(seed):
             raise ValueError(f"{len(restricts)} restricts for {len(seed)} seeds")
         return _search(data, list(range(len(seed))), cfg, restricts, seed)
     seed = split_seed(cfg.seed, 0) if seed is None else seed
-    return _search(_table(data, cfg.max_parents), [0], cfg, [restrict], [seed])[0]
+    return _dag(data.variables,
+                _search(_table(data, cfg.max_parents), [0], cfg, [restrict], [seed]))
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +477,14 @@ def _partial_correlation(corr: np.ndarray, x: int, y: int,
                          given: tuple[int, ...]) -> float:
     if not given:
         return float(np.clip(corr[x, y], -1.0, 1.0))
-    s = list(given)
+    s, xy = list(given), [x, y]
+    rows, pair = corr.take(s, 0), corr.take(xy, 0)   # np.ix_ costs three times more
     try:
-        solved = np.linalg.solve(corr[np.ix_(s, s)], corr[np.ix_(s, [x, y])])
+        solved = np.linalg.solve(rows.take(s, 1), rows.take(xy, 1))
     except np.linalg.LinAlgError:
         raise SingularCorrelationError(
             f"correlation submatrix for {s} is singular") from None
-    residual = corr[np.ix_([x, y], [x, y])] - corr[np.ix_([x, y], s)] @ solved
+    residual = pair.take(xy, 1) - pair.take(s, 1) @ solved
     var_x, var_y = residual[0, 0], residual[1, 1]
     if var_x <= 1e-15 or var_y <= 1e-15:
         # x or y fully explained by the conditioning set
@@ -855,7 +864,7 @@ def exact_map_edge_probabilities(data: Dataset,
 
 
 def map_dag(data: DataLike | FamilyScoreTable,
-            max_parents: int = MAX_EXACT_PARENTS) -> Dag | list[Dag]:
+            max_parents: int = MAX_EXACT_PARENTS) -> Dag | np.ndarray:
     """Globally optimal DAG for the family scores, by best-sink dynamic
     programming over node subsets (Silander & Myllymaki, UAI 2006).
 
@@ -865,8 +874,8 @@ def map_dag(data: DataLike | FamilyScoreTable,
     order of the member left out; each set's sink is its first best
     member; the first maximum wins both.
 
-    Given a whole table, the result is one DAG per sample, its rows read
-    at most ``DENSE_TABLE_ENTRIES`` scores at a time.
+    Given a whole table, the result is each sample's DAG as (p, samples)
+    int64 parent masks, its rows read ``DENSE_TABLE_ENTRIES`` at a time.
     """
     p = len(data.variables)
     if p > MAX_EXACT_NODES:
@@ -878,7 +887,7 @@ def map_dag(data: DataLike | FamilyScoreTable,
               for sets, members in _layers(p)[1:]]
     capped = np.bitwise_count(np.arange(1 << p)) > max_parents
     step = max(1, DENSE_TABLE_ENTRIES // (p << p))
-    dags = []
+    parents = np.zeros((p, table.samples), dtype=np.int64)
     for lo in range(0, table.samples, step):
         best = np.where(capped, -np.inf, table.read_rows(slice(lo, lo + step)))
         family = np.broadcast_to(np.arange(1 << p), best.shape).copy()
@@ -894,14 +903,12 @@ def map_dag(data: DataLike | FamilyScoreTable,
                 np.full((len(best), len(sets)), -np.inf), sink[:, sets],
                 ((total[:, prev] + best[:, c, prev], c)
                  for c, prev in zip(members, smaller)))
-        parents = np.zeros((p, len(best)), dtype=np.int64)
         rest = np.full(len(best), (1 << p) - 1)
         for _ in range(p):   # peel each sample's sinks off the full set
             c = sink[samples, rest]
             rest ^= 1 << c
-            parents[c, samples] = family[samples, c, rest]
-        dags += _dags(table.variables, parents)
-    return dags if table is data else dags[0]
+            parents[c, lo + samples] = family[samples, c, rest]
+    return parents if table is data else _dag(table.variables, parents)
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +923,13 @@ class ScoreLearner:
     ``search(data, resamples, table, seeds)`` gets the data, every
     resample's row indices, the family-score table that
     ``bootstrap_average`` scores for all resamples at once, and one seed
-    per resample, and returns one DAG per resample.
+    per resample, and returns each resample's DAG as (p, resamples) integer
+    parent masks, bit u of ``[v, b]`` the edge u -> v of resample b.
     """
 
     max_parents: int
     search: Callable[[DataLike, np.ndarray, FamilyScoreTable,
-                      list[np.random.SeedSequence]], list[Dag]]
+                      list[np.random.SeedSequence]], np.ndarray]
 
 
 def hc_learner(cfg: HcConfig) -> ScoreLearner:
@@ -932,7 +940,7 @@ def hc_learner(cfg: HcConfig) -> ScoreLearner:
 def hybrid_learner(cfg: HcConfig, restrict: str = "gs",
                    alpha: float = 0.05) -> ScoreLearner:
     def search(data: Dataset, resamples: np.ndarray, table: FamilyScoreTable,
-               seeds: list) -> list[Dag]:
+               seeds: list) -> np.ndarray:
         pairs = []
         try:
             for idx in resamples:
@@ -963,15 +971,17 @@ def bootstrap_average(data: DataLike, learner: ScoreLearner, boot_samples: int,
     if boot_samples < 1:
         raise ValueError("boot_samples must be >= 1")
     p = len(data.variables)
-    counts = np.zeros((p, p))
-    n = data.n
-    resamples = np.stack([rng_from(split_seed(seed, 1, i)).integers(0, n, size=n)
+    resamples = np.stack([rng_from(split_seed(seed, 1, i)).integers(0, data.n, size=data.n)
                           for i in range(boot_samples)])
     table = _table(data, learner.max_parents, resamples)
     seeds = [split_seed(seed, 2, i) for i in range(boot_samples)]
-    for learned in learner.search(data, resamples, table, seeds):
-        for u, v in learned.edges:
-            counts[u, v] += 1.0
+    parents = learner.search(data, resamples, table, seeds)
+    if not (isinstance(parents, np.ndarray) and parents.dtype.kind in "iu"
+            and parents.shape == (p, boot_samples)   # no negative mask, no bit past p:
+            and not ((parents := parents.astype(np.int64)) >> p).any()
+            and not (_ancestors(parents) >> np.arange(p)[:, None] & 1).any()):
+        raise ValueError(f"a learner returns ({p}, {boot_samples}) int parent masks of DAGs")
+    counts = (parents >> np.arange(p)[:, None, None] & 1).sum(axis=2)
     return _confidence_from_counts(data.variables, counts, float(boot_samples))
 
 

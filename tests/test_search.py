@@ -23,9 +23,14 @@ from relqual.search import (
     restrict_gs,
     restrict_mmpc,
     _dag_weight_sums,
+    _edge_posteriors,
+    _family_weight_tables,
+    _table,
     _zeta_transform,
 )
+from relqual.rng import split_seed
 from relqual.simstudy import default_truth
+from test_search_oracle import masks
 
 AB = VariableSet(["A", "B"])
 ABC = VariableSet(["A", "B", "C"])
@@ -175,6 +180,20 @@ def test_restrict_pairs_outside_the_variables_are_refused(pair):
         hill_climb(data, HcConfig(restarts=2), restrict=frozenset({(0, 1), pair}))
 
 
+@pytest.mark.parametrize("restrict", [
+    frozenset({(0, 1), (1, 2)}),   # a set of pairs: one dataset's restrict
+    frozenset({(0, 1)}),
+    [frozenset({(0, 1)}), 5],
+    [None, frozenset({1, 2})],
+], ids=["pair-set", "one-pair-set", "int-element", "set-of-ints"])
+def test_a_table_takes_one_pair_set_or_none_per_seed(restrict):
+    data = simulate(default_truth(), 200, seed=1)
+    table = _table(data, 2, np.random.default_rng(0).integers(0, data.n, (2, data.n)))
+    seeds = [split_seed(1, 2, i) for i in range(2)]
+    with pytest.raises(ValueError, match=r"one pair set \(or None\) per seed"):
+        hill_climb(table, HcConfig(restarts=2, max_parents=2), restrict=restrict, seed=seeds)
+
+
 def test_hybrid_search_recovers_chain_skeleton():
     hits = 0
     for rep in range(20):
@@ -256,6 +275,16 @@ def test_exact_map_overwhelming_edge():
     assert conf.strength[0, 1] > 0.999
 
 
+def test_float64_weights_of_an_overwhelming_edge_underflow():
+    """Where np.longdouble is plain float64 the posterior of the data
+    above runs in float64, and its mass underflows: the failure mode
+    ROADMAP item 5 removes.  Pinned until then."""
+    data = strong_pair_data(n=1000, seed=13, coef=10.0, sd_b=0.01)
+    weights = _family_weight_tables(data, 5).astype(np.float64)
+    with pytest.raises(ArithmeticError, match="posterior mass underflowed"):
+        _edge_posteriors(weights)
+
+
 def test_map_dag_matches_exhaustive_best():
     for rep in range(10):
         data = chain_data(n=80, seed=11_000 + rep)
@@ -264,9 +293,10 @@ def test_map_dag_matches_exhaustive_best():
 
 
 def test_bootstrap_fixed_learner_all_strength_one():
-    fixed = Dag.from_names(ABC, [("A", "B")])
+    fixed = np.array([[0], [0b001], [0]])   # A -> B
     data = chain_data(n=50, seed=3)
-    learner = ScoreLearner(1, lambda d, resamples, table, seeds: [fixed] * len(seeds))
+    learner = ScoreLearner(1, lambda d, resamples, table, seeds:
+                           fixed.repeat(len(seeds), axis=1))
     conf = bootstrap_average(data, learner, boot_samples=25, seed=0)
     assert conf.strength[0, 1] == 1.0
     assert conf.direction[0, 1] == 1.0
@@ -277,14 +307,71 @@ def test_bootstrap_fixed_learner_all_strength_one():
 def test_bootstrap_direction_complement():
     # learner alternates orientation 66/34: the mirrored rows must add to 1
     def search(d, resamples, table, seeds):
-        return [Dag.from_names(AB, [("A", "B") if i < 66 else ("B", "A")])
-                for i in range(len(seeds))]
+        forward = np.arange(len(seeds)) < 66   # A -> B, else B -> A
+        return np.stack([np.where(forward, 0, 0b10), np.where(forward, 0b01, 0)])
 
     data = strong_pair_data(n=40, seed=5)
     conf = bootstrap_average(data, ScoreLearner(1, search), boot_samples=100, seed=0)
     assert conf.strength[0, 1] == 1.0
     assert conf.direction[0, 1] == pytest.approx(0.66)
     assert conf.direction[1, 0] == pytest.approx(0.34)
+
+
+DAGS_4 = list(enumerate_dags(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(DAGS_4), min_size=1, max_size=12), st.integers(0, 99))
+def test_bootstrap_counts_the_masks_a_learner_returns(dags, seed):
+    """A learner that returns the masks of given DAGs gets the confidence
+    of counting those DAGs' edges."""
+    data = Dataset(DAGS_4[0].variables,
+                   np.random.default_rng(seed).standard_normal((30, 4)))
+    learner = ScoreLearner(1, lambda d, resamples, table, seeds: masks(dags))
+    conf = bootstrap_average(data, learner, len(dags), seed=seed)
+    counts = np.zeros((4, 4))
+    for dag in dags:
+        for u, v in dag.edges:
+            counts[u, v] += 1.0
+    either = counts + counts.T
+    assert np.array_equal(conf.strength, either / len(dags))
+    assert np.array_equal(conf.direction, np.where(
+        either > 0, counts / np.where(either > 0, either, 1.0), 0.5))
+
+
+CHAIN = np.array([[0], [0b001], [0b010]]).repeat(4, axis=1)   # A -> B -> C
+
+
+def test_bootstrap_accepts_masks_of_any_integer_dtype():
+    data = chain_data(n=50, seed=3)
+    for dtype in (np.int64, np.int8, np.uint64):
+        conf = bootstrap_average(data, ScoreLearner(
+            1, lambda d, resamples, table, seeds: CHAIN.astype(dtype)), 4, seed=0)
+        assert conf.strength[0, 1] == conf.strength[1, 2] == 1.0
+        assert conf.strength[0, 2] == 0.0
+
+
+def _with(row, column, mask):
+    parents = CHAIN.copy()
+    parents[row, column] = mask
+    return parents
+
+
+@pytest.mark.parametrize("parents", [
+    CHAIN[:, :3], CHAIN.T, CHAIN[:, :, None],
+    CHAIN.astype(float),
+    _with(0, 2, 0b010),   # B -> A with A -> B
+    _with(1, 1, 0b011),   # B is its own parent
+    _with(2, 0, 0b1010),  # a parent past the three nodes
+    _with(2, 3, np.iinfo(np.int64).min),   # the sign bit alone
+    [Dag.from_names(ABC, [("A", "B")])] * 4,
+], ids=["too-few", "transposed", "three-axes", "float", "two-cycle", "self-loop",
+        "bit-past-p", "negative", "dag-list"])
+def test_bootstrap_refuses_what_is_not_acyclic_parent_masks(parents):
+    """Three nodes and four resamples: the message names the (3, 4) shape."""
+    learner = ScoreLearner(1, lambda d, resamples, table, seeds: parents)
+    with pytest.raises(ValueError, match=r"\(3, 4\) int parent masks"):
+        bootstrap_average(chain_data(n=50, seed=3), learner, 4, seed=0)
 
 
 def test_bootstrap_deterministic_given_seed():

@@ -37,6 +37,7 @@ from relqual.search import (
     _edge_posteriors,
     _family_weight_tables,
     _perturbed_starts,
+    _dag,
     _table,
     bootstrap_average,
     exact_map_edge_probabilities,
@@ -298,6 +299,16 @@ def ref_map_dag(data, max_parents, table_cap=None):
     return Dag(data.variables, frozenset(edges))
 
 
+def masks(dags):
+    """The (p, len(dags)) int64 parent masks of the ``dags``, the form in
+    which table searches return their DAGs: bit u of [v, s] is u -> v."""
+    out = np.zeros((len(dags[0].variables), len(dags)), dtype=np.int64)
+    for s, dag in enumerate(dags):
+        for u, v in dag.edges:
+            out[v, s] |= 1 << u
+    return out
+
+
 def ref_bootstrap_counts(data, learn, boot_samples, seed):
     p = len(data.variables)
     counts = np.zeros((p, p))
@@ -453,7 +464,7 @@ def test_row_read_raises_the_first_sample_s_first_failure():
         table.read_rows(slice(1, 2))
     with pytest.raises(DegenerateVarianceError, match=r"node 1\b"):
         table.read_rows(slice(None))
-    want = outcome(lambda: [ref_map_dag(data.take_rows(i), 1) for i in idx])
+    want = outcome(lambda: masks([ref_map_dag(data.take_rows(i), 1) for i in idx]))
     assert want[0] is DegenerateVarianceError
     assert outcome(lambda: map_dag(table, 1)) == want
 
@@ -544,9 +555,9 @@ def test_near_ties_follow_the_serial_scan(seed):
         0, 16, finite.sum())
     cfg = HcConfig(restarts=4, perturb=2, max_parents=3, seed=seed)
     seeds = [split_seed(seed, 2, i) for i in range(len(idx))]
-    assert hill_climb(table, cfg, seed=seeds) == [
+    assert np.array_equal(hill_climb(table, cfg, seed=seeds), masks([
         ref_hill_climb(data, cfg, seed=s, scorer=TableSample(table, b))
-        for b, s in enumerate(seeds)]
+        for b, s in enumerate(seeds)]))
 
 
 def test_table_learners_match_their_plain_calls():
@@ -557,8 +568,8 @@ def test_table_learners_match_their_plain_calls():
     for learner in (hc_learner(cfg), map_learner(3), hybrid_learner(cfg, "gs"),
                     hybrid_learner(cfg, "mmpc")):
         counts = ref_bootstrap_counts(
-            data, lambda d, s: learner.search(
-                d, [np.arange(d.n)], _table(d, learner.max_parents), [s])[0],
+            data, lambda d, s: _dag(d.variables, learner.search(
+                d, [np.arange(d.n)], _table(d, learner.max_parents), [s])),
             4, seed=9)
         either = counts + counts.T
         tabled = bootstrap_average(data, learner, 4, seed=9)
@@ -577,6 +588,14 @@ def outcome(run):
         return "ok", run()
     except NUMERIC_FAILURES as exc:
         return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Two outcomes are equal, a returned array compared whole."""
+    if want[0] == "ok":
+        assert got[0] == "ok" and np.array_equal(got[1], want[1])
+    else:
+        assert got == want
 
 
 def test_marked_families_raise_what_the_serial_search_raises():
@@ -602,10 +621,7 @@ def test_marked_families_raise_what_the_serial_search_raises():
             want = outcome(lambda: _strength(
                 ref_bootstrap_counts(data, reference, 4, seed), 4))
             got = outcome(lambda: bootstrap_average(data, learner, 4, seed=seed).strength)
-            if want[0] == "ok":
-                assert got[0] == "ok" and np.array_equal(got[1], want[1])
-            else:
-                assert got == want
+            assert_same_outcome(got, want)
             seen.add(want[0] if want[0] == "ok" else want)
     assert "ok" in seen and len(seen) >= 3   # counts and different errors
 
@@ -668,11 +684,11 @@ def test_marks_behind_illegal_moves_are_never_read():
     assert np.isnan(table.values).any()
     seeds = [split_seed(1, 2, i) for i in range(len(idx))]
     learned = hill_climb(table, cfg, seed=seeds)
-    assert learned == [ref_hill_climb(data.take_rows(i), cfg, seed=s)
-                       for i, s in zip(idx, seeds)]
+    assert np.array_equal(learned, masks([ref_hill_climb(data.take_rows(i), cfg, seed=s)
+                                          for i, s in zip(idx, seeds)]))
     lazy = _table(data, 4)
-    assert hill_climb(lazy, cfg, seed=[split_seed(cfg.seed, 0)]) == \
-        [ref_hill_climb(data, cfg)]
+    assert np.array_equal(hill_climb(lazy, cfg, seed=[split_seed(cfg.seed, 0)]),
+                          masks([ref_hill_climb(data, cfg)]))
     assert max(mask.bit_count() for _, _, mask in lazy._scored) == 1
 
 
@@ -833,8 +849,8 @@ def test_a_caller_s_generator_ends_where_the_serial_draws_leave_it():
     mine, ref = np.random.default_rng(5), np.random.default_rng(5)
     seeds = [split_seed(2, 2, 0), mine, 7]
     refs = [split_seed(2, 2, 0), ref, 7]
-    assert hill_climb(_table(data, 3, idx), cfg, seed=seeds) == [
-        ref_hill_climb(data.take_rows(i), cfg, seed=s) for i, s in zip(idx, refs)]
+    assert np.array_equal(hill_climb(_table(data, 3, idx), cfg, seed=seeds), masks([
+        ref_hill_climb(data.take_rows(i), cfg, seed=s) for i, s in zip(idx, refs)]))
     assert mine.bit_generator.state == ref.bit_generator.state
 
 
@@ -852,9 +868,10 @@ def test_search_edge_cases_match_the_reference(restarts, perturb, p):
     restricts = [frozenset(), pairs, None, frozenset()]
     mine = [np.random.default_rng(s) for s in range(4)]
     ref = [np.random.default_rng(s) for s in range(4)]
-    assert hill_climb(_table(data, 2, idx), cfg, restrict=restricts, seed=mine) == [
-        ref_hill_climb(data.take_rows(i), cfg, restrict=r, seed=s)
-        for i, r, s in zip(idx, restricts, ref)]
+    assert np.array_equal(
+        hill_climb(_table(data, 2, idx), cfg, restrict=restricts, seed=mine), masks([
+            ref_hill_climb(data.take_rows(i), cfg, restrict=r, seed=s)
+            for i, r, s in zip(idx, restricts, ref)]))
     assert [g.bit_generator.state for g in mine] == [g.bit_generator.state for g in ref]
 
 
@@ -872,7 +889,7 @@ def test_climbing_a_table_checks_its_seeds_and_restricts():
     shared = np.random.default_rng(0)
     with pytest.raises(ValueError, match="Generator appears more than once"):
         hill_climb(table, cfg, seed=[shared, seeds[1], shared])
-    assert len(hill_climb(table, cfg, seed=seeds[:2])) == 2
+    assert hill_climb(table, cfg, seed=seeds[:2]).shape == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -913,8 +930,8 @@ def test_map_dag_of_a_table_matches_serial_reference_per_sample(
     data, cap = case
     idx = resamples(data.n, boot_samples, seed)
     table = _table(data, cap + extra_cap, idx)
-    assert outcome(lambda: map_dag(table, cap)) == outcome(lambda: [
-        ref_map_dag(data.take_rows(i), cap, cap + extra_cap) for i in idx])
+    assert_same_outcome(outcome(lambda: map_dag(table, cap)), outcome(lambda: masks([
+        ref_map_dag(data.take_rows(i), cap, cap + extra_cap) for i in idx])))
 
 
 def test_map_dag_breaks_ties_as_the_serial_search():
@@ -923,9 +940,10 @@ def test_map_dag_breaks_ties_as_the_serial_search():
     data = duplicated(discrete_data(4, 6, 80), [(3, 0), (4, 0), (5, 1)])
     table = _table(data, 3, resamples(data.n, 6, 2))
     learned = map_dag(table, 3)
-    assert learned == [ref_map_dag(data.take_rows(i), 3) for i in resamples(data.n, 6, 2)]
+    assert np.array_equal(learned, masks([ref_map_dag(data.take_rows(i), 3)
+                                          for i in resamples(data.n, 6, 2)]))
     assert map_dag(data, 3) == ref_map_dag(data, 3)
-    assert len(set(learned)) > 1
+    assert len(np.unique(learned, axis=1).T) > 1
 
 
 def test_map_dag_keeps_its_cap_on_a_wider_table():
@@ -939,9 +957,9 @@ def test_map_dag_keeps_its_cap_on_a_wider_table():
     idx = resamples(data.n, 3, 5)
     table = _table(data, 3, idx)
     learned = map_dag(table, 1)
-    assert learned == [ref_map_dag(data.take_rows(i), 1, 3) for i in idx]
-    assert all(len(dag.parents(v)) <= 1 for dag in learned for v in range(4))
-    assert map_dag(table, 3) != learned
+    assert np.array_equal(learned, masks([ref_map_dag(data.take_rows(i), 1, 3) for i in idx]))
+    assert (np.bitwise_count(learned) <= 1).all()
+    assert not np.array_equal(map_dag(table, 3), learned)
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -967,8 +985,8 @@ def test_lazy_map_table_reads_rows_in_chunks(monkeypatch, chunk):
         table = _table(data, 3, idx)
         assert table.values is None
         reads.clear()
-        want = outcome(lambda: [ref_map_dag(data.take_rows(i), 3) for i in idx])
-        assert outcome(lambda: map_dag(table, 3)) == want
+        want = outcome(lambda: masks([ref_map_dag(data.take_rows(i), 3) for i in idx]))
+        assert_same_outcome(outcome(lambda: map_dag(table, 3)), want)
         if want[0] == "ok":
             assert reads == [chunk] * (boot_samples // chunk) + [boot_samples % chunk] * (
                 boot_samples % chunk > 0)
