@@ -14,11 +14,12 @@ scans all their candidate splits in padded blocks.  A forest's trees
 form one such run, and tuning grows the trees of every fold of an mtry
 in one.  A lane's candidate features are numpy's
 ``choice(p, mtry, replace=False)`` of each of its splits, replayed for
-many splits at once from raw blocks of the lane's stream
-(``rng.replay_choice``); the replay holds only while numpy keeps its
-``choice`` and ``integers`` algorithms, which the property tests check
-against the installed numpy.  Every tree, draw and prediction is the one
-that growing each tree on its own, recursively, would give, bit for bit.
+every split its tree can draw for at once, from one raw block of the
+lane's stream (``rng.replay_choice``); the replay holds only while numpy
+keeps its ``choice`` and ``integers`` algorithms, which the property
+tests check against the installed numpy.  Every tree, draw and
+prediction is the one that growing each tree on its own, recursively,
+would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -133,10 +134,9 @@ LANE_ROWS = 1 << 18
 # Rows that one walk of trees may take down at once, or one tree's when
 # it has more: larger walks saved little and raised the peak memory.
 WALK_ROWS = 1 << 14
-# Raw draws, in bytes, that a batch's feature draws may replay at once:
-# each lane replays as many splits as its tree can have, or fewer when
-# they would not fit, and the next ones when it runs past them.
-DRAW_BYTES = 1 << 20
+# Raw draws, in bytes, that one batch of lockstep lanes may replay for the
+# features of every split its trees can draw for; a batch has one lane or more.
+DRAW_BYTES = 1 << 22
 
 
 def _bootstrap(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
@@ -235,54 +235,36 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, lanes, mtry: int, min_leaf: int):
     allowed) that draws its candidate features from ``rng``.
 
     Trees grow in lockstep, one lane per tree, in batches of lanes that
-    hold at most LANE_ROWS rows between them.  Each lane keeps its own
-    depth-first stack (right child pushed first) and each step pops one
-    node per lane, so a lane draws its features in pre-order, as a
-    recursive grower would.
+    hold at most LANE_ROWS rows and DRAW_BYTES of raw feature draws
+    between them; a batch replays every lane's draws when it starts.
+    Each lane keeps its own depth-first stack (right child pushed first)
+    and each step pops one node per lane, so a lane draws its features in
+    pre-order, as a recursive grower would.
     """
-    batch_lanes = max(1, LANE_ROWS // x.shape[0])
+    n, p = x.shape
+    each = choice_counts(p, mtry).size
+    # every node keeps min_leaf rows or more, so a tree on m rows has at
+    # most m // min_leaf leaves; its drawing nodes are the internal nodes
+    # plus the leaves with 2 * min_leaf rows or more, and as such a leaf
+    # counts twice towards m // min_leaf, there are at most m // min_leaf - 1
+    batch_lanes = max(1, min(LANE_ROWS // n,
+                             DRAW_BYTES // (4 * max(1, each) * (n // min_leaf))))
     ranked = _ranked(x, y)
     lanes = iter(lanes)
     while batch := list(islice(lanes, batch_lanes)):
         keys, rngs, bags = zip(*batch)
-        yield from zip(keys, _grow_batch(x, y, ranked, rngs, bags, mtry,
-                                         min_leaf))
-
-
-class _FeatureDraws:
-    """Each lane's candidate features, split after split: its stream's
-    ``choice(p, mtry, replace=False)`` calls, replayed ``calls`` at a time
-    per lane from one raw block (``replay_choice``).  ``calls`` is the
-    most splits a lane can draw for, or fewer when their raw draws would
-    not fit in DRAW_BYTES; a lane that runs past its replayed calls
-    replays the next ``calls``."""
-
-    def __init__(self, rngs, p: int, mtry: int, splits: int):
-        each = choice_counts(p, mtry).size
-        calls = max(1, min(splits, DRAW_BYTES // (4 * max(1, each) * len(rngs))))
-        self.p, self.mtry, self.calls = p, mtry, calls
-        self.raw = RawDraws(rngs, max(1, calls * each))
-        self.at = np.zeros(len(rngs), dtype=np.int64)
-        self.picks = np.empty((len(rngs), calls, mtry), dtype=np.int64)
-        self.used = np.full(len(rngs), calls)
-
-    def __call__(self, lanes: np.ndarray) -> np.ndarray:
-        """The next feature subset of each of ``lanes`` (distinct)."""
-        out = lanes[self.used[lanes] == self.calls]
-        if out.size:
-            self.raw.release(out, self.at[out])
-            self.picks[out], self.at[out] = replay_choice(
-                self.raw, out, self.at[out], self.p, self.mtry, self.calls)
-            self.used[out] = 0
-        drawn = self.picks[lanes, self.used[lanes]]
-        self.used[lanes] += 1
-        return drawn
+        splits = max(1, max(bag.size for bag in bags) // min_leaf - 1)
+        rows = np.arange(len(rngs))
+        picks, _ = replay_choice(RawDraws(rngs, max(1, splits * each)), rows,
+                                 np.zeros_like(rows), p, mtry, splits)
+        yield from zip(keys, _grow_batch(x, y, ranked, picks, bags, min_leaf))
 
 
 def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
-                rngs, bags, mtry: int, min_leaf: int) -> list[_Tree]:
+                picks: np.ndarray, bags, min_leaf: int) -> list[_Tree]:
     """One batch of ``_grow_trees``, ``ranked`` the tables ``_ranked``
-    made of x and y.  A lane's node id is the step that popped it.
+    made of x and y, ``picks[l, k]`` the candidate features of lane l's
+    k-th drawing node.  A lane's node id is the step that popped it.
 
     The lanes' bags lie end to end in one row buffer, and a node is a
     segment of it: a split partitions its node's segment in place,
@@ -304,9 +286,7 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
     stack = np.empty((bag.size, 8, 3), dtype=np.int64)
     stack[:, 0] = np.column_stack([np.cumsum(bag) - bag, bag, np.full(bag.size, -1)])
     depth = np.ones(bag.size, dtype=np.int64)
-    # a node draws only with 2 * min_leaf rows or more, so a tree has at
-    # most 2 * (n // (2 * min_leaf)) - 1 drawing nodes
-    draws = _FeatureDraws(rngs, p, mtry, 2 * (int(bag.max()) // (2 * min_leaf)) - 1)
+    drawn_at = np.zeros(bag.size, dtype=np.int64)   # each lane's next row of picks
     gains = np.zeros((bag.size, p))
     steps = []
     live = np.arange(bag.size)
@@ -334,7 +314,8 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
         threshold = np.zeros(size.size)
         can = np.flatnonzero((size >= 2 * min_leaf) & varies)
         if can.size:
-            drawn = draws(lane[can])
+            drawn = picks[lane[can], drawn_at[lane[can]]]
+            drawn_at[lane[can]] += 1
             total_sse = np.array([q - n * m ** 2 for q, n, m in zip(
                 sums[1, can].tolist(), size[can].tolist(), mean[can].tolist())])
             column, cut, gain = _scan(ranked, flat, first[can], size[can], drawn,

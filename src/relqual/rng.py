@@ -1,11 +1,13 @@
 """Seed handling, and numpy's bounded draws replayed from raw blocks.
 
 Every parallelizable unit gets a counter-derived stream (``split_seed``).
-Code that runs many streams in lockstep draws each stream's raw uint32
-values in blocks (``RawDraws``) and replays from them, value for value
-and raw draw for raw draw, what the stream's own calls would have
-returned: ``Generator.integers(count)`` (``replay_integers``) and
-``Generator.choice(p, mtry, replace=False)`` (``replay_choice``).
+Code that runs many streams in lockstep draws one block of each stream's
+raw uint32 values up front (``RawDraws``), as wide as its reads usually
+go, and replays from it, value for value and raw draw for raw draw, what
+the stream's own calls would have returned: ``Generator.integers(count)``
+(``replay_integers``) and ``Generator.choice(p, mtry, replace=False)``
+(``replay_choice``).  Only a read past a block's end, after rejected
+draws, draws more.
 
 The replays hold only while numpy keeps these algorithms: the bounded
 draw (Lemire 2019, with numpy's rejection rule), unchanged since numpy
@@ -41,14 +43,11 @@ class RawDraws:
     """Each generator's raw uint32 draws (numpy's ``next_uint32``), one row
     per generator, read by stream position.  Every row starts with a block
     of ``width`` draws; a read past a row's end draws another ``width``
-    from that row's generator only.  ``release`` forgets a row's draws
-    before a position, so a reader that moves forward holds a bounded
-    window."""
+    from that row's generator only."""
 
     def __init__(self, rngs: list, width: int):
         self.rngs, self.width = rngs, width
         self.block = self._draw(np.arange(len(rngs)))
-        self.first = np.zeros(len(rngs), dtype=np.int64)   # position of column 0
         self.end = np.full(len(rngs), width, dtype=np.int64)
 
     def _draw(self, rows: np.ndarray) -> np.ndarray:
@@ -59,21 +58,13 @@ class RawDraws:
         """The draws at positions ``at`` of generators ``rows``."""
         while (past := at >= self.end[rows]).any():
             short = np.unique(np.broadcast_to(rows, past.shape)[past])
-            col = self.end[short] - self.first[short]
-            grow = int(col.max()) + self.width - self.block.shape[1]
+            grow = int(self.end[short].max()) + self.width - self.block.shape[1]
             if grow > 0:
                 self.block = np.pad(self.block, ((0, 0), (0, grow)))
-            self.block[short[:, None], col[:, None] + np.arange(self.width)] = \
+            self.block[short[:, None], self.end[short, None] + np.arange(self.width)] = \
                 self._draw(short)
             self.end[short] += self.width
-        return self.block[rows, at - self.first[rows]]
-
-    def release(self, rows: np.ndarray, at: np.ndarray) -> None:
-        """Forget the draws of each of ``rows`` (distinct) before ``at``."""
-        width = self.block.shape[1]
-        cols = np.minimum((at - self.first[rows])[:, None] + np.arange(width), width - 1)
-        self.block[rows] = np.take_along_axis(self.block[rows], cols, axis=1)
-        self.first[rows] = at
+        return self.block[rows, at]
 
 
 def replay_integers(raw: RawDraws, rows: np.ndarray, at: np.ndarray,
@@ -134,9 +125,10 @@ def replay_choice(raw: RawDraws, rows: np.ndarray, at: np.ndarray, p: int,
     each = choice_counts(p, mtry)
     counts = np.tile(each, calls)
     bound = counts.astype(np.uint64)
-    m = raw(rows[:, None], at[:, None] + np.arange(counts.size)).astype(np.uint64) * bound
-    values = (m >> 32).astype(np.int64)
+    m = raw(rows[:, None], at[:, None] + np.arange(counts.size)).astype(np.uint64)
+    m *= bound      # in place, as are the shift and view below: rows can be wide
     redo = np.flatnonzero(((m & 0xFFFFFFFF) < (2**32 - bound) % bound).any(axis=1))
+    values = np.right_shift(m, 32, out=m).view(np.int64)
     at = at + counts.size
     if redo.size:
         pos = at[redo] - counts.size

@@ -231,6 +231,8 @@ def _replicate_outcomes(cfg: SimStudyConfig,
 
 def run_simstudy(cfg: SimStudyConfig, jobs: int = 1) -> SimStudyReport:
     """Run the full study and aggregate outcome fractions per arm."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     counts = np.zeros((len(cfg.methods), len(cfg.thresholds), len(OUTCOMES)),
                       dtype=np.int64)
     failures = np.zeros(len(cfg.methods), dtype=np.int64)

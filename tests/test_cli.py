@@ -131,6 +131,14 @@ def test_simstudy_invalid_threshold_names_field(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_simstudy_refuses_non_positive_jobs(tmp_path, capsys, jobs):
+    code = run(["simstudy", "--replicates", 1, "--methods", "HC", "--jobs", jobs,
+                "--out", tmp_path / "x"])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
 def test_simstudy_unknown_arm_lists_the_known_ones(tmp_path, capsys):
     code = run(["simstudy", "--replicates", 1, "--methods", "HC,FOO",
                 "--out", tmp_path / "x"])

@@ -27,7 +27,6 @@ from relqual.data import Dataset
 from relqual.forest import (
     ForestConfig,
     TuneCell,
-    _FeatureDraws,
     _cv_lanes,
     _fold_assignments,
     _grow_trees,
@@ -82,6 +81,7 @@ class ListTree:
         self.feature, self.threshold, self.left, self.right, self.value = \
             [], [], [], [], []
         self.gains = np.zeros(p)
+        self.draws = 0      # nodes that drew candidate features
 
     def _new_node(self):
         for name, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
@@ -97,6 +97,7 @@ def serial_grow(tree, x, y, rows, mtry, min_leaf, rng):
     if rows.size < 2 * min_leaf or np.ptp(yn) == 0.0:
         return node
     features = rng.choice(x.shape[1], size=mtry, replace=False)
+    tree.draws += 1
     split = serial_best_split(x[rows], yn, features, min_leaf)
     if split is None:
         return node
@@ -551,26 +552,23 @@ def test_rejected_feature_draws_shift_every_later_split():
     # p = 7, mtry = 3 draws below 5, 6, 7, 3 and 2 per split.  A planted
     # raw 0 is rejected for every count but 2: here at the first split,
     # at the fourth (position 16 after one rejection) and at the seventh
-    # (32 after two), past the first replay of 4 splits
-    p, mtry, calls, splits = 7, 3, 4, 10
-    clean = np.random.default_rng(8).integers(1, 2**32, size=120, dtype=np.uint32)
+    # (32 after two), and in another stream at the 53rd split, so that
+    # the draw-by-draw redo runs over the whole width of a tree's replay
+    p, mtry, splits = 7, 3, 60
+    clean = np.random.default_rng(8).integers(1, 2**32, size=700, dtype=np.uint32)
     planted = clean.copy()
     planted[[0, 16, 32]] = 0
     late = clean.copy()
-    late[[22]] = 0
+    late[[5 * 52 + 1]] = 0
     streams = [clean, planted, late]
-    draws = _FeatureDraws([PlantedStream(s) for s in streams], p, mtry, calls)
-    got = {lane: [] for lane in range(len(streams))}
-    order = np.random.default_rng(9)
-    while min(len(g) for g in got.values()) < splits:
-        # lanes draw at different paces, as lanes of unequal trees do
-        lanes = np.flatnonzero(order.random(len(streams)) < 0.7)
-        for lane, subset in zip(lanes.tolist(), draws(lanes).tolist()):
-            got[lane].append(subset)
+    raw = RawDraws([PlantedStream(s) for s in streams], 5 * splits)
+    lanes = np.arange(len(streams))
+    picks, at = replay_choice(raw, lanes, np.zeros_like(lanes), p, mtry, splits)
+    assert at.tolist() == [5 * splits, 5 * splits + 3, 5 * splits + 1]
     for lane, values in enumerate(streams):
         reference = PlantedStream(values)
-        want = [serial_choice(reference, p, mtry) for _ in range(len(got[lane]))]
-        assert got[lane] == want, lane
+        want = [serial_choice(reference, p, mtry) for _ in range(splits)]
+        assert picks[lane].tolist() == want, lane
     used = PlantedStream(planted)
     for _ in range(splits):
         serial_choice(used, p, mtry)
@@ -583,21 +581,35 @@ def test_rejected_feature_draws_shift_every_later_split():
 @pytest.mark.parametrize("draw_bytes, lane_rows", [(None, None), (1, None),
                                                    (1800, None), (None, 1)])
 def test_deep_trees_match_the_serial_code(draw_bytes, lane_rows):
-    # min_leaf = 1 on n = 300 gives trees of about 190 drawing splits:
-    # DRAW_BYTES = 1 replays one split per lane at a time, 1800 fifty, and
-    # LANE_ROWS = 1 grows one lane per batch
+    # min_leaf = 1 on n = 300 gives trees of about 190 drawing splits.
+    # The forests of seeds 23, 14 and 37 each hold a tree that draws for
+    # n // min_leaf - 1 splits, the most a tree can: (n, min_leaf) =
+    # (26, 5), (47, 6) and (48, 5).  DRAW_BYTES = 1 grows one lane per
+    # batch, as LANE_ROWS = 1 does; 1800 does so on n = 300 and puts the
+    # 20 lanes of seed 37 in batches of 16 and 4
     rng = np.random.default_rng(21)
     x = rng.standard_normal((300, 3))
     y = x[:, 0] + rng.standard_normal(300)
-    cfg = ForestConfig(ntree=3, mtry=2, min_leaf=1, seed=4)
-    with pytest.MonkeyPatch.context() as mp:
-        if draw_bytes is not None:
-            mp.setattr(forest, "DRAW_BYTES", draw_bytes)
-        if lane_rows is not None:
-            mp.setattr(forest, "LANE_ROWS", lane_rows)
-        fast = fit_forest(dataset(x, y), "y", cfg)
-    assert min((tree.feature >= 0).sum() for tree in fast.trees) > 50
-    assert_same_trees(fast.trees, serial_forest(x, y, cfg), x)
+    cases = [(x, y, ForestConfig(ntree=3, mtry=2, min_leaf=1, seed=4))]
+    for seed in (23, 14, 37):
+        rng = np.random.default_rng(seed)
+        n, min_leaf = int(rng.integers(20, 200)), int(rng.integers(1, 8))
+        x = rng.standard_normal((n, 3))
+        y = x[:, 0] + rng.standard_normal(n)
+        cases.append((x, y, ForestConfig(ntree=20, mtry=2, min_leaf=min_leaf, seed=seed)))
+    for x, y, cfg in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            if draw_bytes is not None:
+                mp.setattr(forest, "DRAW_BYTES", draw_bytes)
+            if lane_rows is not None:
+                mp.setattr(forest, "LANE_ROWS", lane_rows)
+            fast = fit_forest(dataset(x, y), "y", cfg)
+        slow = serial_forest(x, y, cfg)
+        assert_same_trees(fast.trees, slow, x)
+        if cfg.min_leaf == 1:
+            assert min((tree.feature >= 0).sum() for tree in fast.trees) > 50
+        else:
+            assert max(tree.draws for tree in slow) == x.shape[0] // cfg.min_leaf - 1
 
 
 def test_one_predictor_forest_draws_no_features():

@@ -104,6 +104,12 @@ def test_parallel_equals_serial():
     assert run_simstudy(cfg, jobs=2).to_csv() == run_simstudy(cfg, jobs=1).to_csv()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_non_positive_jobs_are_refused(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        run_simstudy(tiny_config(), jobs=jobs)
+
+
 def test_empty_truth_recovered_on_noise():
     variables = VariableSet([f"N{i}" for i in range(4)])
     truth = GaussianBn(Dag(variables), np.zeros(4),
