@@ -45,12 +45,14 @@ def manifest(out, root):
 SIMSTUDY_DIGESTS = {
     None: "e655c6d72a4c42fe514c6bfc20955d7c44708e2081563622b2c66c6630ac0b5f",
     "HYBRID-GS": "38ea20f65d336409670459efa476ec9cd7fed963aaf7ceda5d532df4a01841d9",
+    "HYBRID-MMPC": "1da6ba7a0aa87f6f433e470ca57b795a185f78b039d1b28a81cb5158a647a3e9",
 }
 
 
 SIMSTUDY_TEXT_DIGESTS = {
     None: "4bf768a9e2f82742a11383a228b389eba445f6a381e215dc4ead197db84b1654",
     "HYBRID-GS": "5b3a2e00215f8189f86266249162955167cc541695bc055feb313f3e603fb2f6",
+    "HYBRID-MMPC": "49f1057ed207c14d0e87db90dbac8acf7fb2dbe3471300b5a5458c7a3bd3c141",
 }
 
 
@@ -63,7 +65,8 @@ def test_simstudy_table_is_byte_identical(tmp_path, methods):
     assert run(argv) == EXIT_OK
     assert digest(tmp_path / "simstudy.csv") == SIMSTUDY_DIGESTS[methods]
     assert digest(tmp_path / "simstudy.txt") == SIMSTUDY_TEXT_DIGESTS[methods]
-    arms = ["HC", "MAP", "HC-D-F", "HC-D-H"] if methods is None else ["Hybrid-GS"]
+    arms = (["HC", "MAP", "HC-D-F", "HC-D-H"] if methods is None
+            else ["Hybrid-" + methods.removeprefix("HYBRID-")])
     assert manifest(tmp_path, tmp_path) == {
         "command": "simstudy",
         "config": {"replicates": 2, "sample_size": 200, "boot_samples": 10,
