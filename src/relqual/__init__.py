@@ -16,13 +16,13 @@ from .forest import ForestConfig, ablate_predictor, fit_forest, \
     permutation_importance, tune_forest
 from .gaussian import GaussianBn, bic_g, edge_inference, fit, implied_moments, simulate
 from .ingest import CachedHttp, FetchSpec, HttpCache, build_daily_series, \
-    fetch_downloads, fetch_issues, filter_popular, load_usage_csv
+    fetch_downloads, fetch_issues, load_usage_csv
 from .loess import loess
 from .metrics import StructureDiff, classify, diff
 from .ols import fit_ols, fit_power_law
 from .quality import DailySeries, UsageRecord, aggregate_release, aggregate_usage, \
-    correct_new_users, direction_of_trend, log_transform, quality_distribution, \
-    quality_metric, screen_significance, timeline
+    correct_new_users, direction_of_trend, log_transform, quality_metric, \
+    screen_significance, timeline
 from .search import ArcConfidence, AveragedNetwork, HcConfig, averaged_network, \
     bootstrap_average, exact_map_edge_probabilities, hill_climb, hybrid_search, \
     map_dag, restrict_gs, restrict_mmpc

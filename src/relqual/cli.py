@@ -281,9 +281,15 @@ def _load_series_csv(path: Path, package: str) -> DailySeries:
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ValueError(f"{path}: need columns {sorted(required)}")
         for row in reader:
-            days.append(dt.date.fromisoformat(row["date"]))
-            downloads.append(int(row["downloads"]))
-            cumulative.append(int(row["cumulative_issues"]))
+            try:
+                days.append(dt.date.fromisoformat(row["date"]))
+                downloads.append(int(row["downloads"]))
+                cumulative.append(int(row["cumulative_issues"]))
+            except (ValueError, TypeError) as exc:
+                # a short row reads None for each field it lacks
+                if None in row.values():
+                    exc = f"expected {len(reader.fieldnames)} fields"
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return DailySeries(package, tuple(days), np.array(downloads),
                        np.array(cumulative))
 

@@ -483,10 +483,3 @@ def _ordinals(days) -> np.ndarray:
     return np.fromiter((d.toordinal() for d in days), dtype=np.int64,
                        count=len(days))
 
-
-def filter_popular(packages: tuple[str, ...],
-                   monthly_downloads: dict[str, float],
-                   threshold: float = 10_000.0) -> tuple[str, ...]:
-    """Keep packages strictly above the monthly download threshold."""
-    return tuple(p for p in packages
-                 if monthly_downloads.get(p, 0.0) > threshold)

@@ -11,8 +11,6 @@ silently dropped.
 from __future__ import annotations
 
 import datetime as dt
-import logging
-import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -21,9 +19,7 @@ import numpy as np
 from .dag import VariableSet
 from .data import Dataset
 from .loess import loess
-from .ols import fit_ols
-
-log = logging.getLogger(__name__)
+from .ols import NonPositiveValuesError, fit_ols
 
 EPOCH = dt.date(1970, 1, 1)
 
@@ -50,10 +46,6 @@ class UnsortedInputError(ValueError):
 
 class EmptyReleaseError(ValueError):
     """A release with no usage records cannot be aggregated."""
-
-
-class NonPositiveValueError(ValueError):
-    """Strict log transform hit a value <= 0."""
 
 
 class InsufficientDataError(ValueError):
@@ -168,25 +160,30 @@ def log_transform(aggregates: list[ReleaseAggregate],
     rows = np.array([[a.value(v) for v in RELEASE_VARIABLES] for a in aggregates])
     if policy == STRICT_LOG:
         if np.any(rows <= 0):
-            raise NonPositiveValueError("strict-log requires positive values")
+            raise NonPositiveValuesError("strict-log requires positive values")
         rows = np.log(rows)
     else:
         if np.any(rows < 0):
-            raise NonPositiveValueError("log1p requires non-negative values")
+            raise NonPositiveValuesError("log1p requires non-negative values")
         rows = np.log1p(rows)
     return Dataset(VariableSet(RELEASE_VARIABLES), rows)
 
 
-def quality_metric(failures: float, usage: float) -> float:
+def quality_metric(failures: float | np.ndarray,
+                   usage: float | np.ndarray) -> float | np.ndarray:
     """Failures per unit usage; 0 whenever failures are 0, +inf as a
-    flagged sentinel when usage is 0 but failures are not."""
-    if usage < 0:
+    flagged sentinel when usage is 0 but failures are not.
+
+    Scalars give a float; arrays give the rule element by element.
+    """
+    failures = np.asarray(failures, dtype=float)
+    usage = np.asarray(usage, dtype=float)
+    if np.any(usage < 0):
         raise ValueError("usage must be >= 0")
-    if failures == 0:
-        return 0.0
-    if usage == 0:
-        return math.inf
-    return failures / usage
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quality = np.where(failures == 0, 0.0,
+                           np.where(usage == 0, np.inf, failures / usage))
+    return quality if quality.ndim else float(quality)
 
 
 @dataclass(frozen=True)
@@ -205,8 +202,8 @@ class DailySeries:
             raise ValueError("days, downloads and issues must align")
         if not all(map(operator.lt, self.days, self.days[1:])):
             raise ValueError("days must be strictly increasing")
-        if np.any(np.diff(issues) < 0):
-            raise ValueError("cumulative issues must be nondecreasing")
+        if np.any(np.diff(issues, prepend=0) < 0):
+            raise ValueError("cumulative issues must be >= 0 and nondecreasing")
         if np.any(downloads < 0):
             raise ValueError("downloads must be >= 0")
         object.__setattr__(self, "downloads", downloads)
@@ -235,27 +232,20 @@ class Timeline:
 def timeline(series: DailySeries, span: float = 0.3) -> Timeline:
     """Daily quality (new issues per download) plus a smooth trend.
 
-    New issues are first differences of the cumulative count (negative
-    diffs, which can only come from upstream repairs, clamp to zero with a
-    warning).  Zero-download days cannot be rated, so they are flagged and
-    left out of the trend fit; the trend is still evaluated at every day.
+    New issues are first differences of the cumulative count.  Zero-download
+    days cannot be rated, so they are flagged and left out of the trend
+    fit; the trend is still evaluated at every day.
     """
-    diffs = np.diff(series.cumulative_issues, prepend=0)
-    if np.any(diffs < 0):
-        log.warning("%s: clamped negative daily issue diffs", series.package)
-        diffs = np.maximum(diffs, 0)
+    new_issues = np.diff(series.cumulative_issues, prepend=0)
     downloads = series.downloads
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quality = np.where(diffs == 0, 0.0,
-                           np.where(downloads > 0, diffs / np.where(
-                               downloads > 0, downloads, 1), np.inf))
+    quality = quality_metric(new_issues, downloads)
     flagged = np.isinf(quality)
     usable = downloads > 0
     trend = None
     if int(usable.sum()) >= MIN_TREND_DAYS:
         x = np.arange(series.n_days, dtype=float)
         trend = loess(x[usable], quality[usable], x_eval=x, span=span)
-    return Timeline(series.package, series.days, downloads, diffs, quality,
+    return Timeline(series.package, series.days, downloads, new_issues, quality,
                     flagged, ~usable, trend)
 
 
@@ -286,62 +276,6 @@ def screen_significance(series: DailySeries,
     fit = fit_ols(new_issues, x)
     return ScreenResult(float(fit.p_values[0]), fit.r_squared, series.n_days,
                         with_date_control)
-
-
-@dataclass(frozen=True)
-class PackageQualitySummary:
-    package: str
-    minimum: float
-    median: float
-    q90: float                 # computed over finite days only
-    infinite_days: int
-
-
-@dataclass(frozen=True)
-class QualityDistribution:
-    summaries: tuple[PackageQualitySummary, ...]
-    histogram_edges: np.ndarray
-    histogram_counts: np.ndarray
-    over_one: dict[str, int]   # how many packages exceed 1 per statistic
-
-
-def quality_distribution(per_package_quality: dict[str, np.ndarray],
-                         histogram_bins: int = 20) -> QualityDistribution:
-    """Per-package min / median / 90th-quantile quality plus a histogram of
-    the medians.
-
-    Quantiles use linear interpolation between order statistics.  The 90th
-    quantile, standing in for "worst day", skips flagged infinite days;
-    min and median keep them (an infinite median is reported as such).
-    """
-    if not per_package_quality:
-        raise ValueError("no packages given")
-    summaries = []
-    for package in sorted(per_package_quality):
-        values = np.asarray(per_package_quality[package], dtype=float)
-        if values.size == 0:
-            raise ValueError(f"{package}: empty quality series")
-        finite = values[np.isfinite(values)]
-        q90 = float(np.quantile(finite, 0.9)) if finite.size else math.inf
-        summaries.append(PackageQualitySummary(
-            package=package,
-            minimum=float(values.min()),
-            median=float(np.median(values)),
-            q90=q90,
-            infinite_days=int(np.isinf(values).sum()),
-        ))
-    medians = np.array([s.median for s in summaries])
-    finite_medians = medians[np.isfinite(medians)]
-    if finite_medians.size:
-        counts, edges = np.histogram(finite_medians, bins=histogram_bins)
-    else:
-        counts, edges = np.zeros(histogram_bins, dtype=int), np.linspace(0, 1, histogram_bins + 1)
-    over_one = {
-        "minimum": sum(1 for s in summaries if s.minimum > 1),
-        "median": sum(1 for s in summaries if s.median > 1),
-        "q90": sum(1 for s in summaries if s.q90 > 1),
-    }
-    return QualityDistribution(tuple(summaries), edges, counts, over_one)
 
 
 def direction_of_trend(trend: np.ndarray, flat_band: float = 1e-3) -> str:

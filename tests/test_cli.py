@@ -326,6 +326,27 @@ def test_quality_needs_an_input(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("2020-01-02,7", "expected 3 fields"),
+    ("2020-01-02,x,2", "invalid literal for int() with base 10: 'x'"),
+])
+def test_quality_series_names_the_file_and_line_of_a_bad_row(tmp_path, capsys,
+                                                               row, reason):
+    series = tmp_path / "series.csv"
+    series.write_text(f"date,downloads,cumulative_issues\n2020-01-01,5,1\n\n{row}\n")
+    assert run(["quality", "--series", series, "--out", tmp_path / "o"]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: {series}:4: {reason}\n"
+    assert not (tmp_path / "o" / "run_manifest.json").exists()
+
+
+def test_quality_series_refuses_a_negative_issue_count(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("date,downloads,cumulative_issues\n2020-01-01,5,-2\n")
+    assert run(["quality", "--series", series, "--out", tmp_path / "o"]) == EXIT_FAILURE
+    assert "cumulative issues must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "run_manifest.json").exists()
+
+
 # --- rf ----------------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from relqual.ingest import (
     build_daily_series,
     fetch_downloads,
     fetch_issues,
-    filter_popular,
     load_usage_csv,
     write_usage_csv,
 )
@@ -567,10 +566,3 @@ def test_build_daily_series_matches_filter_oracle(offsets, days):
     series = build_daily_series("p", downloads, issue_dates, span[0], span[-1])
     for i, day in enumerate(span):
         assert series.cumulative_issues[i] == sum(1 for d in issue_dates if d <= day)
-
-
-def test_filter_popular_strict_threshold():
-    downloads = {"a": 10_001.0, "b": 10_000.0, "c": 500.0}
-    assert filter_popular(("a", "b", "c"), downloads) == ("a",)
-    assert filter_popular((), downloads) == ()
-    assert filter_popular(("a", "b"), downloads, threshold=9_999.0) == ("a", "b")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqual.loess import loess
+from relqual.ols import NonPositiveValuesError
 from relqual.quality import (
     DECREASING,
     FLAT,
@@ -15,7 +16,6 @@ from relqual.quality import (
     DailySeries,
     EmptyReleaseError,
     InsufficientDataError,
-    NonPositiveValueError,
     UnsortedInputError,
     UsageRecord,
     aggregate_release,
@@ -23,7 +23,6 @@ from relqual.quality import (
     correct_new_users,
     direction_of_trend,
     log_transform,
-    quality_distribution,
     quality_metric,
     screen_significance,
     timeline,
@@ -119,7 +118,7 @@ def test_log_transform_policies():
     data = log_transform(aggregates)
     assert data.variables.names == RELEASE_VARIABLES
     assert data.column("Exceptions")[0] == 0.0  # log1p(0)
-    with pytest.raises(NonPositiveValueError):
+    with pytest.raises(NonPositiveValuesError):
         log_transform(aggregates, policy="strict-log")
 
 
@@ -149,6 +148,35 @@ def test_quality_metric_scale_invariance(failures, usage, k):
         quality_metric(failures, usage))
 
 
+def scalar_quality(failures, usage):
+    """The metric's rule, one pair at a time."""
+    if failures == 0:
+        return 0.0
+    if usage == 0:
+        return math.inf
+    return failures / usage
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=20)
+       | st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**9)),
+                  max_size=20))
+def test_quality_metric_on_arrays_is_the_scalar_rule_per_element(pairs):
+    failures = np.array([f for f, _ in pairs], dtype=np.int64)
+    usage = np.array([u for _, u in pairs], dtype=np.int64)
+    quality = quality_metric(failures, usage)
+    assert isinstance(quality, np.ndarray) and quality.shape == (len(pairs),)
+    for i, (f, u) in enumerate(pairs):
+        assert quality[i] == scalar_quality(f, u)
+        assert type(quality_metric(f, u)) is float
+        assert quality_metric(f, u) == quality[i]
+
+
+def test_quality_metric_rejects_negative_usage():
+    with pytest.raises(ValueError, match="usage must be >= 0"):
+        quality_metric(np.array([1, 2]), np.array([3, -1]))
+
+
 def make_series(downloads, cumulative, start=DAY, package="pkg"):
     days = tuple(start + dt.timedelta(days=i) for i in range(len(downloads)))
     return DailySeries(package, days, np.array(downloads), np.array(cumulative))
@@ -163,6 +191,23 @@ def test_daily_series_rejects_days_out_of_order(swap):
         days[2], days[3] = days[3], days[2]
     with pytest.raises(ValueError, match="^days must be strictly increasing$"):
         DailySeries("pkg", tuple(days), np.ones(5), np.zeros(5))
+
+
+@pytest.mark.parametrize("cumulative", [[-3, -3, -2, -1, 0], [0, 2, 1, 3, 4]])
+def test_daily_series_rejects_falling_or_negative_counts(cumulative):
+    with pytest.raises(ValueError, match="^cumulative issues must be >= 0 and "
+                                         "nondecreasing$"):
+        make_series([10] * 5, cumulative)
+
+
+def test_timeline_quality_is_the_metric_of_new_issues_per_download():
+    downloads = [0, 0, 5, 7, 0, 10, 3, 0, 8, 9, 1, 4]
+    cumulative = [0, 2, 2, 5, 5, 6, 6, 7, 9, 9, 12, 12]
+    line = timeline(make_series(downloads, cumulative))
+    assert line.new_issues.tolist() == [0, 2, 0, 3, 0, 1, 0, 1, 2, 0, 3, 0]
+    expected = quality_metric(line.new_issues, line.downloads)
+    assert np.array_equal(line.quality, expected)
+    assert line.flagged.tolist() == np.isinf(expected).tolist()
 
 
 def test_timeline_constant_is_flat():
@@ -262,35 +307,6 @@ def test_screen_requires_ten_days():
     series = make_series([10] * 9, list(range(1, 10)))
     with pytest.raises(InsufficientDataError):
         screen_significance(series)
-
-
-def test_quality_distribution_constant_series():
-    dist = quality_distribution({"only": np.full(30, 0.25)})
-    s = dist.summaries[0]
-    assert s.minimum == s.median == s.q90 == pytest.approx(0.25)
-
-
-def test_quality_distribution_quantile_rule():
-    values = np.array([0.0, 0.0, 0.0, 10.0])
-    dist = quality_distribution({"p": values})
-    s = dist.summaries[0]
-    assert s.median == 0.0
-    # type-7 linear interpolation: quantile(0.9) of 4 points
-    assert s.q90 == pytest.approx(np.quantile(values, 0.9)) == pytest.approx(7.0)
-
-
-def test_quality_distribution_threshold_counts_and_inf_handling():
-    dist = quality_distribution({
-        "good": np.array([0.0, 0.1, 0.2]),
-        "bad": np.array([2.0, 3.0, 4.0]),
-        "spiky": np.array([0.5, math.inf, 0.7]),
-    })
-    assert dist.over_one["median"] == 1
-    assert dist.over_one["minimum"] == 1
-    spiky = next(s for s in dist.summaries if s.package == "spiky")
-    assert spiky.infinite_days == 1
-    assert math.isfinite(spiky.q90)  # inf excluded from the max proxy
-    assert dist.histogram_counts.sum() == 3
 
 
 def test_direction_of_trend():
