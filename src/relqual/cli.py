@@ -290,8 +290,11 @@ def _load_series_csv(path: Path, package: str) -> DailySeries:
                 if None in row.values():
                     exc = f"expected {len(reader.fieldnames)} fields"
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return DailySeries(package, tuple(days), np.array(downloads),
-                       np.array(cumulative))
+    try:
+        return DailySeries(package, tuple(days), np.array(downloads),
+                           np.array(cumulative))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_quality(args, out: Path) -> _Run:

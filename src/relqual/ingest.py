@@ -40,8 +40,8 @@ class SchemaMismatchError(ValueError):
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path: str | Path, line: int, message: str):
+        super().__init__(f"{path}:{line}: {message}")
         self.line = line
 
 
@@ -74,7 +74,7 @@ class GapInSeriesError(ValueError):
 
 
 def load_usage_csv(path: str | Path) -> list[UsageRecord]:
-    """Typed usage records from CSV; bad rows are rejected by line number."""
+    """Typed usage records from CSV; bad rows are rejected by file and line."""
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -87,7 +87,7 @@ def load_usage_csv(path: str | Path) -> list[UsageRecord]:
             if not row:
                 continue
             if len(row) != len(USAGE_HEADER):
-                raise ParseError(lineno, f"expected {len(USAGE_HEADER)} fields")
+                raise ParseError(path, lineno, f"expected {len(USAGE_HEADER)} fields")
             try:
                 records.append(UsageRecord(
                     date=dt.date.fromisoformat(row[0]),
@@ -100,7 +100,7 @@ def load_usage_csv(path: str | Path) -> list[UsageRecord]:
                     exceptions=int(row[7]),
                 ))
             except (ValueError, TypeError) as exc:
-                raise ParseError(lineno, str(exc)) from None
+                raise ParseError(path, lineno, str(exc)) from None
     return records
 
 
@@ -356,6 +356,9 @@ def fetch_downloads(spec: FetchSpec, http: CachedHttp,
     Ranges longer than the endpoint's window limit are chunked and merged;
     a failing package is reported in ``errors`` without sinking the batch.
     """
+    all_days = [spec.start + dt.timedelta(days=i)
+                for i in range((spec.end - spec.start).days + 1)]
+
     def one(package: str):
         per_day: dict[dt.date, int] = {}
         for lo, hi in _windows(spec.start, spec.end, spec.max_window_days):
@@ -364,8 +367,6 @@ def fetch_downloads(spec: FetchSpec, http: CachedHttp,
             _, rows = http.get_json(url, parse=_download_rows)
             per_day.update(rows)
         days = sorted(per_day)
-        all_days = [spec.start + dt.timedelta(days=i)
-                    for i in range((spec.end - spec.start).days + 1)]
         gaps = tuple(d for d in all_days if d not in per_day)
         if gaps:
             log.warning("%s: %d missing days in download series",

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset
 
@@ -30,6 +29,10 @@ class NonPositiveValuesError(ValueError):
 def t_sf_two_sided(t: np.ndarray | float, df: float) -> np.ndarray | float:
     """Two-sided tail probability of Student's t via the regularized
     incomplete beta function: P(|T| >= t) = I_{df/(df+t^2)}(df/2, 1/2)."""
+    # imported here, not at module level: scipy.special takes more than half
+    # of `import relqual`, and most commands compute no p-value
+    from scipy import special
+
     t = np.asarray(t, dtype=float)
     x = df / (df + t * t)
     p = special.betainc(df / 2.0, 0.5, x)

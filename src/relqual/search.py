@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
-from scipy import special
 
 from .dag import CycleError, Dag, SizeLimitError, VariableSet, add_edge_checked
 from .data import Dataset, DiscreteDataset, mask_members
@@ -494,6 +493,8 @@ def _partial_correlation(corr: np.ndarray, x: int, y: int,
 
 def _fisher_z_pvalue(corr: np.ndarray, n: int, x: int, y: int,
                      given: tuple[int, ...]) -> float:
+    from scipy import special   # on first use, as in ols.t_sf_two_sided
+
     r = _partial_correlation(corr, x, y, given)
     r = min(max(r, -0.9999999999), 0.9999999999)
     df = n - len(given) - 3

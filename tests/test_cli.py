@@ -347,6 +347,31 @@ def test_quality_series_refuses_a_negative_issue_count(tmp_path, capsys):
     assert not (tmp_path / "o" / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("rows, reason", [
+    ("2020-01-02,5,1\n2020-01-01,5,2", "days must be strictly increasing"),
+    ("2020-01-01,5,3\n2020-01-02,5,2",
+     "cumulative issues must be >= 0 and nondecreasing"),
+], ids=["days-out-of-order", "falling-count"])
+def test_quality_series_names_the_file_of_a_refused_series(tmp_path, capsys,
+                                                           rows, reason):
+    series = tmp_path / "series.csv"
+    series.write_text(f"date,downloads,cumulative_issues\n{rows}\n")
+    assert run(["quality", "--series", series, "--out", tmp_path / "o"]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: {series}: {reason}\n"
+    assert not (tmp_path / "o" / "run_manifest.json").exists()
+
+
+def test_quality_usage_names_the_file_and_line_of_a_bad_row(tmp_path, capsys):
+    usage = tmp_path / "usage.csv"
+    header, first = USAGE_CSV.splitlines()[:2]
+    fields = first.split(",")
+    fields[2] = "x"   # new_users
+    usage.write_text(f"{header}\n{','.join(fields)}\n")
+    assert run(["quality", "--usage", usage, "--out", tmp_path / "o"]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        f"error: {usage}:2: invalid literal for int() with base 10: 'x'\n")
+    assert not (tmp_path / "o" / "run_manifest.json").exists()
+
 # --- rf ----------------------------------------------------------------------
 
 
