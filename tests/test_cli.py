@@ -372,6 +372,7 @@ def test_quality_usage_names_the_file_and_line_of_a_bad_row(tmp_path, capsys):
         f"error: {usage}:2: invalid literal for int() with base 10: 'x'\n")
     assert not (tmp_path / "o" / "run_manifest.json").exists()
 
+
 # --- rf ----------------------------------------------------------------------
 
 
