@@ -93,8 +93,10 @@ def _write_csv(path: Path, header, rows) -> Path:
 
 
 def _checked(entry: dict, known, what: str) -> dict:
-    """``entry`` if every key is in ``known``; else a ValueError naming the
-    keys that are not."""
+    """``entry`` if it is a JSON object whose every key is in ``known``;
+    else a ValueError that says so or names the keys that are not."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be a JSON object, not {entry!r}")
     unknown = sorted(set(entry) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
@@ -111,12 +113,27 @@ def _whole(value, key: str, what: str) -> int:
     return int(value)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _array(settings: dict, key: str, entries: str, entry_ok) -> list:
+    """The config's ``key`` if it is a JSON array of ``entries``, each one
+    passing ``entry_ok``; else a ValueError naming the key."""
+    value = settings[key]
+    if not isinstance(value, list) or not all(map(entry_ok, value)):
+        raise ValueError(f"config key {key!r} must be an array of {entries}, "
+                         f"not {value!r}")
+    return value
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_numbers(text: str, flag: str, kind=float) -> tuple:
+    """The comma-separated entries of ``flag`` read as ``kind``, empty ones
+    skipped; else a ValueError naming the flag and the entry."""
+    values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            noun = "a whole number" if kind is int else "a number"
+            raise ValueError(f"{flag}: {entry.strip()!r} is not {noun}") from None
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +199,18 @@ def _simstudy_config(args) -> tuple[SimStudyConfig, dict, list[Path]]:
     if args.methods is not None:
         try:
             study["methods"] = tuple(_METHOD_SHORTHAND[name.strip().upper()]
-                                     for name in args.methods.split(","))
+                                     for name in args.methods.split(",") if name.strip())
         except KeyError as exc:
             raise ValueError(f"unknown arm {exc.args[0]!r}; known arms: "
                              f"{', '.join(_METHOD_SHORTHAND)}") from None
     elif "methods" in settings:
-        study["methods"] = tuple(_method(m) for m in settings["methods"])
+        methods = _array(settings, "methods", "objects", lambda m: isinstance(m, dict))
+        study["methods"] = tuple(_method(m) for m in methods)
     if args.thresholds is not None:
-        study["thresholds"] = _parse_floats(args.thresholds)
+        study["thresholds"] = _parse_numbers(args.thresholds, "--thresholds")
     elif "thresholds" in settings:
-        study["thresholds"] = tuple(settings["thresholds"])
+        study["thresholds"] = tuple(_array(settings, "thresholds", "numbers",
+                                           lambda t: type(t) in (int, float)))
 
     cfg = SimStudyConfig(truth=truth, **study)
     if hc:
@@ -395,8 +414,10 @@ def cmd_rf(args, out: Path) -> _Run:
     p = len(data.variables) - 1
 
     if args.ntree_grid or args.mtry_grid:
-        ntrees = _parse_ints(args.ntree_grid) if args.ntree_grid else (ForestConfig.ntree,)
-        mtrys = _parse_ints(args.mtry_grid) if args.mtry_grid else tuple(range(1, p + 1))
+        ntrees = (_parse_numbers(args.ntree_grid, "--ntree-grid", int) if args.ntree_grid
+                  else (ForestConfig.ntree,))
+        mtrys = (_parse_numbers(args.mtry_grid, "--mtry-grid", int) if args.mtry_grid
+                 else tuple(range(1, p + 1)))
         grid = tuple((nt, mt) for nt in ntrees for mt in mtrys)
     else:
         grid = default_grid(p)

@@ -613,19 +613,6 @@ MAX_EXACT_PARENTS = 5
 SINK_BLOCK_PAIRS = 1 << 16
 
 
-def _family_weight_tables(data: Dataset, max_parents: int) -> np.ndarray:
-    """Per child: exp(family score - child max) for every parent mask,
-    as a (child, parent mask) array.
-
-    Extended precision: per-child shifting bounds each weight by 1 but a
-    whole-DAG product can still be astronomically small when the children's
-    best families are mutually cyclic, and the ratios must survive that.
-    """
-    scores = _table(data, max_parents).read_rows(slice(None))[0].astype(np.longdouble)
-    top = scores.max(axis=1, keepdims=True)
-    return np.where(np.isfinite(scores), np.exp(scores - top), np.longdouble(0.0))
-
-
 def _bit_halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the entries along the last axis (indexed by node mask)
     whose mask lacks ``bit`` and of those that have it, aligned so that
@@ -634,23 +621,13 @@ def _bit_halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     return split[..., 0, :], split[..., 1, :]
 
 
-def _zeta_transform(values: np.ndarray, p: int) -> np.ndarray:
-    """Subset sums along the last axis: out[U] = sum of values over all
-    subsets of U."""
+def _zeta_transform(values: np.ndarray, p: int, op) -> np.ndarray:
+    """Subset folds along the last axis: out[U] = the ufunc ``op`` folded
+    over the values of all subsets of U."""
     out = values.copy()
     for i in range(p):
         without, with_ = _bit_halves(out, i)
-        with_ += without
-    return out
-
-
-def _superset_sums(values: np.ndarray, p: int) -> np.ndarray:
-    """Superset sums along the last axis: out[W] = sum of values over all
-    supersets of W."""
-    out = values.copy()
-    for i in range(p):
-        without, with_ = _bit_halves(out, i)
-        without += with_
+        op(with_, without, out=with_)
     return out
 
 
@@ -681,93 +658,119 @@ def _sink_blocks(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _sink_terms(acc: np.ndarray, sets: np.ndarray, outside: np.ndarray):
-    """The recursion's terms for one block of sets R.
+def _sink_tables(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From log family weights (child, parent mask): the logs of acc[c][U]
+    and best[c][U], the sum and the largest of child c's weights over
+    parent sets inside U, and of M(S), the weight of the best DAG over each
+    node set S, by M(S) = max over s in S of M(S - s) best[s][S - s]."""
+    p = scores.shape[0]
+    log_best = _zeta_transform(scores, p, np.maximum)
+    log_top = np.zeros(1 << p)
+    for sets, members in _layers(p)[1:]:
+        rest = sets[:, None] ^ 1 << members
+        log_top[sets] = (log_top[rest] + log_best[members, rest]).max(axis=1)
+    return _zeta_transform(scores, p, np.logaddexp), log_best, log_top
+
+
+@np.errstate(invalid="ignore")
+def _sink_terms(tables, sets: np.ndarray, outside: np.ndarray):
+    """The scaled recursion's terms for one block of sets R.
 
     Indexing each subset t of the nodes outside R by its local mask l
     (bit q stands for ``outside[:, q]``), returns the factors
-    -acc[c][R] per outside node, ``prod[:, l]`` = the product of the
-    factors in t (1 for l = 0), and ``union[:, l]`` = the mask of R | t.
-    Both tables are built by doubling: the entries with bit q set are
-    those without it times factor q.
+    -acc[c][R] / best[c][R] per outside node, in [-2^|R|, -1]; ``prod[:, l]``,
+    the product of the factors in t; ``union[:, l]``, the mask of R | t; and
+    ``scale[:, l]`` = M(R) prod_{c in t} best[c][R] / M(R | t), at most 1
+    since t added to R as sinks is a DAG over R | t.  All are built by
+    doubling over q.  A child with no positive weight inside R has factor
+    -1 and scale 0; a set with no positive-weight DAG has scale 0 into every
+    set that has one.
     """
+    log_acc, log_best, log_top = tables
     n, m = outside.shape
-    factors = -acc[outside, sets[:, None]]
-    prod = np.empty((n, 1 << m), dtype=acc.dtype)
+    child_best = log_best[outside, sets[:, None]]
+    factors = -np.exp(np.fmax(log_acc[outside, sets[:, None]] - child_best, 0))
+    prod = np.empty((n, 1 << m))
+    log_scale = np.empty((n, 1 << m))
     union = np.empty((n, 1 << m), dtype=np.intp)
-    prod[:, 0], union[:, 0] = 1, sets
+    prod[:, 0], log_scale[:, 0], union[:, 0] = 1, log_top[sets], sets
     for q in range(m):
         h = 1 << q
         np.multiply(prod[:, :h], factors[:, q:q + 1], out=prod[:, h:2 * h])
+        np.add(log_scale[:, :h], child_best[:, q:q + 1], out=log_scale[:, h:2 * h])
         np.bitwise_or(union[:, :h], 1 << outside[:, q:q + 1], out=union[:, h:2 * h])
-    return factors, prod, union
+    scale = np.exp(np.fmin(log_scale - log_top[union], 0))
+    return factors, prod, union, scale
 
 
-def _dag_weight_sums(acc: np.ndarray) -> np.ndarray:
-    """Total weight of the DAGs over each node set S, as f[S], by
-    inclusion-exclusion over sink layers:
+def _dag_weight_sums(tables) -> np.ndarray:
+    """F(S) = f(S) / M(S) for every node set S, where f(S), the total
+    weight of the DAGs over S, follows inclusion-exclusion over sink layers:
 
         f(S) = sum over nonempty t of S of (-1)^(|t|+1) f(S-t)
-               * prod_{c in t} acc[c][S-t],
+               * prod_{c in t} acc[c][S-t].
 
-    where acc[c][U] already sums child c's family weights over parent sets
-    inside U.  Every f(R) is final once the sets smaller than R have
-    pushed their terms, so each block of sets pushes to all its supersets
-    at once.  Computes in the dtype of ``acc``.
+    Divided by M(S), each term is -F(S-t) scale prod (``_sink_terms``), so
+    none can underflow.  Every F(R) is final once the sets smaller than R
+    have pushed their terms, so each block of sets pushes to all its
+    supersets at once.
     """
-    p = acc.shape[0]
-    f = np.zeros(1 << p, dtype=acc.dtype)
+    p = tables[0].shape[0]
+    f = np.zeros(1 << p)
     f[0] = 1
     for sets, outside in _sink_blocks(p):
-        _, prod, union = _sink_terms(acc, sets, outside)
-        # (-1)^(|t|+1) prod acc = -prod(-acc)
-        np.add.at(f, union[:, 1:], -f[sets, None] * prod[:, 1:])
+        _, prod, union, scale = _sink_terms(tables, sets, outside)
+        np.add.at(f, union[:, 1:], -f[sets, None] * (prod * scale)[:, 1:])
     return f
 
 
-def _dag_weight_gradient(acc: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """grad[c, U] = d f(full) / d acc[c][U], by one reverse pass over the
-    recursion of ``_dag_weight_sums`` (whose table is ``f``).
+def _dag_weight_shares(tables, f: np.ndarray) -> np.ndarray:
+    """share[c, U] = acc[c][U] (d f(full) / d acc[c][U]) / f(full), by one
+    reverse pass over the recursion of ``_dag_weight_sums`` (table ``f``);
+    f(full) is linear in each acc[c], so each row sums to 1.
 
-    Sets are visited largest first, so every superset's adjoint g(S) =
-    d f(full) / d f(S) is final before it is read.  The term -f(R) prod[l]
-    of f(R | t) gives g(R) the share -g(R | t) prod[l] and prod[l] the
-    adjoint -f(R) g(R | t); undoing the doubling that built ``prod`` turns
-    the latter into one adjoint per factor, that is per acc[c][R].
+    Sets are visited largest first, so that every superset's scaled adjoint
+    g(S) = (d f(full) / d f(S)) M(S) / M(full) is final before it is read.
+    The term -F(R) scale prod[l] of F(R | t) gives g(R) the share -g(R | t)
+    scale prod[l] and prod[l] the adjoint -F(R) g(R | t) scale; undoing the
+    doubling that built ``prod`` turns the latter into one adjoint per
+    factor, that is per acc[c][R].
     """
-    p = acc.shape[0]
+    p = tables[0].shape[0]
     g = np.zeros_like(f)
     g[-1] = 1
-    grad = np.zeros_like(acc)
+    share = np.zeros((p, 1 << p))
     for sets, outside in reversed(_sink_blocks(p)):
-        factors, prod, union = _sink_terms(acc, sets, outside)
-        up = -g[union]   # up[:, 0] is -g(R), still 0: l = 0 adds nothing
+        factors, prod, union, scale = _sink_terms(tables, sets, outside)
+        up = -g[union] * scale   # up[:, 0] is -g(R), still 0: l = 0 adds nothing
         g[sets] = (up * prod).sum(axis=1)
         factor_grad = np.empty_like(factors)
         for q in reversed(range(outside.shape[1])):
             h = 1 << q
             factor_grad[:, q] = (up[:, h:2 * h] * prod[:, :h]).sum(axis=1)
             up[:, :h] += up[:, h:2 * h] * factors[:, q:q + 1]
-        # factors are -acc; the up values still lack f(R)
-        grad[outside, sets[:, None]] = -f[sets, None] * factor_grad
-    return grad
+        # the up values still lack F(R)
+        share[outside, sets[:, None]] = f[sets, None] * factors * factor_grad
+    return share / f[-1]
 
 
-def _edge_posteriors(weights: np.ndarray) -> np.ndarray:
-    """P(u -> v) for every ordered pair, from per-child family weights
-    (child, parent mask); computes in the dtype of ``weights``."""
-    p = weights.shape[0]
-    acc = _zeta_transform(weights, p)
-    f = _dag_weight_sums(acc)
-    total = f[-1]
-    if not total > 0:
-        raise ArithmeticError("posterior mass underflowed; data too extreme")
-    # mass[v, W]: the weight of the DAGs in which v's parents are exactly W
-    mass = weights * _superset_sums(_dag_weight_gradient(acc, f), p)
-    prob = np.empty((p, p), dtype=weights.dtype)
+@np.errstate(invalid="ignore")
+def _edge_posteriors(scores: np.ndarray) -> np.ndarray:
+    """P(u -> v) for every ordered pair, from per-child log family weights
+    (child, parent mask), -inf where a family is left out."""
+    p = scores.shape[0]
+    tables = _sink_tables(scores)
+    log_acc, _, log_top = tables
+    if not np.isfinite(log_top[-1]):
+        raise ArithmeticError("no DAG has positive weight")
+    share = _dag_weight_shares(tables, _dag_weight_sums(tables))
+    prob = np.empty((p, p))
     for u in range(p):
-        prob[u] = _bit_halves(mass, u)[1].sum(axis=(-2, -1))
-    return (prob / total).astype(float)
+        lacks, has = _bit_halves(log_acc, u)
+        # the fraction of acc[v][U] held by parent sets that contain u
+        held = -np.expm1(np.fmin(lacks - has, 0))
+        prob[u] = (_bit_halves(share, u)[1] * held).sum(axis=(-2, -1))
+    return prob
 
 
 @dataclass(frozen=True)
@@ -838,20 +841,17 @@ def exact_map_edge_probabilities(data: Dataset,
     Family weights are exp of the Gaussian BIC family scores.  The total
     weight f(full) of all labeled DAGs (parent sets capped) comes from the
     sink-layer inclusion-exclusion recursion over node subsets, which
-    counts every DAG exactly once, at O(p 3^p) cost.
+    counts every DAG exactly once, at O(p 3^p) cost (Koivisto & Sood, JMLR
+    2004; Tian & He, UAI 2009).  Each set's sum is carried divided by the
+    weight of its best DAG, in float64 from the log scores, so that no term
+    underflows however far apart the scores lie.
 
-    Every DAG has exactly one family for each child v, so every term of
-    the recursion carries exactly one factor acc[v][U] (v's weights summed
-    over parent sets inside U): f(full) is linear in each child's table.
-    Hence f(full) = sum_U grad[v][U] acc[v][U], with grad the gradient of
-    f(full) in acc[v], and restricting v's families to those holding u
-    gives the weight of the DAGs with u -> v as
-
-        sum over W holding u of weights[v][W] * sum over U >= W of grad[v][U].
-
-    One forward pass (f over every subset) and one reverse pass over the
-    same recursion (the gradient for every child at once), then a superset
-    sum per child, give all p(p-1) edge probabilities for the cost of
+    Every DAG has exactly one family for each child v, so f(full) is linear
+    in acc[v][U], v's weights summed over parent sets inside U.  One reverse
+    pass over the recursion gives each acc[v][U]'s share of f(full), for
+    all children at once.  The DAGs with u -> v take from that share the
+    fraction of acc[v][U] held by parent sets that contain u,
+    1 - acc[v][U - u] / acc[v][U], so all p(p-1) edge probabilities cost
     about two passes rather than one pass per ordered pair.
     """
     p = data.rows.shape[1]
@@ -859,7 +859,7 @@ def exact_map_edge_probabilities(data: Dataset,
         raise SizeLimitError(f"exact averaging limited to {MAX_EXACT_NODES} variables")
     if max_parents > MAX_EXACT_PARENTS:
         raise SizeLimitError(f"max_parents limited to {MAX_EXACT_PARENTS}")
-    prob = _edge_posteriors(_family_weight_tables(data, max_parents))
+    prob = _edge_posteriors(_table(data, max_parents).read_rows(slice(None))[0])
     # already normalized: strength = P(u->v) + P(v->u)
     return _confidence_from_counts(data.variables, prob, 1.0)
 

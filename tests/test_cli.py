@@ -89,6 +89,24 @@ def test_simstudy_config_refuses_counts_that_are_not_whole_numbers(
     assert not (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("config, words", [
+    ({**SMALL_STUDY, "methods": [1]}, ("'methods'", "array of objects")),
+    ({**SMALL_STUDY, "methods": [{"name": "HC-D-F", "discretization": 3}]},
+     ("discretization", "JSON object")),
+    ({**SMALL_STUDY, "thresholds": 0.5}, ("'thresholds'", "array of numbers")),
+    ([1, 2], ("config", "JSON object")),
+])
+def test_simstudy_config_refuses_values_of_the_wrong_json_type(
+        tmp_path, capsys, config, words):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", path, "--out", out]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(word in err for word in words)
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_simstudy_config_reads_spec_numbers_as_their_default_type(tmp_path):
     config = tmp_path / "study.json"
     config.write_text(json.dumps({**SMALL_STUDY, "methods": [{
@@ -129,6 +147,23 @@ def test_simstudy_invalid_threshold_names_field(tmp_path, capsys):
                 "--methods", "HC", "--out", tmp_path / "x"])
     assert code == EXIT_FAILURE
     assert "threshold" in capsys.readouterr().err
+
+
+def test_simstudy_thresholds_flag_names_an_entry_that_is_not_a_number(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["simstudy", "--replicates", 1, "--thresholds", "0.5,x",
+                "--methods", "HC", "--out", out]) == EXIT_FAILURE
+    assert "error: --thresholds: 'x' is not a number" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_simstudy_methods_flag_skips_empty_entries(tmp_path):
+    out = tmp_path / "out"
+    assert run(["simstudy", "--replicates", 1, "--sample-size", 40,
+                "--boot-samples", 2, "--restarts", 1, "--thresholds", "1.0",
+                "--methods", "HC,", "--out", out]) == EXIT_OK
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["methods"] == ["HC"]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -438,6 +473,20 @@ def test_rf_rejects_settings_that_score_nothing(tmp_path, capsys, flags, message
                 "--mtry-grid", "1", "--repeats", 2, *flags,
                 "--out", tmp_path / "o"]) == EXIT_FAILURE
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ntree-grid", "10,x"], "--ntree-grid: 'x' is not a whole number"),
+    (["--mtry-grid", "1.5"], "--mtry-grid: '1.5' is not a whole number"),
+])
+def test_rf_grid_flags_name_an_entry_that_is_not_a_whole_number(
+        tmp_path, capsys, flags, message):
+    data = tmp_path / "rf.csv"
+    write_rf_csv(data, seed=5)
+    out = tmp_path / "o"
+    assert run(["rf", data, "--response", "y", *flags, "--out", out]) == EXIT_FAILURE
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
 
 
 def test_rf_reports_a_forest_without_usable_oob_rows(tmp_path, capsys):

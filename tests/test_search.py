@@ -24,9 +24,8 @@ from relqual.search import (
     restrict_mmpc,
     _dag_weight_sums,
     _edge_posteriors,
-    _family_weight_tables,
+    _sink_tables,
     _table,
-    _zeta_transform,
 )
 from relqual.rng import split_seed
 from relqual.simstudy import default_truth
@@ -205,17 +204,12 @@ def test_hybrid_search_recovers_chain_skeleton():
 
 
 def test_dag_weight_sum_reduces_to_dag_counting():
-    # with unit weights the inclusion-exclusion recursion must count DAGs
+    # with unit weights the best DAG weighs 1, and the inclusion-exclusion
+    # recursion must count DAGs
     for p in range(1, 6):
-        weights = []
-        for child in range(p):
-            w = np.zeros(1 << p)
-            for mask in range(1 << p):
-                if not mask & (1 << child):
-                    w[mask] = 1.0
-            weights.append(w)
-        acc = [_zeta_transform(w, p) for w in weights]
-        assert _dag_weight_sums(np.array(acc))[-1] == pytest.approx(count_dags(p))
+        masks = np.arange(1 << p)
+        scores = np.where((masks >> np.arange(p)[:, None]) & 1, -np.inf, 0.0)
+        assert _dag_weight_sums(_sink_tables(scores))[-1] == pytest.approx(count_dags(p))
 
 
 def brute_force_edge_probabilities(data, max_parents):
@@ -275,14 +269,15 @@ def test_exact_map_overwhelming_edge():
     assert conf.strength[0, 1] > 0.999
 
 
-def test_float64_weights_of_an_overwhelming_edge_underflow():
-    """Where np.longdouble is plain float64 the posterior of the data
-    above runs in float64, and its mass underflows: the failure mode
-    ROADMAP item 5 removes.  Pinned until then."""
+def test_overwhelming_edge_matches_extended_precision():
+    """The family weights of this pair reach 7.2e-3014, far below float64's
+    range.  Scaled by the best DAG's weight, the float64 recursion gives
+    the answer that an 80-bit long double computed from unscaled weights:
+    P(A -> B) = 0.5000000302421199 and P(B -> A) = 0.4999999697578801."""
     data = strong_pair_data(n=1000, seed=13, coef=10.0, sd_b=0.01)
-    weights = _family_weight_tables(data, 5).astype(np.float64)
-    with pytest.raises(ArithmeticError, match="posterior mass underflowed"):
-        _edge_posteriors(weights)
+    prob = _edge_posteriors(_table(data, 5).read_rows(slice(None))[0])
+    expected = [[0.0, 0.5000000302421199], [0.4999999697578801, 0.0]]
+    assert np.max(np.abs(prob - expected)) <= 1e-9
 
 
 def test_map_dag_matches_exhaustive_best():

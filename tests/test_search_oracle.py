@@ -9,8 +9,9 @@ loops over int bitmasks one set at a time.  The library must match them
 bit for bit.
 
 The exact edge posterior is checked against one restricted pass of the
-sink-layer recursion per ordered pair, and against weighted averaging over
-all 29,281 five-node DAGs.
+sink-layer recursion per ordered pair, against weighted averaging over
+all 29,281 five-node DAGs, and against every DAG over up to four nodes
+weighted in logs.
 """
 
 import itertools
@@ -33,9 +34,7 @@ from relqual.search import (
     SingularCorrelationError,
     _allow_masks,
     _ascend,
-    _dag_weight_sums,
     _edge_posteriors,
-    _family_weight_tables,
     _perturbed_starts,
     _dag,
     _table,
@@ -1075,26 +1074,89 @@ def weight_tables(draw):
 @settings(max_examples=80, deadline=None)
 @given(weight_tables())
 def test_edge_posteriors_match_per_edge_reruns(weights):
+    with np.errstate(divide="ignore"):
+        scores = np.log(weights.astype(float))
     try:
         expected = ref_edge_posteriors(list(weights))
     except ArithmeticError:
         with pytest.raises(ArithmeticError):
-            _edge_posteriors(weights)
+            _edge_posteriors(scores)
         return
-    assert np.max(np.abs(_edge_posteriors(weights) - expected)) <= 1e-12
+    assert np.max(np.abs(_edge_posteriors(scores) - expected)) <= 1e-12
+
+
+def parent_masks(p):
+    """Per labeled DAG over p nodes, each child's parent mask."""
+    masks = []
+    for dag in enumerate_dags(p):
+        row = [0] * p
+        for u, v in dag.edges:
+            row[v] |= 1 << u
+        masks.append(row)
+    return np.array(masks)
+
+
+SMALL_PARENT_MASKS = {p: parent_masks(p) for p in range(1, 5)}
+
+
+def enumerated_posteriors(scores, masks):
+    """P(u -> v) by weighting every DAG, its log weight shifted by the
+    largest before exp."""
+    p = scores.shape[0]
+    log_weights = scores[np.arange(p), masks].sum(axis=1)
+    weights = np.exp(log_weights - log_weights.max())
+    has_edge = (masks[:, None, :] >> np.arange(p)[None, :, None]) & 1
+    return np.einsum("d,duv->uv", weights, has_edge) / weights.sum()
+
+
+@st.composite
+def log_score_tables(draw):
+    """Log family weights as real scores have them: finite for every parent
+    set within a random cap, the empty one included, and spread over up to
+    thousands of nats.  In some tables each child's best family holds the
+    next child, so that the best families form a cycle and no DAG comes
+    close to taking every child's best."""
+    p = draw(st.integers(1, 4))
+    cap = draw(st.integers(0, p - 1))
+    spread = draw(st.sampled_from([1.0, 50.0, 3e3, 3e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = np.arange(1 << p)
+    scores = -spread * rng.random((p, 1 << p))
+    scores[(masks >> np.arange(p)[:, None]) & 1 == 1] = -np.inf
+    scores[:, np.bitwise_count(masks) > cap] = -np.inf
+    if cap and draw(st.booleans()):
+        for child in range(p):
+            scores[child, 1 << (child + 1) % p] = spread
+    return scores
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_score_tables())
+def test_edge_posteriors_match_dag_enumeration(scores):
+    expected = enumerated_posteriors(scores, SMALL_PARENT_MASKS[len(scores)])
+    assert np.max(np.abs(_edge_posteriors(scores) - expected)) <= 1e-9
+
+
+def test_cycle_of_best_families_far_apart():
+    """Each child prefers the next by 20,000 nats, so every weight but the
+    three best underflows even an 80-bit long double.  The best DAGs hold
+    two of the cycle's three edges each, so each edge reads 2/3."""
+    scores = np.full((3, 8), -20_000.0)
+    scores[(np.arange(8) >> np.arange(3)[:, None]) & 1 == 1] = -np.inf
+    for child in range(3):
+        scores[child, 1 << (child + 1) % 3] = 0.0
+    prob = _edge_posteriors(scores)
+    cycle = np.zeros((3, 3), dtype=bool)
+    cycle[[1, 2, 0], [0, 1, 2]] = True
+    assert np.max(np.abs(prob[cycle] - 2 / 3)) <= 1e-9
+    assert np.max(prob[~cycle]) <= 1e-9
 
 
 @pytest.fixture(scope="module")
 def five_node_parent_masks():
-    """Per labeled five-node DAG, each child's parent mask."""
-    masks = []
-    for dag in enumerate_dags(5):
-        row = [0] * 5
-        for u, v in dag.edges:
-            row[v] |= 1 << u
-        masks.append(row)
+    masks = parent_masks(5)
     assert len(masks) == 29_281
-    return np.array(masks)
+    return masks
 
 
 FIVE_NODE_CASES = [(0, 4), (1, 4), (2, 3), (3, 2)]   # (dataset seed, max_parents)
@@ -1128,17 +1190,16 @@ def test_exact_posterior_matches_five_node_enumeration(seed, max_parents,
 
 
 def test_float64_tables_agree_with_extended_precision():
-    """Where long double is plain float64 the same computation runs in
-    float64; on the criterion-3 and five-node datasets it must not need
-    the extra range."""
+    """On the criterion-3 and five-node datasets the float64 posterior
+    matches the per-edge reruns on long-double weights."""
     cases = [(random_four_node_dataset(42_000 + rep), 3) for rep in range(20)]
     cases += [(gaussian_data(seed, 5, 60), mp) for seed, mp in FIVE_NODE_CASES]
     for data, max_parents in cases:
-        weights = _family_weight_tables(data, max_parents)
-        narrow = weights.astype(np.float64)
-        assert _dag_weight_sums(narrow).dtype == np.float64
-        assert np.max(np.abs(_edge_posteriors(narrow)
-                             - _edge_posteriors(weights))) <= 1e-9
+        scores = _table(data, max_parents).read_rows(slice(None))[0]
+        wide = scores.astype(np.longdouble)
+        weights = np.exp(wide - wide.max(axis=1, keepdims=True))
+        assert np.max(np.abs(_edge_posteriors(scores)
+                             - ref_edge_posteriors(list(weights)))) <= 1e-9
 
 
 def test_exact_searches_refuse_one_node_past_the_limit():
