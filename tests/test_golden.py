@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from relqual.cli import EXIT_OK, EXIT_PARTIAL, main
-from relqual.dag import VariableSet
+from relqual.dag import Dag, VariableSet
 from relqual.discretize import METHODS, DiscretizationSpec, discretize
 from relqual.data import Dataset, write_numeric_csv
-from relqual.gaussian import simulate
+from relqual.gaussian import GaussianBn, simulate
 from relqual.ingest import CachedHttp, FetchSpec, HttpCache, TransportResponse, \
     fetch_downloads, fetch_issues
+from relqual.search import DENSE_TABLE_ENTRIES
 from relqual.simstudy import SEARCH_KINDS, default_truth
 
 
@@ -127,6 +128,55 @@ def test_learn_outputs_are_byte_identical(tmp_path, method):
         "inputs": {"<tmp>/release.csv": digest(data)},
         "outputs": [f"<tmp>/out/{name}" for name in
                     ("arcs.csv", "network.json", "inference.csv", "nodes.csv")],
+    }
+
+
+def write_wide_chain_table(path):
+    """520 rows of an 11-node chain x0 -> x1 -> ... -> x10: the NPM model's
+    row count at a width whose bootstrap table is too big to be dense."""
+    names = [f"x{i}" for i in range(11)]
+    dag = Dag.from_names(VariableSet(names), list(zip(names[:-1], names[1:])))
+    coefficients = (np.empty(0),) + tuple(np.array([0.9 - 0.15 * (i % 4)])
+                                          for i in range(10))
+    bn = GaussianBn(dag, np.zeros(11), coefficients, np.ones(11))
+    write_numeric_csv(path, simulate(bn, 520, seed=31))
+
+
+# method -> (digest of arcs.csv, network.json, inference.csv, nodes.csv)
+WIDE_LEARN_DIGESTS = {
+    "hc": ("9968f07c53e28ae26bd56025d647cfa9d2f58b9b7137dd71028169ad8c53b026",
+           "3f8ea5b04624b5057f8166255b7f24d9dcd1ddd3dccdd881bda0059410d3ef55",
+           "9f9762b36cefca37ec418fe3dbfe3d21dfafe4b13073857f9315165a850fdf9c",
+           "20db65d53ae265632d5588ccce4f402978c5e168a09b95d21c81237cae0a7e57"),
+    "map": ("a7b9a538bfaeec7d4ca38bac515316644354b3dd1f5225f9679d9b6560f13647",
+            "d3d747295f4f5243f5b419effe4fae50f864b12a0f1aeaf76d838b881b0df769",
+            "7b4b32356fe60dee3523227eaa24dd493754bf5eb5b257668be24b1cc87cc280",
+            "62ca254370f476283581232d5efeb640b4bccc9e888716101bef8d44f899eaaa"),
+}
+
+
+@pytest.mark.parametrize("method", list(WIDE_LEARN_DIGESTS))
+def test_learn_outputs_from_a_lazy_table_are_byte_identical(tmp_path, method):
+    # 47 resamples of 11 columns do not fit a dense table, so the greedy
+    # search reads the lazy table's families and the MAP search its rows
+    boot_samples, p = 47, 11
+    assert boot_samples * p << p > DENSE_TABLE_ENTRIES
+    data = tmp_path / "wide.csv"
+    write_wide_chain_table(data)
+    out = tmp_path / "out"
+    assert run(["learn", data, "--method", method, "--boot-samples", boot_samples,
+                "--restarts", 3, "--seed", 5, "--out", out]) == EXIT_OK
+    names = ("arcs.csv", "network.json", "inference.csv", "nodes.csv")
+    assert tuple(digest(out / name) for name in names) == WIDE_LEARN_DIGESTS[method]
+    assert manifest(out, tmp_path) == {
+        "command": "learn",
+        "config": {"data": "<tmp>/wide.csv", "method": method,
+                   "threshold": 0.85, "boot_samples": boot_samples, "restarts": 3,
+                   "max_parents": 5, "alpha": 0.05, "scaled_search": True,
+                   "strict_threshold": False},
+        "seed": 5, "version": "0.1.0",
+        "inputs": {"<tmp>/wide.csv": digest(data)},
+        "outputs": [f"<tmp>/out/{name}" for name in names],
     }
 
 
