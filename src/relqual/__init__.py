@@ -24,6 +24,6 @@ from .quality import DailySeries, UsageRecord, aggregate_release, aggregate_usag
     correct_new_users, direction_of_trend, log_transform, quality_metric, \
     screen_significance, timeline
 from .search import ArcConfidence, AveragedNetwork, HcConfig, averaged_network, \
-    bootstrap_average, exact_map_edge_probabilities, hill_climb, hybrid_search, \
-    map_dag, restrict_gs, restrict_mmpc
+    bootstrap_average, exact_map_edge_probabilities, hill_climb, map_dag, \
+    restrict_gs, restrict_mmpc
 from .simstudy import MethodSpec, SimStudyConfig, default_truth, run_simstudy

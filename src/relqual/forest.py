@@ -68,17 +68,21 @@ class _Tree:
     value: np.ndarray
     gains: np.ndarray
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value per row."""
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        return self.value[_descend(self.feature, self.threshold, self.left,
-                                   self.right, x, node)]
 
-
-def _descend(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
-             right: np.ndarray, x: np.ndarray, node: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` walked from its start ``node`` down to a leaf, in
-    place; all rows descend one level per step."""
+def _predict_all(trees: list[_Tree], xs: list[np.ndarray]) -> list[np.ndarray]:
+    """The leaf value of each row of ``xs[i]`` in ``trees[i]``, for every i:
+    all trees' rows descend together, one level per step, over the trees'
+    node arrays laid end to end."""
+    size = np.array([tree.feature.size for tree in trees])
+    first = np.cumsum(size) - size
+    shift = np.repeat(first, size)
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    left, right = left + shift, right + shift
+    count = [x.shape[0] for x in xs]
+    x = np.concatenate(xs)
+    node = np.repeat(first, count)
     active = np.arange(x.shape[0])
     while active.size:
         at = node[active]
@@ -87,42 +91,25 @@ def _descend(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
         active, at, f = active[inner], at[inner], f[inner]
         goes_left = x[active, f] < threshold[at]
         node[active] = np.where(goes_left, left[at], right[at])
-    return node
-
-
-def _predict_all(trees: list[_Tree], xs: list[np.ndarray]) -> list[np.ndarray]:
-    """``[tree.predict(x) for tree, x in zip(trees, xs)]``: all trees' rows
-    descend together over the trees' node arrays laid end to end."""
-    size = np.array([tree.feature.size for tree in trees])
-    first = np.cumsum(size) - size
-    shift = np.repeat(first, size)
-    feature, threshold, left, right, value = (
-        np.concatenate([getattr(tree, name) for tree in trees])
-        for name in ("feature", "threshold", "left", "right", "value"))
-    count = [x.shape[0] for x in xs]
-    node = _descend(feature, threshold, left + shift, right + shift,
-                    np.concatenate(xs), np.repeat(first, count))
     return np.split(value[node], np.cumsum(count)[:-1])
 
 
 def _walk(items):
-    """Yield (key, ``tree.predict(x)``) for each (key, tree, x) of
+    """Yield (key, leaf value per row of x) for each (key, tree, x) of
     ``items``, in order.  The trees walk together (``_predict_all``) in
-    batches of at most WALK_ROWS rows, or of one tree that has more."""
-    batch, rows = [], 0
-    for item in items:
-        if batch and rows + item[2].shape[0] > WALK_ROWS:
-            yield from _walk_batch(batch)
-            batch, rows = [], 0
-        batch.append(item)
-        rows += item[2].shape[0]
-    if batch:
-        yield from _walk_batch(batch)
-
-
-def _walk_batch(batch):
-    keys, trees, xs = zip(*batch)
-    return zip(keys, _predict_all(trees, xs))
+    batches of at most WALK_ROWS rows, or of one tree that has more; a
+    batch's rows are let go before the next batch is taken."""
+    keys, trees, xs, rows = [], [], [], 0
+    for key, tree, x in items:
+        if trees and rows + x.shape[0] > WALK_ROWS:
+            yield from zip(keys, _predict_all(trees, xs))
+            keys, trees, xs, rows = [], [], [], 0
+        keys.append(key)
+        trees.append(tree)
+        xs.append(x)
+        rows += x.shape[0]
+    if trees:
+        yield from zip(keys, _predict_all(trees, xs))
 
 
 # Bytes that one temporary of a split scan may take: a step's candidate
@@ -137,15 +124,6 @@ WALK_ROWS = 1 << 14
 # Raw draws, in bytes, that one batch of lockstep lanes may replay for the
 # features of every split its trees can draw for; a batch has one lane or more.
 DRAW_BYTES = 1 << 22
-
-
-def _bootstrap(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
-    """Tree t's stream and its n draws of rows below n.  The stream goes on
-    to draw the tree's candidate features; the grower reads it in raw
-    blocks, so it ends past where drawing split by split would leave it,
-    and nothing reads it after growth."""
-    rng = rng_from(split_seed(seed, 3, t))
-    return rng, rng.integers(0, n, size=n)
 
 
 def _ranked(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -383,8 +361,8 @@ class ForestModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         votes = np.zeros(x.shape[0])
-        for tree in self.trees:
-            votes += tree.predict(x)
+        for _, pred in _walk((None, tree, x) for tree in self.trees):
+            votes += pred
         return votes / len(self.trees)
 
     def oob_predictions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -420,6 +398,20 @@ class ForestModel:
         return gains / len(self.trees)
 
 
+def _lanes(trains: list[np.ndarray], cfg: ForestConfig):
+    """(k, rng, rows) for each of the cfg.ntree trees on each row set
+    ``trains[k]``, in order: tree t's stream and the rows it bootstraps
+    from ``trains[k]``, sorted, as ids into the whole table.  The stream
+    goes on to draw the tree's candidate features; the grower reads it in
+    raw blocks, so it ends past where drawing split by split would leave
+    it, and nothing reads it after growth."""
+    for k, train in enumerate(trains):
+        for t in range(cfg.ntree):
+            rng = rng_from(split_seed(cfg.seed, 3, t))
+            drawn = rng.integers(0, train.size, size=train.size)
+            yield k, rng, train[np.sort(drawn)]
+
+
 def _design(data: Dataset, response: str, cfg: ForestConfig,
             n: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, int]:
     """Predictor names, their columns, the response column and mtry, for
@@ -438,14 +430,11 @@ def fit_forest(data: Dataset, response: str, cfg: ForestConfig) -> ForestModel:
     """Grow ntree bootstrap CART trees for ``response``; deterministic in
     the seed, with one derived stream per tree."""
     predictors, x, y, mtry = _design(data, response, cfg, data.n)
-    lanes = []
-    oob_rows = []
-    for t in range(cfg.ntree):
-        rng, drawn = _bootstrap(cfg.seed, t, data.n)
-        in_bag = np.zeros(data.n, dtype=bool)
-        in_bag[drawn] = True
-        lanes.append((t, rng, np.sort(drawn)))
-        oob_rows.append(np.flatnonzero(~in_bag))
+    lanes = list(_lanes([np.arange(data.n)], cfg))
+    in_bag = np.zeros((cfg.ntree, data.n), dtype=bool)
+    for t, (_, _, rows) in enumerate(lanes):
+        in_bag[t, rows] = True
+    oob_rows = [np.flatnonzero(~bag) for bag in in_bag]
     trees = [tree for _, tree in _grow_trees(x, y, lanes, mtry, cfg.min_leaf)]
     return ForestModel(response, predictors, trees, oob_rows, x, y, cfg)
 
@@ -520,17 +509,6 @@ def _fold_assignments(n: int, k_folds: int, seed: int, repeat: int) -> np.ndarra
     return labels[rng.permutation(n)]
 
 
-def _cv_lanes(tests: list[np.ndarray], cfg: ForestConfig):
-    """(fold, rng, rows) for each tree of each fold's forest, in order: the
-    tree that ``fit_forest`` grows on the rows outside ``tests[fold]``,
-    with its rows as ids into the whole table."""
-    for fold, test in enumerate(tests):
-        train = np.flatnonzero(~test)
-        for t in range(cfg.ntree):
-            rng, drawn = _bootstrap(cfg.seed, t, train.size)
-            yield fold, rng, train[np.sort(drawn)]
-
-
 def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
            ntrees: tuple[int, ...], k_repeats: int, k_folds: int,
            seed: int) -> np.ndarray:
@@ -554,15 +532,16 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
     # fold 0 holds the most rows, so its training set is the smallest
     _, x, y, mtry = _design(data, response, cfg, data.n - -(-data.n // k_folds))
     row_of = {ntree: i for i, ntree in enumerate(ntrees)}
-    tests = []      # test rows per fold, fold counted as repeat * k_folds + fold
+    # training and test rows per fold, fold counted as repeat * k_folds + fold
+    trains, test_rows = [], []
     for repeat in range(k_repeats):
         folds = _fold_assignments(data.n, k_folds, seed, repeat)
-        tests += [folds == fold for fold in range(k_folds)]
-    test_rows = [np.flatnonzero(test) for test in tests]
+        trains += [np.flatnonzero(folds != fold) for fold in range(k_folds)]
+        test_rows += [np.flatnonzero(folds == fold) for fold in range(k_folds)]
     votes = [np.zeros(rows.size) for rows in test_rows]
-    grown = [0] * len(tests)
-    scores = np.empty((len(ntrees), len(tests)))
-    trees = _grow_trees(x, y, _cv_lanes(tests, cfg), mtry, cfg.min_leaf)
+    grown = [0] * len(test_rows)
+    scores = np.empty((len(ntrees), len(test_rows)))
+    trees = _grow_trees(x, y, _lanes(trains, cfg), mtry, cfg.min_leaf)
     for fold, pred in _walk((fold, tree, x[test_rows[fold]]) for fold, tree in trees):
         votes[fold] += pred
         grown[fold] += 1

@@ -383,6 +383,8 @@ def _fetch_each(names: tuple[str, ...], one: Callable[[str], object],
                 politeness: int) -> tuple[dict, dict[str, str]]:
     """``one(name)`` for every name on ``politeness`` threads: the results,
     and the message of each name whose fetch failed, both by name."""
+    if politeness < 1:
+        raise ValueError(f"politeness must be >= 1, got {politeness}")
     with ThreadPoolExecutor(max_workers=politeness) as pool:
         futures = {name: pool.submit(one, name) for name in names}
     results, errors = {}, {}

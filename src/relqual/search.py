@@ -592,13 +592,6 @@ def _restrict_pairs(data: Dataset, restrict: str,
     raise ValueError("restrict must be 'gs' or 'mmpc'")
 
 
-def hybrid_search(data: Dataset, alpha: float, cfg: HcConfig,
-                  restrict: str = "gs", seed=None) -> Dag:
-    """Greedy search confined to the pairs a constraint pass allows."""
-    return hill_climb(data, cfg, restrict=_restrict_pairs(data, restrict, alpha),
-                      seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # exact posterior averaging over all DAGs
 

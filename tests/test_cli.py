@@ -107,6 +107,21 @@ def test_simstudy_config_refuses_values_of_the_wrong_json_type(
     assert not (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("disc", [0, False, "", []],
+                         ids=["zero", "false", "empty-string", "empty-array"])
+def test_simstudy_config_refuses_a_falsy_discretization(tmp_path, capsys, disc):
+    # read as "no discretization", such a value would run the arm on the
+    # continuous data under the arm's discretized name
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({**SMALL_STUDY, "methods": [
+        {"name": "HC-D-F", "discretization": disc}]}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", path, "--out", out]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err == f"error: discretization must be a JSON object, not {disc!r}\n"
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_simstudy_config_reads_spec_numbers_as_their_default_type(tmp_path):
     config = tmp_path / "study.json"
     config.write_text(json.dumps({**SMALL_STUDY, "methods": [{
@@ -615,3 +630,16 @@ def test_fetch_refuses_a_pair_without_equals_before_fetching(tmp_path, capsys):
     assert "'okonly'" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("politeness", [0, -2])
+@pytest.mark.parametrize("names", [["--packages", "ok"], ["--repos", "o/ok"]])
+def test_fetch_refuses_non_positive_politeness(tmp_path, capsys, politeness, names):
+    out = tmp_path / "out"
+    code = run(["fetch", *names, "--politeness", politeness,
+                "--start", "2018-01-01", "--end", "2018-01-02",
+                "--cache-dir", tmp_path / "cache", "--out", out])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == \
+        f"error: politeness must be >= 1, got {politeness}\n"
+    assert not (out / "run_manifest.json").exists()

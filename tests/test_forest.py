@@ -7,6 +7,7 @@ from relqual.dag import VariableSet
 from relqual.data import Dataset
 from relqual.forest import (
     ForestConfig,
+    _predict_all,
     ablate_predictor,
     fit_forest,
     permutation_importance,
@@ -62,7 +63,7 @@ def test_forest_prediction_is_mean_of_trees():
     })
     model = fit_forest(data, "y", ForestConfig(ntree=7, seed=3))
     grid = np.linspace(-2, 2, 9)[:, None]
-    stacked = np.mean([t.predict(grid) for t in model.trees], axis=0)
+    stacked = np.mean(_predict_all(model.trees, [grid] * len(model.trees)), axis=0)
     assert np.allclose(model.predict(grid), stacked)
 
 

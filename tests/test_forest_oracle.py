@@ -27,9 +27,10 @@ from relqual.data import Dataset
 from relqual.forest import (
     ForestConfig,
     TuneCell,
-    _cv_lanes,
     _fold_assignments,
     _grow_trees,
+    _lanes,
+    _predict_all,
     _ranked,
     _scan,
     ablate_predictor,
@@ -318,11 +319,13 @@ def assert_same_trees(fast, slow, x):
     # probe rows on the training values, so rows land exactly on and
     # around the thresholds (midpoints of training values)
     probe = np.vstack([x, (x[:-1] + x[1:]) / 2.0, x + 0.25])
-    for a, b in zip(fast, slow):
+    walked = _predict_all(fast, [probe] * len(fast))
+    walked_empty = _predict_all(fast, [probe[:0]] * len(fast))
+    for a, b, pred, empty in zip(fast, slow, walked, walked_empty):
         for name in ("feature", "threshold", "left", "right", "value", "gains"):
             assert np.array_equal(getattr(a, name), np.asarray(getattr(b, name)))
-        assert np.array_equal(a.predict(probe), list_predict(b, probe))
-        assert a.predict(probe[:0]).shape == (0,)
+        assert np.array_equal(pred, list_predict(b, probe))
+        assert empty.shape == (0,)
 
 
 def check_forest(table, min_leaf, seed, data):
@@ -375,7 +378,8 @@ def test_cv_lanes_from_unequal_folds_match_the_serial_code(
     with pytest.MonkeyPatch.context() as mp:
         if lane_rows is not None:
             mp.setattr(forest, "LANE_ROWS", lane_rows)
-        grown = list(_grow_trees(x, y, _cv_lanes(tests, cfg), cfg.mtry, min_leaf))
+        trains = [np.flatnonzero(~test) for test in tests]
+        grown = list(_grow_trees(x, y, _lanes(trains, cfg), cfg.mtry, min_leaf))
     assert [fold for fold, _ in grown] == \
         [fold for fold in range(len(tests)) for _ in range(cfg.ntree)]
     for fold, test in enumerate(tests):
@@ -503,6 +507,29 @@ def test_oob_predictions_and_importance_match_the_per_tree_loop(table, ntree, se
     assert np.array_equal(preds, want_preds, equal_nan=True)
     if usable:
         assert np.array_equal(report.permutation, serial_importance(model, 2, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables(min_rows=4, max_rows=40), st.integers(1, 8), st.integers(1, 3),
+       st.integers(0, 99), st.sampled_from([None, 1, 150]))
+def test_forest_prediction_is_the_in_order_sum_of_the_serial_walks(
+        table, ntree, min_leaf, seed, walk_rows):
+    # a probe of 2n <= 80 rows: WALK_ROWS = 1 walks one tree at a time, 150
+    # walks a forest in batches of one tree or more
+    x, y = table
+    if x.shape[0] < 2 * min_leaf:
+        return
+    model = fit_forest(dataset(x, y), "y", ForestConfig(ntree=ntree, min_leaf=min_leaf,
+                                                        seed=seed))
+    probe = np.vstack([x, x + 0.25])
+    votes = np.zeros(probe.shape[0])
+    for tree in model.trees:
+        votes += list_predict(tree, probe)
+    with pytest.MonkeyPatch.context() as mp:
+        if walk_rows is not None:
+            mp.setattr(forest, "WALK_ROWS", walk_rows)
+        pred = model.predict(probe)
+    assert np.array_equal(pred.view(np.int64), (votes / ntree).view(np.int64))
 
 
 # --- feature draws ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from relqual.search import (
     exact_map_edge_probabilities,
     hc_learner,
     hill_climb,
-    hybrid_search,
     map_dag,
     map_learner,
     restrict_gs,
@@ -197,7 +196,8 @@ def test_hybrid_search_recovers_chain_skeleton():
     hits = 0
     for rep in range(20):
         data = chain_data(n=1000, seed=9000 + rep)
-        learned = hybrid_search(data, 0.05, HcConfig(restarts=3, seed=rep), "gs")
+        learned = hill_climb(data, HcConfig(restarts=3, seed=rep),
+                             restrict=restrict_gs(data, 0.05))
         skeleton = {frozenset(e) for e in learned.edges}
         hits += skeleton == {frozenset({0, 1}), frozenset({1, 2})}
     assert hits >= 18
