@@ -290,6 +290,10 @@ class DiscreteScoreCache(FamilyScorer):
     an N seen so far; one sample takes the logs of its observed cells.
     """
 
+    # bound in this class too: a tracer wraps and restores it per scorer
+    # (perfbench) and must find it in the class's own namespace
+    family_score = FamilyScorer.family_score
+
     def __init__(self, data: DiscreteDataset, max_parents: int | None = None,
                  resamples: np.ndarray | None = None):
         super().__init__(data, max_parents, resamples)

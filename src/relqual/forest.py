@@ -398,10 +398,10 @@ class ForestModel:
         return gains / len(self.trees)
 
 
-def _lanes(trains: list[np.ndarray], cfg: ForestConfig):
-    """(k, rng, rows) for each of the cfg.ntree trees on each row set
-    ``trains[k]``, in order: tree t's stream and the rows it bootstraps
-    from ``trains[k]``, sorted, as ids into the whole table.  The stream
+def _lanes(trains, cfg: ForestConfig):
+    """(k, rng, rows) for each of the cfg.ntree trees on the k-th row set
+    of ``trains``, in order: tree t's stream and the rows it bootstraps
+    from that set, sorted, as ids into the whole table.  The stream
     goes on to draw the tree's candidate features; the grower reads it in
     raw blocks, so it ends past where drawing split by split would leave
     it, and nothing reads it after growth."""
@@ -532,15 +532,16 @@ def _cv_r2(data: Dataset, response: str, cfg: ForestConfig,
     # fold 0 holds the most rows, so its training set is the smallest
     _, x, y, mtry = _design(data, response, cfg, data.n - -(-data.n // k_folds))
     row_of = {ntree: i for i, ntree in enumerate(ntrees)}
-    # training and test rows per fold, fold counted as repeat * k_folds + fold
-    trains, test_rows = [], []
+    tests = []      # test rows per fold, fold counted as repeat * k_folds + fold
     for repeat in range(k_repeats):
         folds = _fold_assignments(data.n, k_folds, seed, repeat)
-        trains += [np.flatnonzero(folds != fold) for fold in range(k_folds)]
-        test_rows += [np.flatnonzero(folds == fold) for fold in range(k_folds)]
+        tests += [folds == fold for fold in range(k_folds)]
+    test_rows = [np.flatnonzero(test) for test in tests]
     votes = [np.zeros(rows.size) for rows in test_rows]
-    grown = [0] * len(test_rows)
-    scores = np.empty((len(ntrees), len(test_rows)))
+    grown = [0] * len(tests)
+    scores = np.empty((len(ntrees), len(tests)))
+    # a fold's training rows are made only when its trees are drawn
+    trains = (np.flatnonzero(~test) for test in tests)
     trees = _grow_trees(x, y, _lanes(trains, cfg), mtry, cfg.min_leaf)
     for fold, pred in _walk((fold, tree, x[test_rows[fold]]) for fold, tree in trees):
         votes[fold] += pred

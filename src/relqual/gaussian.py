@@ -119,6 +119,10 @@ class GaussianScoreCache(FamilyScorer):
     sample in one batched solve.
     """
 
+    # bound in this class too: a tracer wraps and restores it per scorer
+    # (perfbench) and must find it in the class's own namespace
+    family_score = FamilyScorer.family_score
+
     def __init__(self, data: Dataset, max_parents: int | None = None,
                  resamples: np.ndarray | None = None):
         super().__init__(data, max_parents, resamples)

@@ -122,6 +122,18 @@ def test_simstudy_config_refuses_a_falsy_discretization(tmp_path, capsys, disc):
     assert not (out / "run_manifest.json").exists()
 
 
+def test_simstudy_config_reads_an_empty_discretization_as_the_default_spec(tmp_path):
+    # every omitted key of a spec takes its default, so {} bins each
+    # column into 3 equal-frequency bins
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({**SMALL_STUDY, "methods": [
+        {"name": "HC-D-F", "discretization": {}}]}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", config, "--out", out]) == EXIT_OK
+    rows = (out / "simstudy.csv").read_text().splitlines()
+    assert rows[1].startswith("HC-D-F,equal-frequency-3,")
+
+
 def test_simstudy_config_reads_spec_numbers_as_their_default_type(tmp_path):
     config = tmp_path / "study.json"
     config.write_text(json.dumps({**SMALL_STUDY, "methods": [{
