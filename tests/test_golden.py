@@ -2,9 +2,10 @@
 
 The study table, the `learn` outputs and the `rf` outputs are the contract
 of a refactor that keeps the arithmetic: they must stay byte-identical.
-The codes and cut points of `discretize`, the `quality` tables and the
-`fetch` outputs replayed from a warm cache are pinned the same way, and so
-is each command's run_manifest.json, less its wall time.
+The codes and cut points of `discretize`, the `quality` tables, the
+`fetch` outputs replayed from a warm cache and the searches of one dataset
+(its exact edge posterior, MAP DAG and climbed DAG) are pinned the same
+way, and so is each command's run_manifest.json, less its wall time.
 The digests were recorded from these exact runs; a change that moves any
 of them has changed what the program computes.
 """
@@ -19,11 +20,12 @@ import pytest
 from relqual.cli import EXIT_OK, EXIT_PARTIAL, main
 from relqual.dag import Dag, VariableSet
 from relqual.discretize import METHODS, DiscretizationSpec, discretize
-from relqual.data import Dataset, write_numeric_csv
+from relqual.data import Dataset, DiscreteDataset, write_numeric_csv
 from relqual.gaussian import GaussianBn, simulate
 from relqual.ingest import CachedHttp, FetchSpec, HttpCache, TransportResponse, \
     fetch_downloads, fetch_issues
-from relqual.search import DENSE_TABLE_ENTRIES
+from relqual.search import DENSE_TABLE_ENTRIES, HcConfig, exact_map_edge_probabilities, \
+    hill_climb, map_dag
 from relqual.simstudy import SEARCH_KINDS, default_truth
 
 
@@ -179,6 +181,62 @@ def test_learn_outputs_from_a_lazy_table_are_byte_identical(tmp_path, method):
         "outputs": [f"<tmp>/out/{name}" for name in names],
     }
 
+
+
+def single_gaussian_table(p):
+    """120 rows over a random DAG with at most three parents per node, so
+    the exact posterior lies strictly between 0 and 1 on most pairs."""
+    rng = np.random.default_rng([p, 41])
+    x = rng.standard_normal((120, p))
+    for v in range(1, p):
+        parents = rng.permutation(v)[:rng.integers(0, 4)]
+        x[:, v] += x[:, parents] @ rng.choice([-0.6, -0.3, 0.3, 0.6], len(parents))
+    return Dataset(VariableSet([f"g{i}" for i in range(p)]), x)
+
+
+def single_discrete_table():
+    """150 rows of six variables with 2 to 5 levels, each but the first a
+    noisy function of earlier ones."""
+    rng = np.random.default_rng(43)
+    levels = (2, 4, 3, 5, 2, 3)
+    rows = np.zeros((150, 6), dtype=np.int64)
+    rows[:, 0] = rng.integers(0, 2, 150)
+    for v, parents in enumerate([(), (0,), (1,), (0, 2), (3,), (1, 4)]):
+        if parents:
+            signal = rows[:, list(parents)].sum(axis=1)
+            noise = rng.integers(0, levels[v], 150)
+            rows[:, v] = np.where(rng.random(150) < 0.7, signal, noise) % levels[v]
+    return DiscreteDataset(VariableSet([f"d{i}" for i in range(6)]), rows, levels)
+
+
+# table -> (digest of the edge posterior CSV or None, of the MAP DAG's JSON,
+# of the climbed DAG's JSON)
+SINGLE_TABLE_DIGESTS = {
+    "gaussian-7": ("a222a620880d9b691a95af97c5327545e43cabb9a5133a64add57f57eb23d86b",
+                   "70aea25fc8177466543462890b6aa862e9fe0e9e46832a05909dd0d44f1b5a5f",
+                   "70aea25fc8177466543462890b6aa862e9fe0e9e46832a05909dd0d44f1b5a5f"),
+    "gaussian-9": ("3e81d1caf5cae2a0fe97243583c3f76c86eb88110c6245d222d602c0a0ad1a54",
+                   "0fe8f915c86baa32e388180c3f868d626b9b4f0b13ad407d0dd036b293df663c",
+                   "7f4477d27b643a273e1bfb4a13f696de44fa3f751716e4e61584c3c4ca7fbba2"),
+    "discrete": (None,
+                 "b9555d3350bcb78efd3a48b8aa1b27b461fac9861136a7f89f911c5bf51b8f76",
+                 "826e2c1f65952a5f9312b45784dd8d8fd069d7f34af104633811a6dbbe5d1c7b"),
+}
+
+
+@pytest.mark.parametrize("name", list(SINGLE_TABLE_DIGESTS))
+def test_searches_of_one_dataset_are_byte_identical(name):
+    # one dataset's table is never dense: the exact searches fill its rows
+    # and the greedy search reads its families lazily
+    data = (single_discrete_table() if name == "discrete"
+            else single_gaussian_table(int(name.removeprefix("gaussian-"))))
+    posterior = (None if name == "discrete" else
+                 exact_map_edge_probabilities(data, max_parents=3).to_csv().encode())
+    best = map_dag(data, max_parents=3)
+    climbed = hill_climb(data, HcConfig(restarts=5, max_parents=3, seed=17))
+    got = tuple(None if text is None else hashlib.sha256(text).hexdigest()
+                for text in (posterior, best.to_json().encode(), climbed.to_json().encode()))
+    assert got == SINGLE_TABLE_DIGESTS[name]
 
 def write_rf_table(path):
     """Predictors with repeated values (one rounded column) and an exact
