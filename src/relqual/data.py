@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .dag import Dag, VariableSet
+
+
+# A table over bootstrap resamples is dense while it holds at most this
+# many float64 entries, samples * p * 2^p (8 MiB; p <= 10 at 100
+# resamples).  A larger table, or one of a single dataset, scores each
+# family on its first read, with the same arithmetic: greedy search reads
+# far fewer families than the cap allows, one step of all its lanes at a
+# time, and the exact searches read whole rows (``read_rows``), at most
+# this many scores at once.  No batch of a fill holds more than this many
+# entries of parent covariances (samples * families * k^2).
+DENSE_TABLE_ENTRIES = 1 << 20
 
 
 def mask_members(masks: np.ndarray, p: int) -> np.ndarray:
@@ -22,8 +32,8 @@ def mask_members(masks: np.ndarray, p: int) -> np.ndarray:
 class FamilyScorer:
     """BIC family scores of one dataset, or of bootstrap resamples of it.
 
-    Subclasses provide ``family_scores(child, parent_sets, resamples)``: a
-    (sample, parent set) array of scores and the error per failed entry.
+    Subclasses provide ``family_scores(children, parent_sets, resamples)``:
+    (sample, row) scores, one family per row, and the error per failure.
     """
 
     def __init__(self, data: "Dataset | DiscreteDataset", max_parents: int | None,
@@ -37,6 +47,12 @@ class FamilyScorer:
     def family_score(self, child: int, parent_mask: int, sample: int = 0) -> float:
         """One family's score in one sample (the first, or only, by
         default)."""
+        for name, value, stop in [("child", child, self.p), ("sample", sample, self.samples),
+                                  ("parent_mask", parent_mask, 1 << self.p)]:
+            if not 0 <= value < stop:
+                raise ValueError(f"{name}={value} is outside [0, {stop})")
+        if parent_mask >> child & 1:
+            raise ValueError(f"parent_mask={parent_mask} holds the child {child}")
         scores, failures = self.family_scores(child, mask_members([parent_mask], self.p),
                                               slice(sample, sample + 1))
         if failures:
@@ -45,16 +61,16 @@ class FamilyScorer:
 
     def fill(self, samples: slice) -> np.ndarray:
         """Every family within the cap in the ``samples``, as (sample,
-        child, parent mask), batched per child and parent count; -inf at
-        masks outside the cap or holding the child."""
+        child, parent mask), batched per parent count across children;
+        -inf at masks outside the cap or holding the child."""
         values = np.full((len(range(self.samples)[samples]), self.p, 1 << self.p), -np.inf)
-        for child in range(self.p):
-            others = [i for i in range(self.p) if i != child]
-            for k in range(self.max_parents + 1):
-                sets = list(combinations(others, k))
-                sets = np.array(sets, dtype=np.intp).reshape(len(sets), k)
-                scores, _ = self.family_scores(child, sets, samples)
-                values[:, child, (1 << sets).sum(axis=1)] = scores
+        for k in range(self.max_parents + 1):
+            sets = np.flatnonzero(np.bitwise_count(np.arange(1 << self.p)) == k)
+            children, at = np.nonzero(~sets >> np.arange(self.p)[:, None] & 1)
+            step = max(1, DENSE_TABLE_ENTRIES // (len(values) * max(k * k, 1)))
+            for lo in range(0, len(at), step):
+                c, m = children[lo:lo + step], sets[at[lo:lo + step]]
+                values[:, c, m] = self.family_scores(c, mask_members(m, self.p), samples)[0]
         return values
 
     def score_dag(self, dag: Dag) -> float:

@@ -276,7 +276,7 @@ class DiscreteScoreCache(FamilyScorer):
     """Multinomial BIC family scores of one dataset, or of bootstrap
     resamples of it.
 
-    ``family_scores`` scores parent sets of one child in every sample.
+    ``family_scores`` scores one family per row in every sample.
     Within one ``fill`` whose marginals fit in ``MARGINAL_ENTRIES``, every
     family's counts are marginals of one joint count table over all
     variables, each summed out of a memoized marginal of one more variable,
@@ -319,21 +319,21 @@ class DiscreteScoreCache(FamilyScorer):
         finally:
             self._memo = None
 
-    def family_scores(self, child: int, parent_sets: np.ndarray,
+    def family_scores(self, children: int | np.ndarray, parent_sets: np.ndarray,
                       resamples: slice = slice(None)
                       ) -> tuple[np.ndarray, dict[tuple[int, int], ValueError]]:
-        """Scores of ``child`` given each row of ``parent_sets`` (M x k,
-        ascending indices) in each selected sample: a (B, M) array and an
-        empty failure map (multinomial scores always exist)."""
+        """Scores of ``children[m]`` (an int child is every row's) given row
+        m of ``parent_sets`` (M x k, ascending) in each selected sample: a
+        (B, M) array and an empty failure map (scores always exist)."""
         idx = self.resamples[resamples]
         if parent_sets.shape[1] > self.max_parents:
             raise ValueError("parent set exceeds max_parents")
-        child_levels = self.levels[child]
+        children = np.broadcast_to(children, len(parent_sets)).tolist()
         scores = np.empty((len(idx), len(parent_sets)))
-        for m, parents in enumerate(parent_sets.tolist()):
+        for m, (child, parents) in enumerate(zip(children, parent_sets.tolist())):
             # counts as (sample, parents above the child, child, parents below)
             family = tuple(sorted((child, *parents), reverse=True))
-            at = family.index(child)
+            at, child_levels = family.index(child), self.levels[child]
             counts = self._marginal(idx, family).reshape(
                 len(idx), -1, child_levels, math.prod(self.levels[j] for j in family[at + 1:]))
             config = (counts.sum(axis=2) if self._memo is None

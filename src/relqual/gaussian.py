@@ -115,8 +115,8 @@ class GaussianScoreCache(FamilyScorer):
 
     Each sample is reduced once to its ML covariance; a family score is then
     a small SPD solve, so structure search never touches the raw rows
-    again.  ``family_scores`` scores many parent sets of one child for every
-    sample in one batched solve.
+    again.  ``family_scores`` scores many families of one parent count, one
+    child and parent set per row, for every sample in one batched solve.
     """
 
     # bound in this class too: a tracer wraps and restores it per scorer
@@ -133,12 +133,12 @@ class GaussianScoreCache(FamilyScorer):
             centered = sample - sample.mean(axis=0)
             self.covs[b] = (centered.T @ centered) / self.n
 
-    def family_scores(self, child: int, parent_sets: np.ndarray,
+    def family_scores(self, children: int | np.ndarray, parent_sets: np.ndarray,
                       resamples: slice = slice(None)
                       ) -> tuple[np.ndarray, dict[tuple[int, int], ValueError]]:
-        """Scores of ``child`` given each row of ``parent_sets`` (M x k,
-        ascending indices, one size k) in each selected sample: a (B, M)
-        array, NaN where scoring fails, and the error per failed (b, m).
+        """Scores of ``children[m]`` (an int child is every row's) given row
+        m of ``parent_sets`` (M x k, ascending, one size k) in each sample
+        selected: (B, M), NaN where scoring fails, and the error per (b, m).
 
         Operands stay contiguous and the residual is a batched matmul, so
         every entry is bit-equal to scoring its family alone.
@@ -151,13 +151,15 @@ class GaussianScoreCache(FamilyScorer):
             error = InsufficientRowsError(f"n={self.n} rows cannot support {k} parents")
             return (np.full((n_samples, n_sets), np.nan),
                     {(b, m): error for b in range(n_samples) for m in range(n_sets)})
-        s_yy = covs[:, child, child][:, None]
+        children = np.broadcast_to(children, n_sets)
+        s_yy = covs[:, children, children]
         failures: dict[tuple[int, int], ValueError] = {}
+        explained = 0.0
         if k:
             # fancy indexing leaves sample-major strides; copy to row-major
             sub = np.ascontiguousarray(
                 covs[:, parent_sets[:, :, None], parent_sets[:, None, :]]).reshape(-1, k, k)
-            cross = np.ascontiguousarray(covs[:, parent_sets, child]).reshape(-1, k)
+            cross = np.ascontiguousarray(covs[:, parent_sets, children[:, None]]).reshape(-1, k)
             try:
                 solved = np.linalg.solve(sub, cross[:, :, None])
             except np.linalg.LinAlgError:
@@ -167,16 +169,13 @@ class GaussianScoreCache(FamilyScorer):
                         solved[i, :, 0] = np.linalg.solve(sub[i], cross[i])
                     except np.linalg.LinAlgError:
                         failures[divmod(i, n_sets)] = RankDeficientError(
-                            f"singular parent covariance for node {child}")
+                            f"singular parent covariance for node {children[i % n_sets]}")
             explained = (cross[:, None, :] @ solved).reshape(n_samples, n_sets)
-            sigma2 = s_yy - explained
-        else:
-            sigma2 = np.repeat(s_yy, n_sets, axis=1)
-        sigma2 = np.maximum(sigma2, 0.0)
+        sigma2 = np.maximum(s_yy - explained, 0.0)
         degenerate = sigma2 <= 1e-12 * np.maximum(s_yy, 1e-300)
         for b, m in zip(*np.nonzero(degenerate)):
             failures.setdefault((int(b), int(m)), DegenerateVarianceError(
-                f"node {child} has (near) zero residual variance"))
+                f"node {children[m]} has (near) zero residual variance"))
         with np.errstate(divide="ignore", invalid="ignore"):
             loglik = -0.5 * self.n * (np.log(2.0 * np.pi * sigma2) + 1.0)
         scores = loglik - 0.5 * (k + 2) * self._log_n

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 from io import StringIO
 from pathlib import Path
 from typing import Callable, Union
@@ -26,7 +27,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .dag import CycleError, Dag, SizeLimitError, VariableSet, add_edge_checked
-from .data import Dataset, DiscreteDataset, mask_members
+from .data import DENSE_TABLE_ENTRIES, Dataset, DiscreteDataset, mask_members
 from .discretize import DiscreteScoreCache
 from .gaussian import GaussianScoreCache
 from .rng import RawDraws, replay_integers, rng_from, split_seed
@@ -59,16 +60,6 @@ class HcConfig:
 
 # ---------------------------------------------------------------------------
 # family-score table
-
-# A table over bootstrap resamples is dense while it holds at most this
-# many float64 entries, samples * p * 2^p (8 MiB; p <= 10 at 100
-# resamples): every family within the parent cap is scored up front, in
-# batches across resamples.  A larger table, or one of a single dataset,
-# scores each family on its first read, with the same arithmetic: greedy
-# search reads far fewer families than the cap allows, one step of all
-# its lanes at a time, and the exact searches read whole rows
-# (``FamilyScoreTable.read_rows``), at most this many scores at once.
-DENSE_TABLE_ENTRIES = 1 << 20
 
 
 def _table(data: DataLike, max_parents: int,
@@ -120,7 +111,7 @@ class FamilyScoreTable:
         int arrays that broadcast to the shape of ``wanted``: -inf where
         ``wanted`` is false, NaN where the family is marked.  A table that
         is not dense scores each family on its first read, batched per
-        (sample, child, parent count)."""
+        (sample, parent count)."""
         if self.values is not None:
             first = ((samples * self.p + children) << self.p) + 1
             return self._store.take((first + masks) * wanted)
@@ -128,16 +119,14 @@ class FamilyScoreTable:
         at = np.nonzero(wanted)
         keys = list(zip(*(np.broadcast_to(a, wanted.shape)[at].tolist()
                           for a in (samples, children, masks))))
-        missing: dict[tuple[int, int, int], list[int]] = {}
-        for key in dict.fromkeys(keys):
-            if key not in self._scored:
-                sample, child, mask = key
-                missing.setdefault((sample, child, mask.bit_count()), []).append(mask)
-        for (sample, child, _), group in missing.items():
-            scores, _ = self.scorer.family_scores(child, mask_members(group, self.p),
+        missing: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for key in dict.fromkeys(key for key in keys if key not in self._scored):
+            missing.setdefault((key[0], key[2].bit_count()), []).append(key)
+        for (sample, _), group in missing.items():
+            _, children, masks = zip(*group)
+            scores, _ = self.scorer.family_scores(np.array(children), mask_members(masks, self.p),
                                                   slice(sample, sample + 1))
-            self._scored.update(zip(((sample, child, mask) for mask in group),
-                                    scores[0].tolist()))
+            self._scored.update(zip(group, scores[0].tolist()))
         out[at] = [self._scored[key] for key in keys]
         return out
 
@@ -145,7 +134,7 @@ class FamilyScoreTable:
         """Every family's score in the ``samples``, as (sample, child,
         parent mask), -inf outside the cap; raises the error of the first
         marked family in that order.  A table that is not dense scores the
-        rows on each read, batched per child and parent count."""
+        rows on each read, batched per parent count."""
         values = self.scorer.fill(samples) if self.values is None else self.values[samples]
         marked = np.flatnonzero(np.isnan(values))
         if marked.size:
@@ -624,22 +613,24 @@ def _zeta_transform(values: np.ndarray, p: int, op) -> np.ndarray:
     return out
 
 
-def _layers(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@lru_cache
+def _layers(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Every node set, one layer per size k, smallest first: the sets in
-    increasing mask order and their members in increasing order, as arrays
-    (n,) and (n, k)."""
+    increasing mask order and their members in increasing order, as
+    read-only arrays (n,) and (n, k)."""
     masks = np.arange(1 << p)
-    layers = []
-    for k in range(p + 1):
-        sets = masks[np.bitwise_count(masks) == k]
-        layers.append((sets, mask_members(sets, p)))
+    layers = tuple((sets, mask_members(sets, p))
+                   for sets in (masks[np.bitwise_count(masks) == k] for k in range(p + 1)))
+    for sets, members in layers:
+        sets.flags.writeable = members.flags.writeable = False
     return layers
 
 
-def _sink_blocks(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@lru_cache
+def _sink_blocks(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Every node set R but the full one, in blocks of sets of one size,
     smallest sets first, each R with the nodes outside it in increasing
-    order: pairs of arrays (sets, outside) of shapes (n,) and (n, p - |R|)."""
+    order: read-only pairs (sets, outside) of shapes (n,) and (n, p - |R|)."""
     layers = _layers(p)
     blocks = []
     for k, (sets, _) in enumerate(layers[:p]):
@@ -648,7 +639,7 @@ def _sink_blocks(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
         step = max(1, SINK_BLOCK_PAIRS >> (p - k))
         blocks += [(sets[lo:lo + step], outside[lo:lo + step])
                    for lo in range(0, len(sets), step)]
-    return blocks
+    return tuple(blocks)
 
 
 def _sink_tables(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -133,15 +133,17 @@ def serial_hartemink(data, spec):
 
 
 class DenseScoreCache(DiscreteScoreCache):
-    """Multinomial family scores over every cell of the count table."""
+    """Multinomial family scores over every cell of the count table, one
+    child per row of ``parent_sets`` (an int child is every row's)."""
 
-    def family_scores(self, child, parent_sets, resamples=slice(None)):
+    def family_scores(self, children, parent_sets, resamples=slice(None)):
         idx = self.resamples[resamples]
         if parent_sets.shape[1] > self.max_parents:
             raise ValueError("parent set exceeds max_parents")
-        child_levels = self.levels[child]
+        children = np.broadcast_to(children, len(parent_sets))
         scores = np.empty((len(idx), len(parent_sets)))
-        for m, parents in enumerate(parent_sets):
+        for m, (child, parents) in enumerate(zip(children, parent_sets)):
+            child_levels = self.levels[child]
             config_size = 1
             code = self.rows[:, child].copy()
             radix = child_levels
