@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,32 @@ def mask_members(masks: np.ndarray, p: int) -> np.ndarray:
     return np.nonzero(member)[1].reshape(len(member), -1)
 
 
+@lru_cache
+def _layers(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every node set, one layer per size k, smallest first: the sets in
+    increasing mask order and their members in increasing order, as
+    read-only arrays (n,) and (n, k)."""
+    masks = np.arange(1 << p)
+    layers = tuple((sets, mask_members(sets, p))
+                   for sets in (masks[np.bitwise_count(masks) == k] for k in range(p + 1)))
+    for sets, members in layers:
+        sets.flags.writeable = members.flags.writeable = False
+    return layers
+
+
 class FamilyScorer:
-    """BIC family scores of one dataset, or of bootstrap resamples of it.
+    """BIC family scores of one dataset, or of bootstrap resamples of it:
+    the family-score table that every search reads.
 
     Subclasses provide ``family_scores(children, parent_sets, resamples)``:
     (sample, row) scores, one family per row, and the error per failure.
+    They set up what it reads (covariances, counts) before they call this
+    constructor, which fills a dense table.  A dense table holds ``fill``
+    of every sample; a lazy one scores each family on its first read, and
+    fills the rows that ``read_rows`` asks for on each read.  A family
+    whose score raises (singular parent covariance, degenerate residual
+    variance, too few rows) is marked NaN, and raises, through
+    ``family_score``, only when a search reads it.
     """
 
     def __init__(self, data: "Dataset | DiscreteDataset", max_parents: int | None,
@@ -43,6 +65,12 @@ class FamilyScorer:
         self.max_parents = self.p - 1 if max_parents is None else min(max_parents, self.p - 1)
         self.samples = 1 if resamples is None else len(resamples)
         self._log_n = float(np.log(self.n))
+        self.values = None   # (sample, child, parent mask), when dense
+        self._scored = {}    # (sample, child, parent mask) -> score, otherwise
+        if self.samples > 1 and self.samples * self.p << self.p <= DENSE_TABLE_ENTRIES:
+            # the values, flat after one -inf that stands for unwanted reads
+            self._store = np.concatenate([[-np.inf], self.fill(slice(None)).ravel()])
+            self.values = self._store[1:].reshape(self.samples, self.p, 1 << self.p)
 
     def family_score(self, child: int, parent_mask: int, sample: int = 0) -> float:
         """One family's score in one sample (the first, or only, by
@@ -64,13 +92,49 @@ class FamilyScorer:
         child, parent mask), batched per parent count across children;
         -inf at masks outside the cap or holding the child."""
         values = np.full((len(range(self.samples)[samples]), self.p, 1 << self.p), -np.inf)
-        for k in range(self.max_parents + 1):
-            sets = np.flatnonzero(np.bitwise_count(np.arange(1 << self.p)) == k)
+        for k, (sets, members) in enumerate(_layers(self.p)[:self.max_parents + 1]):
             children, at = np.nonzero(~sets >> np.arange(self.p)[:, None] & 1)
             step = max(1, DENSE_TABLE_ENTRIES // (len(values) * max(k * k, 1)))
             for lo in range(0, len(at), step):
-                c, m = children[lo:lo + step], sets[at[lo:lo + step]]
-                values[:, c, m] = self.family_scores(c, mask_members(m, self.p), samples)[0]
+                c, m = children[lo:lo + step], at[lo:lo + step]
+                values[:, c, sets[m]] = self.family_scores(c, members[m], samples)[0]
+        return values
+
+    def read(self, samples: np.ndarray, children: np.ndarray, masks: np.ndarray,
+             wanted: np.ndarray) -> np.ndarray:
+        """Scores of the families (sample, child, parent mask), given as
+        int arrays that broadcast to the shape of ``wanted``: -inf where
+        ``wanted`` is false, NaN where the family is marked.  A table that
+        is not dense scores each family on its first read, batched per
+        (sample, parent count)."""
+        if self.values is not None:
+            first = ((samples * self.p + children) << self.p) + 1
+            return self._store.take((first + masks) * wanted)
+        out = np.full(wanted.shape, -np.inf)
+        at = np.nonzero(wanted)
+        keys = list(zip(*(np.broadcast_to(a, wanted.shape)[at].tolist()
+                          for a in (samples, children, masks))))
+        missing: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for key in dict.fromkeys(key for key in keys if key not in self._scored):
+            missing.setdefault((key[0], key[2].bit_count()), []).append(key)
+        for (sample, _), group in missing.items():
+            _, children, masks = zip(*group)
+            scores, _ = self.family_scores(np.array(children), mask_members(masks, self.p),
+                                           slice(sample, sample + 1))
+            self._scored.update(zip(group, scores[0].tolist()))
+        out[at] = [self._scored[key] for key in keys]
+        return out
+
+    def read_rows(self, samples: slice) -> np.ndarray:
+        """Every family's score in the ``samples``, as (sample, child,
+        parent mask), -inf outside the cap; raises the error of the first
+        marked family in that order.  A table that is not dense scores the
+        rows on each read, batched per parent count."""
+        values = self.fill(samples) if self.values is None else self.values[samples]
+        marked = np.flatnonzero(np.isnan(values))
+        if marked.size:
+            sample, child, mask = np.unravel_index(marked[0], values.shape)
+            self.family_score(int(child), int(mask), range(self.samples)[samples][sample])
         return values
 
     def score_dag(self, dag: Dag) -> float:

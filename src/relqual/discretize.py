@@ -284,10 +284,9 @@ class DiscreteScoreCache(FamilyScorer):
     as long as that fill.  Otherwise each family takes one bincount, and
     its configurations' counts are summed out of it.  Integer sums are
     exact, so both give the same counts, laid out as (sample, levels of the
-    variables in descending order).  Across
-    resamples, the log term c ln(c/N) of a cell count c in a parent
-    configuration of N rows is read from a table of every count pair with
-    an N seen so far; one sample takes the logs of its observed cells.
+    variables in descending order).  The log term c ln(c/N) of a cell count
+    c in a parent configuration of N rows is read from a table of every
+    count pair with an N seen so far.
     """
 
     # bound in this class too: a tracer wraps and restores it per scorer
@@ -296,16 +295,16 @@ class DiscreteScoreCache(FamilyScorer):
 
     def __init__(self, data: DiscreteDataset, max_parents: int | None = None,
                  resamples: np.ndarray | None = None):
-        super().__init__(data, max_parents, resamples)
         self.rows = data.rows
         self.levels = data.levels
-        self.resamples = (np.arange(self.n)[None, :] if resamples is None
+        self.resamples = (np.arange(data.n)[None, :] if resamples is None
                           else np.asarray(resamples))
         # marginal counts by descending variable tuple, during a fill
         self._memo: dict | None = None
         # c ln(c/N) at _term_rows[N] + c, -1 for an N not yet seen
         self._term_rows = np.full(self.resamples.shape[1] + 1, -1, dtype=np.intp)
         self._terms = np.empty(0)
+        super().__init__(data, max_parents, resamples)
 
     def fill(self, samples: slice) -> np.ndarray:
         """``FamilyScorer.fill``, counting through a memo started with the
@@ -386,17 +385,8 @@ class DiscreteScoreCache(FamilyScorer):
         (sample, outer, inner, child), C-ordered: the layout of the cell
         code child + levels * (first parent + levels * (second + ...)).
         A row of the table holds the terms of c = 0..N, computed by the
-        same elementwise operations as on the counts themselves.  One
-        sample's few observed cells take their logs directly, which costs
-        less than the table rows their new counts would add."""
+        same elementwise operations as on the counts themselves."""
         samples, outer, levels, inner = counts.shape
-        if samples == 1:
-            cell = counts.transpose(0, 1, 3, 2).ravel()
-            observed = np.flatnonzero(cell)
-            c = cell[observed]
-            terms = np.zeros(cell.size)
-            terms[observed] = np.log(c / config.ravel()[observed // levels]) * c
-            return terms
         first = self._term_rows.take(config)
         if (first < 0).any():
             new = np.unique(config[first < 0])

@@ -125,13 +125,13 @@ class GaussianScoreCache(FamilyScorer):
 
     def __init__(self, data: Dataset, max_parents: int | None = None,
                  resamples: np.ndarray | None = None):
-        super().__init__(data, max_parents, resamples)
         index = [slice(None)] if resamples is None else resamples
-        self.covs = np.empty((self.samples, self.p, self.p))
+        self.covs = np.empty((len(index), data.rows.shape[1], data.rows.shape[1]))
         for b, idx in enumerate(index):
             sample = data.rows[idx]
             centered = sample - sample.mean(axis=0)
-            self.covs[b] = (centered.T @ centered) / self.n
+            self.covs[b] = (centered.T @ centered) / data.n
+        super().__init__(data, max_parents, resamples)
 
     def family_scores(self, children: int | np.ndarray, parent_sets: np.ndarray,
                       resamples: slice = slice(None)
@@ -163,13 +163,13 @@ class GaussianScoreCache(FamilyScorer):
             try:
                 solved = np.linalg.solve(sub, cross[:, :, None])
             except np.linalg.LinAlgError:
+                # slogdet's LU meets a zero pivot exactly where solve's does
+                singular = np.linalg.slogdet(sub)[0] == 0
                 solved = np.full((len(sub), k, 1), np.nan)
-                for i in range(len(sub)):
-                    try:
-                        solved[i, :, 0] = np.linalg.solve(sub[i], cross[i])
-                    except np.linalg.LinAlgError:
-                        failures[divmod(i, n_sets)] = RankDeficientError(
-                            f"singular parent covariance for node {children[i % n_sets]}")
+                solved[~singular] = np.linalg.solve(sub[~singular], cross[~singular, :, None])
+                for i in np.flatnonzero(singular).tolist():
+                    failures[divmod(i, n_sets)] = RankDeficientError(
+                        f"singular parent covariance for node {children[i % n_sets]}")
             explained = (cross[:, None, :] @ solved).reshape(n_samples, n_sets)
         sigma2 = np.maximum(s_yy - explained, 0.0)
         degenerate = sigma2 <= 1e-12 * np.maximum(s_yy, 1e-300)

@@ -27,7 +27,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .dag import CycleError, Dag, SizeLimitError, VariableSet, add_edge_checked
-from .data import DENSE_TABLE_ENTRIES, Dataset, DiscreteDataset, mask_members
+from .data import DENSE_TABLE_ENTRIES, Dataset, DiscreteDataset, FamilyScorer, _layers
 from .discretize import DiscreteScoreCache
 from .gaussian import GaussianScoreCache
 from .rng import RawDraws, replay_integers, rng_from, split_seed
@@ -63,10 +63,10 @@ class HcConfig:
 
 
 def _table(data: DataLike, max_parents: int,
-           resamples: np.ndarray | None = None) -> FamilyScoreTable:
+           resamples: np.ndarray | None = None) -> FamilyScorer:
     """The family-score table of one dataset, or of its ``resamples``."""
     cache = DiscreteScoreCache if isinstance(data, DiscreteDataset) else GaussianScoreCache
-    return FamilyScoreTable(cache(data, max_parents, resamples), data.variables)
+    return cache(data, max_parents, resamples)
 
 
 def _first_best(top: np.ndarray, pick: np.ndarray, candidates,
@@ -80,70 +80,7 @@ def _first_best(top: np.ndarray, pick: np.ndarray, candidates,
     return top, pick
 
 
-class FamilyScoreTable:
-    """Family scores of one dataset, or of each of its bootstrap resamples.
-
-    A dense table holds the scorer's ``fill`` of every sample; a lazy one
-    scores each family on its first read, and fills the rows that
-    ``read_rows`` asks for on each read.  A family whose score raises
-    (singular parent covariance, degenerate residual variance, too few
-    rows) is marked NaN, and raises, through the scorer's
-    ``family_score``, only when a search reads it.
-    """
-
-    def __init__(self, scorer, variables: VariableSet):
-        self.scorer = scorer
-        self.variables = variables
-        self.p = scorer.p
-        self.max_parents = scorer.max_parents
-        self.samples = scorer.samples
-        self.values = None   # (sample, child, parent mask), when dense
-        self._scored = {}    # (sample, child, parent mask) -> score, otherwise
-        entries = scorer.samples * self.p << self.p
-        if scorer.samples > 1 and entries <= DENSE_TABLE_ENTRIES:
-            # the values, flat after one -inf that stands for unwanted reads
-            self._store = np.concatenate([[-np.inf], scorer.fill(slice(None)).ravel()])
-            self.values = self._store[1:].reshape(scorer.samples, self.p, 1 << self.p)
-
-    def read(self, samples: np.ndarray, children: np.ndarray, masks: np.ndarray,
-             wanted: np.ndarray) -> np.ndarray:
-        """Scores of the families (sample, child, parent mask), given as
-        int arrays that broadcast to the shape of ``wanted``: -inf where
-        ``wanted`` is false, NaN where the family is marked.  A table that
-        is not dense scores each family on its first read, batched per
-        (sample, parent count)."""
-        if self.values is not None:
-            first = ((samples * self.p + children) << self.p) + 1
-            return self._store.take((first + masks) * wanted)
-        out = np.full(wanted.shape, -np.inf)
-        at = np.nonzero(wanted)
-        keys = list(zip(*(np.broadcast_to(a, wanted.shape)[at].tolist()
-                          for a in (samples, children, masks))))
-        missing: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for key in dict.fromkeys(key for key in keys if key not in self._scored):
-            missing.setdefault((key[0], key[2].bit_count()), []).append(key)
-        for (sample, _), group in missing.items():
-            _, children, masks = zip(*group)
-            scores, _ = self.scorer.family_scores(np.array(children), mask_members(masks, self.p),
-                                                  slice(sample, sample + 1))
-            self._scored.update(zip(group, scores[0].tolist()))
-        out[at] = [self._scored[key] for key in keys]
-        return out
-
-    def read_rows(self, samples: slice) -> np.ndarray:
-        """Every family's score in the ``samples``, as (sample, child,
-        parent mask), -inf outside the cap; raises the error of the first
-        marked family in that order.  A table that is not dense scores the
-        rows on each read, batched per parent count."""
-        values = self.scorer.fill(samples) if self.values is None else self.values[samples]
-        marked = np.flatnonzero(np.isnan(values))
-        if marked.size:
-            sample, child, mask = np.unravel_index(marked[0], values.shape)
-            self.scorer.family_score(int(child), int(mask), range(self.samples)[samples][sample])
-        return values
-
-
-def _check_cap(table: FamilyScoreTable, max_parents: int) -> None:
+def _check_cap(table: FamilyScorer, max_parents: int) -> None:
     if table.max_parents < min(max_parents, table.p - 1):
         raise ValueError("family-score table was built for fewer parents")
 
@@ -275,7 +212,7 @@ def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
             used.reshape(samples, restarts).sum(axis=1))
 
 
-def _ascend(table: FamilyScoreTable, sample: np.ndarray, parents: np.ndarray,
+def _ascend(table: FamilyScorer, sample: np.ndarray, parents: np.ndarray,
             children: np.ndarray, allow: np.ndarray, max_parents: int):
     """Greedy ascent of every lane at once, in place.
 
@@ -293,22 +230,23 @@ def _ascend(table: FamilyScoreTable, sample: np.ndarray, parents: np.ndarray,
     lanes replay the scan, one move at a time across lanes.
     """
     p, lanes = parents.shape
-    current = np.empty((p, lanes))   # each lane's family scores
+    nodes = np.arange(p)
+    # each lane's family scores, in one read; the serial search read them
+    # lane by lane in child order, so a failure is the lowest lane's
+    # lowest marked child
+    current = table.read(sample, nodes[:, None], parents, np.ones(parents.shape, dtype=bool))
     failure = None
     live = np.arange(lanes)
-    for v in range(p):   # the starting score reads families in child order
-        current[v, live] = table.read(sample[live], v, parents[v, live],
-                                      np.ones(live.size, dtype=bool))
-        marked = np.isnan(current[v, live])
-        if marked.any():
-            first = live[marked][0]
-            failure = (first, v, int(parents[v, first]))
-            live = live[~marked & (live < first)]
+    marked = np.isnan(current)
+    if marked.any():
+        first = int(np.argmax(marked.any(axis=0)))
+        v = int(np.argmax(marked[:, first]))
+        failure = (first, v, int(parents[v, first]))
+        live = live[:first]
     scores = current[0].copy()
     for v in range(1, p):
         scores += current[v]
 
-    nodes = np.arange(p)
     bits = np.int64(1) << nodes
     while live.size:
         par, cur = parents[:, live], current[:, live]
@@ -374,7 +312,7 @@ def _allow_masks(p: int, restrict: frozenset[tuple[int, int]] | None) -> np.ndar
     return np.array(allow, dtype=np.int64)
 
 
-def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
+def _search(table: FamilyScorer, samples: list[int], cfg: HcConfig,
             restricts: list[frozenset[tuple[int, int]] | None],
             seeds: list) -> np.ndarray:
     """Random-restart greedy search of each sample, all climbs at once as
@@ -398,7 +336,7 @@ def _search(table: FamilyScoreTable, samples: list[int], cfg: HcConfig,
                               np.repeat(allow, restarts, axis=1), cfg.max_parents)
     if failure is not None:
         lane, child, mask = failure
-        table.scorer.family_score(child, mask, int(sample[lane]))
+        table.family_score(child, mask, int(sample[lane]))
     # the restart with the highest final score wins, earliest on ties
     scores = scores.reshape(-1, restarts)
     _, pick = _first_best(scores[:, 0], np.zeros(len(samples), dtype=np.intp),
@@ -412,7 +350,7 @@ def _dag(variables: VariableSet, parents: np.ndarray) -> Dag:
     return Dag(variables, frozenset(zip(u.tolist(), v.tolist())))
 
 
-def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
+def hill_climb(data: DataLike | FamilyScorer, cfg: HcConfig,
                restrict: frozenset[tuple[int, int]] | list | None = None,
                seed=None) -> Dag | np.ndarray:
     """Best DAG over random-restart greedy search.
@@ -433,7 +371,7 @@ def hill_climb(data: DataLike | FamilyScoreTable, cfg: HcConfig,
     ``[v, s]`` the edge u -> v.  A seed that is a ``Generator`` ends where
     the serial draws of its sample's restarts would leave it.
     """
-    if isinstance(data, FamilyScoreTable):
+    if isinstance(data, FamilyScorer):
         _check_cap(data, cfg.max_parents)
         if seed is None:
             raise ValueError(f"a table of {data.samples} samples needs one seed per "
@@ -611,19 +549,6 @@ def _zeta_transform(values: np.ndarray, p: int, op) -> np.ndarray:
         without, with_ = _bit_halves(out, i)
         op(with_, without, out=with_)
     return out
-
-
-@lru_cache
-def _layers(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Every node set, one layer per size k, smallest first: the sets in
-    increasing mask order and their members in increasing order, as
-    read-only arrays (n,) and (n, k)."""
-    masks = np.arange(1 << p)
-    layers = tuple((sets, mask_members(sets, p))
-                   for sets in (masks[np.bitwise_count(masks) == k] for k in range(p + 1)))
-    for sets, members in layers:
-        sets.flags.writeable = members.flags.writeable = False
-    return layers
 
 
 @lru_cache
@@ -848,7 +773,7 @@ def exact_map_edge_probabilities(data: Dataset,
     return _confidence_from_counts(data.variables, prob, 1.0)
 
 
-def map_dag(data: DataLike | FamilyScoreTable,
+def map_dag(data: DataLike | FamilyScorer,
             max_parents: int = MAX_EXACT_PARENTS) -> Dag | np.ndarray:
     """Globally optimal DAG for the family scores, by best-sink dynamic
     programming over node subsets (Silander & Myllymaki, UAI 2006).
@@ -862,10 +787,10 @@ def map_dag(data: DataLike | FamilyScoreTable,
     Given a whole table, the result is each sample's DAG as (p, samples)
     int64 parent masks, its rows read ``DENSE_TABLE_ENTRIES`` at a time.
     """
-    p = len(data.variables)
+    table = data if isinstance(data, FamilyScorer) else _table(data, max_parents)
+    p = table.p
     if p > MAX_EXACT_NODES:
         raise SizeLimitError(f"exact search limited to {MAX_EXACT_NODES} variables")
-    table = data if isinstance(data, FamilyScoreTable) else _table(data, max_parents)
     _check_cap(table, max_parents)
     # per set size: the sets, their members, and each set less each member
     layers = [(sets, members.T, (sets[:, None] ^ 1 << members).T)
@@ -893,7 +818,7 @@ def map_dag(data: DataLike | FamilyScoreTable,
             c = sink[samples, rest]
             rest ^= 1 << c
             parents[c, lo + samples] = family[samples, c, rest]
-    return parents if table is data else _dag(table.variables, parents)
+    return parents if table is data else _dag(data.variables, parents)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +838,7 @@ class ScoreLearner:
     """
 
     max_parents: int
-    search: Callable[[DataLike, np.ndarray, FamilyScoreTable,
+    search: Callable[[DataLike, np.ndarray, FamilyScorer,
                       list[np.random.SeedSequence]], np.ndarray]
 
 
@@ -924,7 +849,7 @@ def hc_learner(cfg: HcConfig) -> ScoreLearner:
 
 def hybrid_learner(cfg: HcConfig, restrict: str = "gs",
                    alpha: float = 0.05) -> ScoreLearner:
-    def search(data: Dataset, resamples: np.ndarray, table: FamilyScoreTable,
+    def search(data: Dataset, resamples: np.ndarray, table: FamilyScorer,
                seeds: list) -> np.ndarray:
         pairs = []
         try:

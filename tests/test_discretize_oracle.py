@@ -35,7 +35,7 @@ from relqual.discretize import (
     _row_block_losses,
     discretize,
 )
-from relqual.search import FamilyScoreTable, _table
+from relqual.search import _table
 
 
 # --- references ---------------------------------------------------------------
@@ -353,12 +353,12 @@ def test_family_scores_match_the_dense_cell_table(case):
     data, cap, resamples = case
     dense = _table(data, cap, resamples)
     assert dense.values is not None
-    want = FamilyScoreTable(DenseScoreCache(data, cap, resamples), data.variables)
+    want = DenseScoreCache(data, cap, resamples)
     assert_same_table(dense.values, want.values)
     # one dataset: the table is lazy and scores each family on its read
     lazy = _table(data, cap)
     assert lazy.values is None
-    reference = FamilyScoreTable(DenseScoreCache(data, cap), data.variables)
+    reference = DenseScoreCache(data, cap)
     assert_same_table(lazy.read_rows(slice(None)), reference.read_rows(slice(None)))
 
 
@@ -373,7 +373,7 @@ def test_family_scores_of_the_unequal_levels_example():
     for cap in range(4):
         assert_same_table(
             _table(data, cap, resamples).values,
-            FamilyScoreTable(DenseScoreCache(data, cap, resamples), data.variables).values)
+            DenseScoreCache(data, cap, resamples).values)
         scorer, reference = DiscreteScoreCache(data, cap), DenseScoreCache(data, cap)
         for child in range(4):
             sets = np.array([[j for j in range(4) if j != child][:cap]], dtype=np.intp)
@@ -401,14 +401,14 @@ def test_marginals_are_shared_only_where_they_fit(monkeypatch):
         resamples = rng.integers(0, 50, size=(2, 50))
         counted.clear()
         table = _table(data, 2, resamples)
-        assert table.scorer._memo is None   # dropped when the fill ends
+        assert table._memo is None   # dropped when the fill ends
         if shared:
             assert counted == [6]
         else:
             assert counted and 6 not in counted
         assert_same_table(
             table.values,
-            FamilyScoreTable(DenseScoreCache(data, 2, resamples), data.variables).values)
+            DenseScoreCache(data, 2, resamples).values)
 
 
 def test_one_dataset_with_the_child_between_its_parents():
@@ -470,5 +470,5 @@ def test_the_count_pair_table_keeps_only_the_counts_seen():
     table = _table(data, 2, resamples)
     assert_same_table(
         table.values,
-        FamilyScoreTable(DenseScoreCache(data, 2, resamples), data.variables).values)
-    assert table.scorer._terms.size < 0.01 * (n + 1) ** 2
+        DenseScoreCache(data, 2, resamples).values)
+    assert table._terms.size < 0.01 * (n + 1) ** 2

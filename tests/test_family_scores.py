@@ -126,6 +126,28 @@ def test_a_fill_splits_its_batches_at_the_dense_table_bound(monkeypatch, kind):
     assert any(k == 3 for _, k in batches) and any(rows > 1 for rows, k in batches if k)
 
 
+def test_a_stack_with_one_singular_matrix_takes_two_solves(monkeypatch):
+    """Column e copies column a, so of five rows of two parents only the
+    first, {a, e}, has a singular parent covariance: the stack is solved
+    once, then once more without that matrix, not once per matrix, and
+    every row still equals its family scored alone."""
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((30, 5))
+    rows[:, 4] = rows[:, 0]
+    scorer = GaussianScoreCache(Dataset(VariableSet(list("abcde")), rows))
+    children = np.array([1, 2, 3, 2, 3])
+    sets = np.array([[0, 4], [0, 1], [0, 1], [1, 3], [1, 4]])
+    calls = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or real(*args))
+    scores, failures = scorer.family_scores(children, sets)
+    assert len(calls) <= 2
+    assert list(failures) == [(0, 0)] and isinstance(failures[0, 0], RankDeficientError)
+    for m, child in enumerate(children):
+        alone, _ = scorer.family_scores(child, sets[m:m + 1])
+        assert bits(scores[0, m]) == bits(alone[0, 0])
+
+
 # ---------------------------------------------------------------------------
 # family_score refuses what no family can be
 

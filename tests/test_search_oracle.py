@@ -22,14 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqual.dag import Dag, SizeLimitError, VariableSet, enumerate_dags
-from relqual.data import Dataset, DiscreteDataset
+from relqual.data import Dataset, DiscreteDataset, FamilyScorer
 from relqual.discretize import DiscretizationSpec, discretize
 from relqual.gaussian import DegenerateVarianceError
 from relqual.ols import InsufficientRowsError, RankDeficientError
 from relqual.rng import RawDraws, replay_integers, rng_from, split_seed
 from relqual.search import (
     MAX_EXACT_NODES,
-    FamilyScoreTable,
     HcConfig,
     SingularCorrelationError,
     _allow_masks,
@@ -366,7 +365,7 @@ def read_family(table, sample, child, mask):
     if value == value:
         return value
     try:
-        table.scorer.family_score(child, mask, sample)
+        table.family_score(child, mask, sample)
     except (RankDeficientError, DegenerateVarianceError,
             InsufficientRowsError) as exc:
         return type(exc)
@@ -657,19 +656,23 @@ def test_restrict_failure_waits_for_earlier_climbs(monkeypatch):
 
 
 def test_lowest_lane_reports_its_first_marked_read():
-    """Lane 0 starts on a marked family of child 0, lane 1 on one of child
-    4: lane 0's read comes first in the serial order, and lane 1 stops."""
+    """One lane starts on a marked family of child 0, the other on one of
+    child 4, either way round: lane 0's read comes first in the serial
+    order, which reads lane by lane, whichever child lane 0's marked family
+    has, and lane 1 stops."""
     data = collinear_data(n=14)
     table = _table(data, 4, resamples(data.n, 2, 0))
-    parents = np.zeros((5, 3), dtype=np.int64)
-    children = np.zeros_like(parents)
-    parents[0, 0], children[1, 0], children[4, 0] = 0b10010, 1, 1
-    parents[4, 1], children[0, 1], children[1, 1] = 0b00011, 1 << 4, 1 << 4
-    _, failure = _ascend(table, np.array([1, 1, 0]), parents, children,
-                         np.full((5, 3), 0b11111), 2)
-    assert failure == (0, 0, 0b10010)
-    with pytest.raises(DegenerateVarianceError, match="node 0"):
-        table.scorer.family_score(0, 0b10010, 1)
+    for lane_0, lane_4 in ((0, 1), (1, 0)):
+        parents = np.zeros((5, 3), dtype=np.int64)
+        children = np.zeros_like(parents)
+        parents[0, lane_0], children[1, lane_0], children[4, lane_0] = 0b10010, 1, 1
+        parents[4, lane_4], children[0, lane_4], children[1, lane_4] = 0b00011, 1 << 4, 1 << 4
+        _, failure = _ascend(table, np.array([1, 1, 0]), parents, children,
+                             np.full((5, 3), 0b11111), 2)
+        child, mask = (0, 0b10010) if lane_0 == 0 else (4, 0b00011)
+        assert failure == (0, child, mask)
+        with pytest.raises(DegenerateVarianceError, match=f"node {child}"):
+            table.family_score(child, mask, 1)
 
 
 def test_marks_behind_illegal_moves_are_never_read():
@@ -968,15 +971,16 @@ def test_lazy_map_table_reads_rows_in_chunks(monkeypatch, chunk):
     import relqual.search as search
 
     p, boot_samples = 5, 5
+    monkeypatch.setattr("relqual.data.DENSE_TABLE_ENTRIES", chunk * p << p)
     monkeypatch.setattr(search, "DENSE_TABLE_ENTRIES", chunk * p << p)
     reads = []
-    real = FamilyScoreTable.read_rows
+    real = FamilyScorer.read_rows
 
     def read_rows(table, samples):
         reads.append(len(range(table.samples)[samples]))
         return real(table, samples)
 
-    monkeypatch.setattr(FamilyScoreTable, "read_rows", read_rows)
+    monkeypatch.setattr(FamilyScorer, "read_rows", read_rows)
     seen = set()
     for seed in range(6):
         data = collinear_data(seed=seed, n=14) if seed % 2 else gaussian_data(seed, p, 30)
