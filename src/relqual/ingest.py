@@ -150,7 +150,8 @@ class HttpCache:
     own two files, each through a temp file and rename, so readers never
     see a torn entry and concurrent writers, in this process or another,
     never lose each other's entries.  ``get`` reads only the status, the
-    headers and the body, so caches written with an index.json replay too.
+    headers and the body, so caches written with an index.json replay too;
+    a sidecar without a readable status and headers is a ``MalformedBodyError``.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -168,9 +169,13 @@ class HttpCache:
         meta_path = self.objects / f"{key}.meta.json"
         if not body_path.exists() or not meta_path.exists():
             return None
-        meta = json.loads(meta_path.read_text())
-        return TransportResponse(meta["status"], meta["headers"],
-                                 body_path.read_bytes())
+        try:
+            meta = json.loads(meta_path.read_text())
+            status, headers = meta["status"], meta["headers"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedBodyError(f"cache sidecar {meta_path} has no status and headers: "
+                                     f"{type(exc).__name__}: {exc}") from None
+        return TransportResponse(status, headers, body_path.read_bytes())
 
     def put(self, key: str, url: str, params: dict | None,
             response: TransportResponse) -> None:

@@ -603,6 +603,25 @@ def downloads_payload(start, days, skip=()):
                            "downloads": 5 + i} for i in range(days) if i not in skip]}
 
 
+@pytest.mark.parametrize("sidecar", ["{not json", '{"headers": {}}', "[1]"])
+def test_fetch_reports_a_damaged_cache_sidecar_and_writes_the_rest(tmp_path, sidecar):
+    start, end = dt.date(2018, 1, 1), dt.date(2018, 1, 2)
+    cache_dir = tmp_path / "cache"
+    downloads = f"https://api.npmjs.org/downloads/range/{start}:{end}/"
+    for name in ("good", "bad"):
+        warm_cache(cache_dir, downloads + name, downloads_payload(start, 2))
+    meta = cache_dir / "objects" / f"{HttpCache.key(downloads + 'bad', None)}.meta.json"
+    meta.write_text(sidecar)
+    out = tmp_path / "out"
+    code = run(["fetch", "--packages", "good,bad", "--start", start.isoformat(),
+                "--end", end.isoformat(), "--cache-dir", cache_dir, "--out", out])
+    assert code == EXIT_PARTIAL
+    assert (out / "downloads_good.csv").exists()
+    assert not (out / "downloads_bad.csv").exists()
+    errors = json.loads((out / "errors.json").read_text())
+    assert set(errors) == {"bad"} and str(meta) in errors["bad"]
+
+
 def test_fetch_pair_without_a_series_is_reported_not_fatal(tmp_path):
     start, end = dt.date(2018, 1, 1), dt.date(2018, 1, 6)
     cache_dir = tmp_path / "cache"
