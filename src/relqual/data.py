@@ -223,7 +223,10 @@ def load_numeric_csv(path: str | Path) -> Dataset:
         header = next(reader, None)
         if not header:
             raise ValueError(f"{path}: empty file")
-        rows = []
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{path}: repeated column names {', '.join(map(repr, repeated))}")
+        rows, lines = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -233,9 +236,15 @@ def load_numeric_csv(path: str | Path) -> Dataset:
                 rows.append([float(x) for x in row])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            lines.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(VariableSet(header), np.array(rows, dtype=float))
+    values = np.array(rows, dtype=float)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"{path}:{lines[i]}: column {header[j]!r} holds "
+                         f"'{values[i, j]}', not a finite number")
+    return Dataset(VariableSet(header), values)
 
 
 def write_numeric_csv(path: str | Path, data: Dataset, fmt: str = "%.10g") -> None:

@@ -435,6 +435,22 @@ def test_quality_usage_names_the_file_and_line_of_a_bad_row(tmp_path, capsys):
     assert not (tmp_path / "o" / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [["learn"], ["rf", "--response", "b"]], ids=["learn", "rf"])
+@pytest.mark.parametrize("body, message", [
+    ("a,b\n1,2\n3,nan\n", "bad.csv:3: column 'b' holds 'nan', not a finite number"),
+    ("a,b\n1,2\n\n-inf,4\n", "bad.csv:4: column 'a' holds '-inf', not a finite number"),
+    ("a,b,a\n1,2,3\n", "bad.csv: repeated column names 'a'"),
+], ids=["nan", "inf", "repeated"])
+def test_a_bad_numeric_csv_is_refused_by_file_line_and_column(tmp_path, capsys, command,
+                                                              body, message):
+    data = tmp_path / "bad.csv"
+    data.write_text(body)
+    out = tmp_path / "out"
+    assert run([command[0], data, *command[1:], "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+    assert not (out / "run_manifest.json").exists()
+
+
 # --- rf ----------------------------------------------------------------------
 
 
