@@ -282,6 +282,42 @@ def test_rf_outputs_are_byte_identical(tmp_path):
     }
 
 
+# A seed of 2^64 + 5 is three 32-bit words to numpy's SeedSequence: every
+# counter-split stream of these runs mixes more entropy words than the
+# one-word seeds above.  (simstudy.csv, simstudy.txt) of a reduced study;
+# (tune.csv, importance.csv) of rf; (arcs.csv, network.json) of learn
+MULTI_WORD_SEED = 2**64 + 5
+MULTI_WORD_DIGESTS = {
+    "simstudy": ("2e630d000421b278dd6cf7726d07c9f95a7356f899e38f4ce3778fce80b5d129",
+                 "88743caae838bce15ccebcfdae003b72f5d3df1c43405f4de41ef17afceefd87"),
+    "rf": ("191bffd2db0d7473d73697f57795e64933d319df3f2fa1e942ea3004f8d3db88",
+           "656cba1bcfc56ec801c02e987e26411d626d294573db3786825c4e1567eab576"),
+    "learn": ("3ddfe0934407faf01af71e3a0b1ca6d31f0549447b04d703ea14369e9b220a0c",
+              "b101f0111a4c8e9730c8d71c5fc8e0cb4e8347108d3f8dfb4e9307cda3cae755"),
+}
+
+
+@pytest.mark.parametrize("command", list(MULTI_WORD_DIGESTS))
+def test_outputs_of_a_multi_word_seed_are_byte_identical(tmp_path, command):
+    out = tmp_path / "out"
+    if command == "simstudy":
+        argv, names = ["simstudy", "--replicates", 2, "--boot-samples", 20,
+                       "--restarts", 3], ("simstudy.csv", "simstudy.txt")
+    elif command == "rf":
+        write_rf_table(tmp_path / "rf.csv")
+        argv, names = ["rf", tmp_path / "rf.csv", "--response", "y",
+                       "--ntree-grid", "8,3,12", "--mtry-grid", "3,1", "--repeats", 2,
+                       "--folds", 3, "--importance-repeats", 2], \
+            ("tune.csv", "importance.csv")
+    else:
+        write_numeric_csv(tmp_path / "release.csv", simulate(default_truth(), 150, seed=12))
+        argv, names = ["learn", tmp_path / "release.csv", "--boot-samples", 20,
+                       "--restarts", 4, "--threshold", "0.6"], ("arcs.csv", "network.json")
+    assert run(argv + ["--seed", MULTI_WORD_SEED, "--out", out]) == EXIT_OK
+    assert tuple(digest(out / name) for name in names) == MULTI_WORD_DIGESTS[command]
+    assert manifest(out, tmp_path)["seed"] == MULTI_WORD_SEED
+
+
 def write_usage_table(path):
     """Eight releases of three daily records each, all counts positive."""
     lines = ["date,release,new_users,users,new_visits,visits,time_on_site,exceptions"]
