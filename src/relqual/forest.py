@@ -31,7 +31,8 @@ import numpy as np
 
 from .data import Dataset
 from .ols import InsufficientRowsError
-from .rng import RawDraws, choice_counts, replay_choice, rng_from, split_seed
+from .rng import RawDraws, Streams, choice_counts, replay_choice, replay_rows, rng_from, \
+    split_seed
 
 
 @dataclass(frozen=True)
@@ -208,9 +209,10 @@ def _scan(ranked: tuple[np.ndarray, ...], rows: np.ndarray, start: np.ndarray,
 
 
 def _grow_trees(x: np.ndarray, y: np.ndarray, lanes, mtry: int, min_leaf: int):
-    """Yield (key, tree) for each (key, rng, rows) of ``lanes``, in order:
-    a CART tree on ``rows`` (ascending ids into ``x`` and ``y``, repeats
-    allowed) that draws its candidate features from ``rng``.
+    """Yield (key, tree) for each (key, stream, rows) of ``lanes``, in
+    order: a CART tree on ``rows`` (ascending ids into ``x`` and ``y``,
+    repeats allowed) that draws its candidate features from ``stream``, a
+    one-row ``Streams``.
 
     Trees grow in lockstep, one lane per tree, in batches of lanes that
     hold at most LANE_ROWS rows and DRAW_BYTES of raw feature draws
@@ -230,10 +232,11 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, lanes, mtry: int, min_leaf: int):
     ranked = _ranked(x, y)
     lanes = iter(lanes)
     while batch := list(islice(lanes, batch_lanes)):
-        keys, rngs, bags = zip(*batch)
+        keys, streams, bags = zip(*batch)
         splits = max(1, max(bag.size for bag in bags) // min_leaf - 1)
-        rows = np.arange(len(rngs))
-        picks, _ = replay_choice(RawDraws(rngs, max(1, splits * each)), rows,
+        streams = Streams(np.concatenate([s.words for s in streams], axis=1))
+        rows = np.arange(len(streams))
+        picks, _ = replay_choice(RawDraws(streams, max(1, splits * each)), rows,
                                  np.zeros_like(rows), p, mtry, splits)
         yield from zip(keys, _grow_batch(x, y, ranked, picks, bags, min_leaf))
 
@@ -399,17 +402,20 @@ class ForestModel:
 
 
 def _lanes(trains, cfg: ForestConfig):
-    """(k, rng, rows) for each of the cfg.ntree trees on the k-th row set
-    of ``trains``, in order: tree t's stream and the rows it bootstraps
-    from that set, sorted, as ids into the whole table.  The stream
-    goes on to draw the tree's candidate features; the grower reads it in
-    raw blocks, so it ends past where drawing split by split would leave
-    it, and nothing reads it after growth."""
+    """(k, stream, rows) for each of the cfg.ntree trees on the k-th row set
+    of ``trains``, in order: the rows tree t bootstraps from that set with
+    the stream of (cfg.seed, 3, t), sorted, as ids into the whole table,
+    and that stream from past those draws, where its feature draws start.
+    The trees of a set draw together, LANE_ROWS rows at a time."""
+    trees = Streams.spawned(cfg.seed, 3, count=cfg.ntree)
     for k, train in enumerate(trains):
-        for t in range(cfg.ntree):
-            rng = rng_from(split_seed(cfg.seed, 3, t))
-            drawn = rng.integers(0, train.size, size=train.size)
-            yield k, rng, train[np.sort(drawn)]
+        step = max(1, LANE_ROWS // train.size)
+        for lo in range(0, cfg.ntree, step):
+            drawn, at = replay_rows(part := trees[lo:lo + step], train.size)
+            drawn.sort(axis=1)
+            streams = part.skip(at)
+            for t, rows in enumerate(drawn):
+                yield k, streams[t:t + 1], train[rows]
 
 
 def _design(data: Dataset, response: str, cfg: ForestConfig,

@@ -9,10 +9,10 @@ arrays: a step derives the legal moves of all lanes from their parent,
 child and ancestor masks, gathers the moves' gains from the table, and
 picks one move per lane by the first-strictly-best rule of a serial scan.
 The random starts are lanes too: every (resample, restart) start takes
-its perturbing moves at once, each resample's generator draws one block
-of raw values, and each lane replays numpy's bounded draws from its own
-position in that block.  All randomness flows through counter-split
-seeds; results do not depend on scheduling.
+its perturbing moves at once, reading one block of raw draws of each
+resample's stream, and each lane replays numpy's bounded draws from its
+own position in that block.  All randomness flows through counter-split
+streams replayed by position; results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .dag import CycleError, Dag, SizeLimitError, VariableSet, add_edge_checked
 from .data import DENSE_TABLE_ENTRIES, Dataset, DiscreteDataset, FamilyScorer, _layers
 from .discretize import DiscreteScoreCache
 from .gaussian import GaussianScoreCache
-from .rng import RawDraws, replay_integers, rng_from, split_seed
+from .rng import RawDraws, Streams, move_on, replay_integers, replay_rows
 
 DataLike = Union[Dataset, DiscreteDataset]
 
@@ -148,17 +148,17 @@ def _apply_moves(parents: np.ndarray, children: np.ndarray, lanes: np.ndarray,
 
 
 def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
-                      rngs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      streams: Streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parents and children, (p, samples, restarts - 1), of every perturbed
     start: the empty graph after up to ``cfg.perturb`` random legal moves;
-    and the raw draws each sample's generator used.
+    and the raw draws each sample's stream used.
 
     Scores are never read.  The serial search drew, per sample, one
     ``integers(count)`` per move from the sample's generator, restart
     after restart, a restart with no legal move left stopping early.  Here
-    every (sample, restart) is a lane, each generator draws one block of
-    raw draws, and each lane replays its ``integers`` calls
-    (``rng.replay_integers``) from its own base position in the block.
+    every (sample, restart) is a lane, and each lane replays its
+    ``integers`` calls (``rng.replay_integers``) from its own base position
+    in its sample's stream.
 
     A lane's base is the sum of the draws its sample's earlier restarts
     used.  It is guessed as restart * perturb, which is exact unless a
@@ -180,7 +180,7 @@ def _perturbed_starts(allow: np.ndarray, cfg: HcConfig,
     children = np.zeros_like(parents)
     used = np.zeros(lanes, dtype=np.int64)
     if lanes and moves:
-        raw = RawDraws(rngs, restarts * moves)
+        raw = RawDraws(streams, restarts * moves)
         sample = np.repeat(np.arange(samples), restarts)
         pairs = (allow & ~(np.int64(1) << np.arange(p))[:, None]).any(axis=0)
         base = np.where(pairs[sample], np.tile(np.arange(restarts) * moves, samples), 0)
@@ -312,26 +312,27 @@ def _allow_masks(p: int, restrict: frozenset[tuple[int, int]] | None) -> np.ndar
     return np.array(allow, dtype=np.int64)
 
 
-def _search(table: FamilyScorer, samples: list[int], cfg: HcConfig,
+def _search(table: FamilyScorer, cfg: HcConfig,
             restricts: list[frozenset[tuple[int, int]] | None],
-            seeds: list) -> np.ndarray:
-    """Random-restart greedy search of each sample, all climbs at once as
-    lanes (sample, restart) in that order; (p, samples) parent masks."""
+            seeds) -> np.ndarray:
+    """Random-restart greedy search of the first samples, one per seed, all
+    climbs at once as lanes (sample, restart) in that order; (p, samples)
+    parent masks.  ``seeds`` are ``Streams``, or the seeds ``Streams.of``
+    reads, a Generator among them left where the serial draws leave it."""
     p, restarts = table.p, cfg.restarts
     if p > MAX_GREEDY_NODES:
         raise SizeLimitError(f"greedy search limited to {MAX_GREEDY_NODES} variables")
     allow = np.stack([_allow_masks(p, r) for r in restricts], axis=1)
-    parents = np.zeros((p, len(samples), restarts), dtype=np.int64)
+    parents = np.zeros((p, len(seeds), restarts), dtype=np.int64)
     children = np.zeros_like(parents)
-    rngs = [rng_from(s) for s in seeds]
-    # a caller's generator ends where the serial draws left it
-    states = {i: rng.bit_generator.state for i, rng in enumerate(rngs) if rng is seeds[i]}
-    parents[..., 1:], children[..., 1:], used = _perturbed_starts(allow, cfg, rngs)
-    for i, state in states.items():
-        rngs[i].bit_generator.state = state
-        rngs[i].integers(0, 2**32, size=used[i], dtype=np.uint32)
+    streams = seeds if isinstance(seeds, Streams) else Streams.of(seeds)
+    parents[..., 1:], children[..., 1:], used = _perturbed_starts(allow, cfg, streams)
+    if streams is not seeds:    # a caller's generator ends where the serial draws left it
+        for seed, draws in zip(seeds, used.tolist()):
+            if isinstance(seed, np.random.Generator):
+                move_on(seed, draws)
     parents, children = parents.reshape(p, -1), children.reshape(p, -1)
-    sample = np.repeat(np.asarray(samples, dtype=np.intp), restarts)
+    sample = np.repeat(np.arange(len(seeds)), restarts)
     scores, failure = _ascend(table, sample, parents, children,
                               np.repeat(allow, restarts, axis=1), cfg.max_parents)
     if failure is not None:
@@ -339,9 +340,9 @@ def _search(table: FamilyScorer, samples: list[int], cfg: HcConfig,
         table.family_score(child, mask, int(sample[lane]))
     # the restart with the highest final score wins, earliest on ties
     scores = scores.reshape(-1, restarts)
-    _, pick = _first_best(scores[:, 0], np.zeros(len(samples), dtype=np.intp),
+    _, pick = _first_best(scores[:, 0], np.zeros(len(seeds), dtype=np.intp),
                           ((scores[:, r], r) for r in range(1, restarts)), 1e-12)
-    return parents.reshape(p, -1, restarts)[:, np.arange(len(samples)), pick]
+    return parents.reshape(p, -1, restarts)[:, np.arange(len(seeds)), pick]
 
 
 def _dag(variables: VariableSet, parents: np.ndarray) -> Dag:
@@ -368,8 +369,9 @@ def hill_climb(data: DataLike | FamilyScorer, cfg: HcConfig,
     from the first, at most the table's sample count) covers climbs at
     once, ``restrict`` is None or a list of one pair set (or None) per
     seed, and the result is (p, seeds) int64 parent masks, bit u of
-    ``[v, s]`` the edge u -> v.  A seed that is a ``Generator`` ends where
-    the serial draws of its sample's restarts would leave it.
+    ``[v, s]`` the edge u -> v; the seeds may be one ``Streams``.  A seed
+    that is a PCG64 ``Generator`` ends where the serial draws of its
+    sample's restarts would leave it; another bit generator is refused.
     """
     if isinstance(data, FamilyScorer):
         _check_cap(data, cfg.max_parents)
@@ -378,10 +380,6 @@ def hill_climb(data: DataLike | FamilyScorer, cfg: HcConfig,
                              "sample to climb; got seed=None")
         if len(seed) > data.samples:
             raise ValueError(f"{len(seed)} seeds for a table of {data.samples} samples")
-        generators = [s for s in seed if isinstance(s, np.random.Generator)]
-        if len(set(map(id, generators))) < len(generators):
-            raise ValueError("a Generator appears more than once among the seeds; "
-                             "each sample draws from its own")
         restricts = [None] * len(seed) if restrict is None else restrict
         if not isinstance(restricts, (list, tuple)) or not all(
                 r is None or isinstance(r, (set, frozenset))
@@ -389,10 +387,10 @@ def hill_climb(data: DataLike | FamilyScorer, cfg: HcConfig,
             raise ValueError("a table takes one pair set (or None) per seed as restrict")
         if len(restricts) != len(seed):
             raise ValueError(f"{len(restricts)} restricts for {len(seed)} seeds")
-        return _search(data, list(range(len(seed))), cfg, restricts, seed)
-    seed = split_seed(cfg.seed, 0) if seed is None else seed
+        return _search(data, cfg, restricts, seed)
+    seeds = Streams.spawned(cfg.seed, count=1) if seed is None else [seed]
     return _dag(data.variables,
-                _search(_table(data, cfg.max_parents), [0], cfg, [restrict], [seed]))
+                _search(_table(data, cfg.max_parents), cfg, [restrict], seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -830,16 +828,15 @@ class ScoreLearner:
     """A bootstrap learner: a search that reads the data only through
     family scores within ``max_parents``.
 
-    ``search(data, resamples, table, seeds)`` gets the data, every
+    ``search(data, resamples, table, streams)`` gets the data, every
     resample's row indices, the family-score table that
-    ``bootstrap_average`` scores for all resamples at once, and one seed
+    ``bootstrap_average`` scores for all resamples at once, and one stream
     per resample, and returns each resample's DAG as (p, resamples) integer
     parent masks, bit u of ``[v, b]`` the edge u -> v of resample b.
     """
 
     max_parents: int
-    search: Callable[[DataLike, np.ndarray, FamilyScorer,
-                      list[np.random.SeedSequence]], np.ndarray]
+    search: Callable[[DataLike, np.ndarray, FamilyScorer, Streams], np.ndarray]
 
 
 def hc_learner(cfg: HcConfig) -> ScoreLearner:
@@ -850,7 +847,7 @@ def hc_learner(cfg: HcConfig) -> ScoreLearner:
 def hybrid_learner(cfg: HcConfig, restrict: str = "gs",
                    alpha: float = 0.05) -> ScoreLearner:
     def search(data: Dataset, resamples: np.ndarray, table: FamilyScorer,
-               seeds: list) -> np.ndarray:
+               seeds: Streams) -> np.ndarray:
         pairs = []
         try:
             for idx in resamples:
@@ -873,19 +870,19 @@ def bootstrap_average(data: DataLike, learner: ScoreLearner, boot_samples: int,
                       seed: int = 0) -> ArcConfidence:
     """Arc strengths and directions over structures learned on resamples.
 
-    Each resample draws n rows with replacement under its own counter-split
-    seed, so the tabulation is identical however the work is scheduled.  The
-    learner reads one family-score table scored for every resample
-    together.
+    Resample i draws n rows with replacement from the stream of the
+    counter-split seed (seed, 1, i), and its search draws from that of
+    (seed, 2, i), so the tabulation is identical however the work is
+    scheduled.  The learner reads one family-score table scored for every
+    resample together.
     """
     if boot_samples < 1:
         raise ValueError("boot_samples must be >= 1")
     p = len(data.variables)
-    resamples = np.stack([rng_from(split_seed(seed, 1, i)).integers(0, data.n, size=data.n)
-                          for i in range(boot_samples)])
+    resamples, _ = replay_rows(Streams.spawned(seed, 1, count=boot_samples), data.n)
     table = _table(data, learner.max_parents, resamples)
-    seeds = [split_seed(seed, 2, i) for i in range(boot_samples)]
-    parents = learner.search(data, resamples, table, seeds)
+    parents = learner.search(data, resamples, table,
+                             Streams.spawned(seed, 2, count=boot_samples))
     if not (isinstance(parents, np.ndarray) and parents.dtype.kind in "iu"
             and parents.shape == (p, boot_samples)   # no negative mask, no bit past p:
             and not ((parents := parents.astype(np.int64)) >> p).any()

@@ -39,8 +39,8 @@ from relqual.forest import (
     permutation_importance,
     tune_forest,
 )
-from relqual.rng import RawDraws, choice_counts, replay_choice, rng_from, split_seed
-from test_search_oracle import PlantedStream
+from relqual.rng import RawDraws, Streams, choice_counts, replay_choice, rng_from, split_seed
+from test_search_oracle import PlantedStream, PlantedStreams
 
 
 # --- references ---------------------------------------------------------------
@@ -551,7 +551,7 @@ def test_replayed_feature_draws_equal_generator_choice(p, data, seed, before, ca
     mtry = data.draw(st.integers(1, p))
     serial = raw_after(seed, before)
     want = [serial.choice(p, size=mtry, replace=False).tolist() for _ in range(calls)]
-    raw = RawDraws([raw_after(seed, before)], width)
+    raw = RawDraws(Streams.of([raw_after(seed, before)]), width)
     picks, at = replay_choice(raw, np.array([0]), np.array([0]), p, mtry, calls)
     assert picks[0].tolist() == want
     assert raw(np.array([0]), at)[0] == serial.integers(0, 2**32, dtype=np.uint32)
@@ -567,7 +567,7 @@ def test_feature_draws_on_each_side_of_numpys_branch(mtry):
     assert choice_counts(p, mtry).size == (399 if mtry == 200 else 201)
     serial = np.random.default_rng(mtry)
     want = [serial.choice(p, size=mtry, replace=False).tolist() for _ in range(3)]
-    raw = RawDraws([np.random.default_rng(mtry)], 64)
+    raw = RawDraws(Streams.of([np.random.default_rng(mtry)]), 64)
     picks, at = replay_choice(raw, np.array([0]), np.array([0]), p, mtry, 3)
     assert picks[0].tolist() == want
     assert raw(np.array([0]), at)[0] == serial.integers(0, 2**32, dtype=np.uint32)
@@ -588,7 +588,7 @@ def test_rejected_feature_draws_shift_every_later_split():
     late = clean.copy()
     late[[5 * 52 + 1]] = 0
     streams = [clean, planted, late]
-    raw = RawDraws([PlantedStream(s) for s in streams], 5 * splits)
+    raw = RawDraws(PlantedStreams(streams), 5 * splits)
     lanes = np.arange(len(streams))
     picks, at = replay_choice(raw, lanes, np.zeros_like(lanes), p, mtry, splits)
     assert at.tolist() == [5 * splits, 5 * splits + 3, 5 * splits + 1]

@@ -26,7 +26,7 @@ from relqual.data import Dataset, DiscreteDataset, FamilyScorer
 from relqual.discretize import DiscretizationSpec, discretize
 from relqual.gaussian import DegenerateVarianceError
 from relqual.ols import InsufficientRowsError, RankDeficientError
-from relqual.rng import RawDraws, replay_integers, rng_from, split_seed
+from relqual.rng import RawDraws, Streams, replay_integers, rng_from, split_seed
 from relqual.search import (
     MAX_EXACT_NODES,
     HcConfig,
@@ -734,6 +734,23 @@ class PlantedStream:
         return np.array([self._next() for _ in range(size)], dtype=np.uint32)
 
 
+class PlantedStreams:
+    """Stand-in ``Streams`` whose row r draws ``values[r]``, for
+    ``RawDraws``."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.uint32)
+
+    def __len__(self):
+        return len(self.values)
+
+    def block(self, width):
+        return self.values[:, :width]
+
+    def raw(self, rows, at):
+        return self.values[rows, at]
+
+
 def replay(counts, raw):
     """``replay_integers`` of one generator row, one count at a time: the values
     and the raw draws used."""
@@ -754,10 +771,10 @@ def test_replayed_draws_equal_generator_integers(counts, seed):
     """The same values as ``Generator.integers(count)`` call by call, from
     the same number of raw draws: a generator that made exactly that many
     raw draws is where the serial one is.  Blocks of 4 make reads run
-    past the block and top it up."""
+    past the block, where each draw is replayed on its own."""
     serial = np.random.default_rng(seed)
     want = [int(serial.integers(c)) for c in counts]
-    got, used = replay(counts, RawDraws([np.random.default_rng(seed)], 4))
+    got, used = replay(counts, RawDraws(Streams.of([np.random.default_rng(seed)]), 4))
     assert got == want
     raw = np.random.default_rng(seed)
     raw.integers(0, 2**32, size=used, dtype=np.uint32)
@@ -776,7 +793,7 @@ def test_about_half_the_draws_are_rejected_at_two_to_the_31_plus_one():
     counts = [2**31 + 1] * 200
     serial = np.random.default_rng(7)
     want = [int(serial.integers(c)) for c in counts]
-    got, used = replay(counts, RawDraws([np.random.default_rng(7)], 64))
+    got, used = replay(counts, RawDraws(Streams.of([np.random.default_rng(7)]), 64))
     assert got == want
     assert 300 < used < 500
     assert np.random.default_rng(7).integers(0, 2**32, size=used + 1, dtype=np.uint32)[-1] \
@@ -816,7 +833,7 @@ def test_rejected_draws_shift_every_later_restart():
     assert drawn[0] > cfg.perturb and drawn[2] > cfg.perturb and drawn[3] > 20
     assert ends[-1] > (cfg.restarts - 1) * cfg.perturb
     allow = np.full((p, 1), (1 << p) - 1, dtype=np.int64)
-    parents, children, used = _perturbed_starts(allow, cfg, [PlantedStream(stream)])
+    parents, children, used = _perturbed_starts(allow, cfg, PlantedStreams([stream]))
     assert_starts_equal(parents[:, 0], children[:, 0], refs)
     assert used.tolist() == [ends[-1]]
 
@@ -834,7 +851,7 @@ def test_samples_replay_their_own_streams_with_planted_rejections():
     assert refs[1][1] == [0] * 3 and refs[0][1][-1] > 12 and refs[2][1][-1] > 12
     allow = np.stack([_allow_masks(p, r) for r in restricts], axis=1)
     parents, children, used = _perturbed_starts(
-        allow, cfg, [PlantedStream(s) for s in streams])
+        allow, cfg, PlantedStreams(streams))
     for s, (states, ends) in enumerate(refs):
         assert_starts_equal(parents[:, s], children[:, s], states)
         assert used[s] == ends[-1]
