@@ -113,6 +113,17 @@ def _whole(value, key: str, what: str) -> int:
     return int(value)
 
 
+def _number(value, key: str, what: str) -> float:
+    """``value`` as a float if it is a number or a string that reads as one,
+    a bool not counting as one; else a ValueError naming the key."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} key {key!r} must be a number, not {value!r}")
+
+
 def _array(settings: dict, key: str, entries: str, entry_ok) -> list:
     """The config's ``key`` if it is a JSON array of ``entries``, each one
     passing ``entry_ok``; else a ValueError naming the key."""
@@ -149,15 +160,14 @@ _METHOD_SHORTHAND = {m.name.upper(): m for m in default_methods() + (
 
 def _spec(cls, entry: dict, what: str):
     """``cls`` from the entry's own keys; the value of a field whose default
-    is an int must be a whole number, and that of a float field is read as
-    a float."""
+    is an int must be a whole number, and that of a float field a number."""
     defaults = {f.name: f.default for f in fields(cls)}
 
     def read(key, value):
         kind = type(defaults[key])
         if kind is int:
             return _whole(value, key, what)
-        return float(value) if kind is float else value
+        return _number(value, key, what) if kind is float else value
 
     return cls(**{key: read(key, value)
                   for key, value in _checked(entry, list(defaults), what).items()})
@@ -186,6 +196,9 @@ def _simstudy_config(args) -> tuple[SimStudyConfig, dict, list[Path]]:
     settings.update({key: getattr(args, key) for key in keys
                      if getattr(args, key) is not None})
 
+    if not isinstance(settings.get("truth", ""), str):
+        raise ValueError(f"config key 'truth' must be the path of a network JSON file, "
+                         f"not {settings['truth']!r}")
     truth, truth_name = default_truth(), "default"
     if settings.get("truth"):
         truth_path = Path(settings["truth"])
@@ -194,6 +207,9 @@ def _simstudy_config(args) -> tuple[SimStudyConfig, dict, list[Path]]:
 
     study = {key: _whole(settings[key], key, "config") for key in
              ("replicates", "sample_size", "boot_samples", "seed") if key in settings}
+    if study.get("seed", 0) < 0:   # a --seed flag is checked before any command runs
+        raise ValueError(f"config key 'seed' must be a non-negative whole number, "
+                         f"not {study['seed']}")
     hc = {key: _whole(settings[key], key, "config") for key in
           ("restarts", "max_parents", "seed") if key in settings}
     if args.methods is not None:
@@ -674,6 +690,8 @@ def main(argv=None) -> int:
     package_log.addHandler(handler)
     package_log.setLevel(args.log_level)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative whole number, not {args.seed}")
         started = time.time()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -107,6 +107,52 @@ def test_simstudy_config_refuses_values_of_the_wrong_json_type(
     assert not (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["x", [1], True, None])
+def test_simstudy_config_refuses_a_method_number_that_is_not_one(tmp_path, capsys, alpha):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({**SMALL_STUDY, "methods": [
+        {"name": "Hybrid-GS", "search": "hybrid-gs", "alpha": alpha}]}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", path, "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == \
+        f"error: method key 'alpha' must be a number, not {alpha!r}\n"
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("truth", [5, ["net.json"], True])
+def test_simstudy_config_refuses_a_truth_that_is_not_a_path(tmp_path, capsys, truth):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({**SMALL_STUDY, "truth": truth}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", path, "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == ("error: config key 'truth' must be the path of a "
+                                       f"network JSON file, not {truth!r}\n")
+
+
+def test_simstudy_config_refuses_a_negative_seed(tmp_path, capsys):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({**SMALL_STUDY, "seed": -2}))
+    out = tmp_path / "out"
+    assert run(["simstudy", "--config", path, "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == \
+        "error: config key 'seed' must be a non-negative whole number, not -2\n"
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simstudy", "learn", "rf"])
+def test_a_negative_seed_flag_is_refused_by_name_before_any_work(tmp_path, capsys,
+                                                                 command):
+    data = tmp_path / "data.csv"
+    write_pair_csv(data, n=40)
+    argv = {"simstudy": ["simstudy", "--replicates", 1],
+            "learn": ["learn", data], "rf": ["rf", data, "--response", "B"]}[command]
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", -3, "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == \
+        "error: --seed must be a non-negative whole number, not -3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("disc", [0, False, "", []],
                          ids=["zero", "false", "empty-string", "empty-array"])
 def test_simstudy_config_refuses_a_falsy_discretization(tmp_path, capsys, disc):
