@@ -235,9 +235,7 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, lanes, mtry: int, min_leaf: int):
         keys, streams, bags = zip(*batch)
         splits = max(1, max(bag.size for bag in bags) // min_leaf - 1)
         streams = Streams(np.concatenate([s.words for s in streams], axis=1))
-        rows = np.arange(len(streams))
-        picks, _ = replay_choice(RawDraws(streams, max(1, splits * each)), rows,
-                                 np.zeros_like(rows), p, mtry, splits)
+        picks, _ = replay_choice(RawDraws(streams, max(1, splits * each)), p, mtry, splits)
         yield from zip(keys, _grow_batch(x, y, ranked, picks, bags, min_leaf))
 
 

@@ -8,7 +8,8 @@ many streams in lockstep builds neither object: ``Streams`` replays
 last path entry, then PCG64's raw uint32 draws (``next_uint32``: the low
 half of each 64-bit output, then the high half) at any position by the
 LCG jump ahead state_k = A^k s + C_k inc mod 2^128 (O'Neill,
-HMC-CS-2014-0905).  From those come, value for value and draw for draw,
+HMC-CS-2014-0905); wide blocks step numpy's own PCG64 from each stream's
+state.  From those come, value for value and draw for draw,
 ``Generator.integers(count)`` (``replay_integers``, ``replay_rows``) and
 ``Generator.choice(p, mtry, replace=False)`` (``replay_choice``).
 
@@ -52,6 +53,10 @@ INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 NOTHING = 2**32     # a held draw that no uint32 takes: none held
+# Wider blocks step numpy's own PCG64 row by row: setting its state costs
+# about 4 us a row, and an output then about 1 ns, against about 40 ns of
+# array arithmetic; the two cost the same near 200 draws a row
+WIDE_BLOCK = 256
 
 
 def _words(n) -> list[int]:
@@ -202,11 +207,21 @@ class Streams:
         return Streams(self.words[:, rows])
 
     def block(self, width: int) -> np.ndarray:
-        """Every row's first ``width`` draws, as (rows, width) uint32."""
-        w = self.words[:, :, None]
-        outputs = _output(_advance(w[:2], w[2:4], np.arange(1, (width + 3) // 2)))
-        draws = (outputs[..., None] >> np.array([0, 32], dtype=np.uint64)).astype(
-            np.uint32).reshape(len(self), -1)
+        """Every row's first ``width`` draws, as (rows, width) uint32: from
+        the jump ahead, or past ``WIDE_BLOCK`` from one PCG64 bit generator
+        set to each row's state in turn."""
+        count = (width + 1) // 2      # 64-bit outputs
+        if width <= WIDE_BLOCK:
+            w = self.words[:, :, None]
+            outputs = _output(_advance(w[:2], w[2:4], np.arange(1, count + 1)))
+        else:
+            bits, outputs = np.random.PCG64(0), np.empty((len(self), count), dtype=np.uint64)
+            for row, (sh, sl, ih, il) in zip(outputs, self.words[:4].T.tolist()):
+                bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                              "state": {"state": sh << 64 | sl, "inc": ih << 64 | il}}
+                row[:] = bits.random_raw(count)
+        # each output's low half, then its high half
+        draws = outputs.astype("<u8", copy=False).view("<u4").reshape(len(self), -1)
         if (held := self.words[4] < NOTHING).any():
             draws[held] = np.column_stack([self.words[4, held], draws[held, :-1]])
         return draws[:, :width]
@@ -274,38 +289,45 @@ def replay_integers(raw: RawDraws, rows: np.ndarray, at: np.ndarray,
     return values, at
 
 
-def _replay_bounded(raw: RawDraws, rows: np.ndarray, at: np.ndarray,
-                    counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _replay_bounded(raw: RawDraws, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``Generator.integers(count)`` for each of ``counts`` (each above 1)
-    in turn, of each generator row from its position ``at``: the values,
-    shaped (rows, counts), and the positions past the draws they used.
+    in turn, of every generator row of ``raw`` from its first draw: the
+    values, shaped (rows, counts), and the positions past the draws they
+    used.
 
     Every row is read at once as if no draw were rejected.  A rejection
-    moves every later draw, so a row with a rejected draw (a chance below
-    count / 2^32 per draw) is read again draw by draw (``replay_integers``).
+    (a chance below count / 2^32 per draw) moves every later draw of its
+    row on by one, so the rows with one are read again, from their first
+    rejected draw on one draw further, until none is left.
     """
     bound = counts.astype(np.uint64)
-    m = raw(rows[:, None], at[:, None] + np.arange(counts.size)).astype(np.uint64)
+    threshold = (2**32 - bound) % bound
+    k, rows = np.arange(counts.size), np.arange(len(raw.block))
+    m = (raw.block[:, :k.size] if k.size <= raw.block.shape[1] else
+         raw(rows[:, None], k)).astype(np.uint64)
     m *= bound      # in place, as are the shift and view below: rows can be wide
-    redo = np.flatnonzero(((m & 0xFFFFFFFF) < (2**32 - bound) % bound).any(axis=1))
+    rejected = (m & M32) < threshold
+    redo = np.flatnonzero(rejected.any(axis=1))
     values = np.right_shift(m, 32, out=m).view(np.int64)
-    at = at + counts.size
-    if redo.size:
-        pos = at[redo] - counts.size
-        for k, count in enumerate(counts.tolist()):
-            values[redo, k], pos = replay_integers(raw, rows[redo], pos,
-                                                   np.full(redo.size, count))
-        at[redo] = pos
+    at = np.full(rows.size, k.size)
+    rejected, pos = rejected[redo], k
+    while redo.size:
+        pos = pos + (k >= rejected.argmax(axis=1)[:, None])
+        m = raw(redo[:, None], pos).astype(np.uint64) * bound
+        values[redo] = m >> 32
+        rejected = (m & M32) < threshold
+        at[redo] = pos[:, -1] + 1
+        again = rejected.any(axis=1)
+        redo, pos, rejected = redo[again], pos[again], rejected[again]
     return values, at
 
 
 def replay_rows(streams: Streams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``Generator.integers(0, n, size=n)`` of every row's generator, as
     (rows, n) int64, and the positions past the draws they used."""
-    rows = np.arange(len(streams))
     if n == 1:  # a count of 1 draws nothing
-        return np.zeros((rows.size, 1), dtype=np.int64), np.zeros_like(rows)
-    return _replay_bounded(RawDraws(streams, n), rows, np.zeros_like(rows), np.full(n, n))
+        return np.zeros((len(streams), 1), dtype=np.int64), np.zeros(len(streams), dtype=np.int64)
+    return _replay_bounded(RawDraws(streams, n), np.full(n, n))
 
 
 def _tail_shuffle(p: int, mtry: int) -> bool:
@@ -329,15 +351,15 @@ def choice_counts(p: int, mtry: int) -> np.ndarray:
                            np.arange(mtry, 1, -1)])
 
 
-def replay_choice(raw: RawDraws, rows: np.ndarray, at: np.ndarray, p: int,
-                  mtry: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+def replay_choice(raw: RawDraws, p: int, mtry: int,
+                  calls: int) -> tuple[np.ndarray, np.ndarray]:
     """``calls`` successive ``Generator.choice(p, mtry, replace=False)`` of
-    each generator row, from its position ``at``: the picks, shaped
+    every generator row of ``raw``, from its first draw: the picks, shaped
     (rows, calls, mtry), and the positions past the draws they used."""
     each = choice_counts(p, mtry)
-    values, at = _replay_bounded(raw, rows, at, np.tile(each, calls))
-    picks = _choices(values.reshape(rows.size * calls, each.size), p, mtry)
-    return picks.reshape(rows.size, calls, mtry), at
+    values, at = _replay_bounded(raw, np.tile(each, calls))
+    picks = _choices(values.reshape(len(values) * calls, each.size), p, mtry)
+    return picks.reshape(len(values), calls, mtry), at
 
 
 def _choices(values: np.ndarray, p: int, mtry: int) -> np.ndarray:

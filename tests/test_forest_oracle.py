@@ -552,7 +552,7 @@ def test_replayed_feature_draws_equal_generator_choice(p, data, seed, before, ca
     serial = raw_after(seed, before)
     want = [serial.choice(p, size=mtry, replace=False).tolist() for _ in range(calls)]
     raw = RawDraws(Streams.of([raw_after(seed, before)]), width)
-    picks, at = replay_choice(raw, np.array([0]), np.array([0]), p, mtry, calls)
+    picks, at = replay_choice(raw, p, mtry, calls)
     assert picks[0].tolist() == want
     assert raw(np.array([0]), at)[0] == serial.integers(0, 2**32, dtype=np.uint32)
     reference = raw_after(seed, before)
@@ -568,7 +568,7 @@ def test_feature_draws_on_each_side_of_numpys_branch(mtry):
     serial = np.random.default_rng(mtry)
     want = [serial.choice(p, size=mtry, replace=False).tolist() for _ in range(3)]
     raw = RawDraws(Streams.of([np.random.default_rng(mtry)]), 64)
-    picks, at = replay_choice(raw, np.array([0]), np.array([0]), p, mtry, 3)
+    picks, at = replay_choice(raw, p, mtry, 3)
     assert picks[0].tolist() == want
     assert raw(np.array([0]), at)[0] == serial.integers(0, 2**32, dtype=np.uint32)
     reference = np.random.default_rng(mtry)
@@ -589,8 +589,7 @@ def test_rejected_feature_draws_shift_every_later_split():
     late[[5 * 52 + 1]] = 0
     streams = [clean, planted, late]
     raw = RawDraws(PlantedStreams(streams), 5 * splits)
-    lanes = np.arange(len(streams))
-    picks, at = replay_choice(raw, lanes, np.zeros_like(lanes), p, mtry, splits)
+    picks, at = replay_choice(raw, p, mtry, splits)
     assert at.tolist() == [5 * splits, 5 * splits + 3, 5 * splits + 1]
     for lane, values in enumerate(streams):
         reference = PlantedStream(values)
