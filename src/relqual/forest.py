@@ -413,7 +413,7 @@ def _lanes(trains, cfg: ForestConfig):
             drawn.sort(axis=1)
             streams = part.skip(at)
             for t, rows in enumerate(drawn):
-                yield k, streams[t:t + 1], train[rows]
+                yield k, streams[t], train[rows]
 
 
 def _design(data: Dataset, response: str, cfg: ForestConfig,

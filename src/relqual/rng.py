@@ -204,7 +204,8 @@ class Streams:
         return self.words.shape[1]
 
     def __getitem__(self, rows) -> Streams:
-        return Streams(self.words[:, rows])
+        """The streams of ``rows``: an index, a slice or an index array."""
+        return Streams(self.words[:, rows].reshape(5, -1))
 
     def block(self, width: int) -> np.ndarray:
         """Every row's first ``width`` draws, as (rows, width) uint32: from
@@ -301,21 +302,22 @@ def _replay_bounded(raw: RawDraws, counts: np.ndarray) -> tuple[np.ndarray, np.n
     rejected draw on one draw further, until none is left.
     """
     bound = counts.astype(np.uint64)
-    threshold = (2**32 - bound) % bound
+    threshold = ((2**32 - bound) % bound).astype(np.uint32)
     k, rows = np.arange(counts.size), np.arange(len(raw.block))
-    m = (raw.block[:, :k.size] if k.size <= raw.block.shape[1] else
-         raw(rows[:, None], k)).astype(np.uint64)
-    m *= bound      # in place, as are the shift and view below: rows can be wide
-    rejected = (m & M32) < threshold
+    # one uint64 product per draw, its low word cast off for the test and
+    # shifted off in place for the value: rows can be wide
+    m = np.multiply(raw.block[:, :k.size] if k.size <= raw.block.shape[1] else
+                    raw(rows[:, None], k), bound, dtype=np.uint64)
+    rejected = m.astype(np.uint32) < threshold
     redo = np.flatnonzero(rejected.any(axis=1))
     values = np.right_shift(m, 32, out=m).view(np.int64)
     at = np.full(rows.size, k.size)
     rejected, pos = rejected[redo], k
     while redo.size:
         pos = pos + (k >= rejected.argmax(axis=1)[:, None])
-        m = raw(redo[:, None], pos).astype(np.uint64) * bound
+        m = np.multiply(raw(redo[:, None], pos), bound, dtype=np.uint64)
         values[redo] = m >> 32
-        rejected = (m & M32) < threshold
+        rejected = m.astype(np.uint32) < threshold
         at[redo] = pos[:, -1] + 1
         again = rejected.any(axis=1)
         redo, pos, rejected = redo[again], pos[again], rejected[again]

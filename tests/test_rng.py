@@ -99,13 +99,20 @@ def test_bootstrap_rows_equal_generator_integers(seed, n, count):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 60).filter(lambda n: n & (n - 1)), st.integers(0, 2**32 - 1),
-       st.lists(st.integers(0, 200), max_size=12), st.integers(1, 3))
-def test_bootstrap_rows_with_planted_rejections(n, seed, zeros, count):
+       st.lists(st.integers(0, 200), max_size=12), st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, 200), st.integers(-1, 0)), max_size=6))
+def test_bootstrap_rows_with_planted_rejections(n, seed, zeros, count, edges):
     """A raw 0 is rejected for every n that is not a power of two: each
-    one moves the rest of its row's draws on by one."""
+    one moves the rest of its row's draws on by one.  For odd n, draws
+    whose product's low word is the threshold (2^32 - n) mod n itself, or
+    one below it, are planted too: the first is kept, the second rejected."""
     values = np.random.default_rng(seed).integers(1, 2**32, size=(count, 3 * n + 20),
                                                   dtype=np.uint32)
     values[0, [z % values.shape[1] for z in zeros]] = 0
+    if n % 2:
+        threshold, inverse = (2**32 - n) % n, pow(n, -1, 2**32)
+        for at, below in edges:
+            values[-1, at % values.shape[1]] = (threshold + below) * inverse % 2**32
     assert (values[:, 2 * n:] > 0).sum(axis=1).min() >= n
     rows, at = replay_rows(PlantedStreams(values), n)
     for row, end, stream in zip(rows, at, values):
