@@ -53,9 +53,10 @@ INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 NOTHING = 2**32     # a held draw that no uint32 takes: none held
-# Wider blocks step numpy's own PCG64 row by row: setting its state costs
-# about 4 us a row, and an output then about 1 ns, against about 40 ns of
-# array arithmetic; the two cost the same near 200 draws a row
+# Blocks wider than this many draws a row step numpy's own PCG64 row by
+# row: setting its state costs about 4 us, and each 64-bit output then
+# about 1 ns, against about 40 ns of array arithmetic; the two cost the
+# same near 200 draws a row
 WIDE_BLOCK = 256
 
 
@@ -248,6 +249,7 @@ class RawDraws:
         self.streams, self.block = streams, streams.block(width)
 
     def __call__(self, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The draws at positions ``at`` of rows ``rows``, broadcast together."""
         rows, at = np.broadcast_arrays(rows, at)
         past = at >= self.block.shape[1]
         values = self.block[rows, np.where(past, 0, at)]
