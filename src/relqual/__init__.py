@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .dag import Dag, VariableSet, add_edge_checked, enumerate_dags, topological_order
 from .data import Dataset, DiscreteDataset, load_numeric_csv
-from .discretize import DiscretizationSpec, bic_discrete, discretize, \
-    pairwise_mutual_information
+from .discretize import DiscretizationSpec, bic_discrete, discretize
 from .forest import ForestConfig, ablate_predictor, fit_forest, \
     permutation_importance, tune_forest
 from .gaussian import GaussianBn, bic_g, edge_inference, fit, implied_moments, simulate

@@ -491,9 +491,10 @@ def _safe_name(name: str) -> str:
 def cmd_fetch(args, out: Path) -> _Run:
     packages = tuple(p for p in (args.packages or "").split(",") if p)
     repos = tuple(r for r in (args.repos or "").split(",") if r)
-    if not packages and not repos:
-        raise ValueError("give --packages and/or --repos")
     pairs = tuple(pair for pair in (args.pairs or "").split(",") if pair)
+    if not packages and not repos:
+        raise ValueError("--pairs needs both --packages and --repos" if pairs
+                         else "give --packages and/or --repos")
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--pairs entry {pair!r} is not package=owner/name")

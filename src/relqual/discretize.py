@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -116,58 +115,66 @@ def discretize(data: Dataset, spec: DiscretizationSpec) -> Discretized:
 
 def _mi_terms(block: np.ndarray, row_marg: np.ndarray,
               col_marg: np.ndarray, n: int) -> np.ndarray:
-    """Per-cell contribution to n*MI of the given rows of a count table,
-    C-ordered whatever the layout of ``block``, so that numpy sums each
-    row pairwise."""
+    """Per-cell contribution c ln(c n / (r s)) to n*MI of a count table
+    with margins r and s, 0 at c = 0; C-ordered whatever the layout of
+    ``block``, so that numpy sums each row pairwise."""
     block = np.ascontiguousarray(block)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = block * n / np.outer(row_marg, col_marg)
-        return np.where(block > 0, block * np.log(np.where(block > 0, ratio, 1.0)), 0.0)
+    terms = block * n
+    # a zero margin has only empty cells, whose ratio stays 0 over any
+    # positive count; a positive margin is at least 1
+    terms /= np.maximum(row_marg, 1)[:, None] * np.maximum(col_marg, 1)
+    terms += block == 0   # ln 1 = 0 at the empty cells
+    np.log(terms, out=terms)
+    terms *= block
+    return terms
 
 
-# n*MI lost by merging each adjacent pair of rows of a count table, for
-# several tables at once: one elementwise pass over the tables' rows and
-# their merged row pairs, then each table's rows summed on their own.  The
-# margins are level counts, whole numbers and so exact however summed.
+def _merge_losses(t: np.ndarray, r: np.ndarray, c: np.ndarray, lengths: np.ndarray,
+                  lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n*MI lost by merging adjacent levels in the count table ``t``
+    (margins ``r`` and ``c``) of one variable's levels, as columns, against
+    tables of ``lengths`` rows stacked, from one pass of ``_mi_terms``:
 
-def _merge_terms(t: np.ndarray, r: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """The n*MI terms of the rows of ``t`` and then of its merged rows."""
-    return _mi_terms(np.concatenate([t, t[:-1] + t[1:]]), np.concatenate([r, r[:-1] + r[1:]]),
-                     c, n)
+    - merging each pair of adjacent rows, summed along the rows: (rows -
+      1,), pairs that straddle two tables included;
+    - merging column pairs lo..hi - 2, against each table: (hi - lo - 1,
+      tables).
 
-
-def _merge_losses(sums: np.ndarray, rows: int) -> np.ndarray:
-    return sums[:rows - 1] + sums[1:rows] - sums[rows:]
-
-
-def _column_block_losses(t: np.ndarray, r: np.ndarray, c: np.ndarray,
-                         bounds: list[int], n: int) -> np.ndarray:
-    """The losses of the tables side by side in ``t``, whose columns
-    ``bounds[k]:bounds[k + 1]`` make table k: (tables, rows - 1)."""
-    terms = _merge_terms(t, r, c, n)
-    return np.array([_merge_losses(terms[:, lo:hi].sum(axis=1), len(r))
-                     for lo, hi in zip(bounds, bounds[1:])]).reshape(len(bounds) - 1, len(r) - 1)
-
-
-def _row_block_losses(t: np.ndarray, r: np.ndarray, c: np.ndarray,
-                      ends: list[int], n: int) -> list[np.ndarray]:
-    """The losses of the tables stacked in ``t``, whose rows end at
-    ``ends``; merged rows straddling two tables are computed and dropped."""
-    loss = _merge_losses(_merge_terms(t, r, c, n).sum(axis=1), len(r))
-    return [loss[lo:hi - 1] for lo, hi in zip([0, *ends], ends)]
-
-
-def _merge_next(t: np.ndarray, i: int) -> np.ndarray:
-    """``t`` with row i + 1 added into row i and dropped, in place: a view
-    of one row fewer."""
-    t[i] += t[i + 1]
-    t[i + 1:-1] = t[i + 2:]
-    return t[:-1]
+    Each sum is numpy's pairwise sum of one contiguous row at the length
+    it has in a table of its own.  The margins are level counts, whole
+    numbers and so exact however summed."""
+    rows, cols = t.shape
+    m = hi - lo - 1
+    # t beside its columns lo..hi - 2 each merged with the next, and below
+    # that every pair of adjacent rows merged
+    block = np.empty((2 * rows - 1, cols + m))
+    block[:rows, :cols] = t
+    np.add(t[:, lo:hi - 1], t[:, lo + 1:hi], out=block[:rows, cols:])
+    np.add(block[:rows - 1], block[1:rows], out=block[rows:])
+    terms = _mi_terms(block, np.concatenate([r, r[:-1] + r[1:]]),
+                      np.concatenate([c, c[lo:hi - 1] + c[lo + 1:hi]]), n)
+    sums = np.add.reduce(terms[:, :cols], axis=1)
+    # columns lo..hi - 1 and their merged pairs, each a C-ordered row
+    near = np.concatenate([terms[:rows, lo:hi], terms[:rows, cols:]], axis=1).T.copy()
+    across = np.empty((len(near), len(lengths)))
+    ends = np.cumsum(lengths).tolist()
+    for w, (a, b) in enumerate(zip([0] + ends, ends)):
+        np.add.reduce(near[:, a:b], axis=1, out=across[:, w])
+    return (sums[:rows - 1] + sums[1:rows] - sums[rows:],
+            across[:m] + across[1:m + 1] - across[m + 1:])
 
 
 def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
     """Merge adjacent bins, one variable at a time, always taking the merge
-    that loses the least total pairwise mutual information."""
+    that loses the least total pairwise mutual information.
+
+    The levels of all variables index one symmetric count table, whose
+    columns of variable v hold every variable's table against v, stacked.
+    A merge in v changes v's own losses only at the two pairs next to the
+    merged level, and every variable's losses against v entirely; one
+    ``_merge_losses`` pass over v's columns gives both.  The losses of
+    every ordered pair and their totals are arrays, so a merge costs a few
+    array calls per variable however many levels the tables have."""
     n, p = data.rows.shape
     initial = min(spec.hartemink_initial_bins, n)
 
@@ -191,69 +198,60 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
 
     # starts[j][g] is the first base bin of variable j's current level g
     starts: list[list[int]] = [list(range(c)) for c in counts]
-    sizes = [np.bincount(base_codes[:, j]).astype(float) for j in range(p)]
+    levels = np.array(counts)
+    first = np.cumsum(levels) - levels     # v's first row of the table
+    total = int(levels.sum())
+    cells = base_codes + first
+    table = np.bincount((cells[:, :, None] * total + cells[:, None, :]).ravel(),
+                        minlength=total * total).reshape(total, total).astype(float)
+    sizes = table.diagonal().copy()
+    pairs = np.arange(int(levels.max()) - 1)
+    # pair_loss[v, w, i]: n*MI between v and w lost by merging v's levels
+    # i and i + 1, 0 at w = v; closed[v, i]: 0 where v may merge them,
+    # inf where it may not
+    pair_loss = np.zeros((p, p, len(pairs)))
+    closed = np.where((pairs < levels[:, None] - 1) & (levels[:, None] > spec.bins),
+                      0.0, np.inf)
 
-    def bounds(v: int) -> list[int]:
-        """Where each other variable's block starts among the columns of
-        ``wide[v]``, in ascending order, and where the last one ends."""
-        return list(accumulate((len(starts[w]) for w in range(p) if w != v), initial=0))
+    def rescore(v: int, lo: int, hi: int) -> np.ndarray:
+        """Every variable's losses against v, stored (v's own row too);
+        v's own at pairs lo..hi - 2, returned (pairs, variables)."""
+        cols = slice(first[v], first[v] + levels[v])
+        down, own = _merge_losses(table[:, cols], sizes, sizes[cols], levels, lo, hi, n)
+        pair_loss[:, v] = down.take(first[:, None] + pairs, mode="clip")
+        return own
 
-    # wide[v]: the count tables of v against every other variable, side by
-    # side in ascending order, with v's levels as rows.  Kept current while
-    # v can still merge, and through v's last merge.
-    wide = []
     for v in range(p):
-        b = bounds(v)
-        cells = (base_codes[:, v, None] * b[-1] + base_codes[:, np.arange(p) != v]
-                 + np.array(b[:-1], dtype=np.int64))
-        wide.append(np.bincount(cells.ravel(), minlength=counts[v] * b[-1])
-                    .reshape(counts[v], b[-1]).astype(float))
-
-    def row_losses(v: int) -> np.ndarray:
-        """v's losses against every other variable, one row per w."""
-        c = np.concatenate([np.empty(0)] + [sizes[w] for w in range(p) if w != v])
-        return _column_block_losses(wide[v], sizes[v], c, bounds(v), n)
-
-    def losses_against(v: int, us: list[int]) -> list[np.ndarray]:
-        """Each u's losses against v."""
-        b = bounds(v)
-        cols = np.concatenate([np.arange(b[u - (u > v)], b[u - (u > v) + 1]) for u in us])
-        return _row_block_losses(wide[v][:, cols].T, np.concatenate([sizes[u] for u in us]),
-                                 sizes[v], list(accumulate(len(starts[u]) for u in us)), n)
-
-    # the losses of every variable that can still merge; a merge in v
-    # changes only v's rows and every other variable's losses against v
-    mergeable = [v for v in range(p) if len(starts[v]) > spec.bins]
-    pair_loss = {v: row_losses(v) for v in mergeable}
-
+        rescore(v, 0, 1)
+    pair_loss[range(p), range(p)] = 0.0
     while True:
-        best = None
-        for v in mergeable:
-            # summed in ascending w, one after the other
-            losses = pair_loss[v].cumsum(axis=0)[-1] if p > 1 \
-                else np.zeros(len(starts[v]) - 1)
-            i = int(losses.argmin())
-            if best is None or losses[i] < best[0] - 1e-12:
-                best = (float(losses[i]), v, i)
-        if best is None:
-            break
+        # summed in ascending w, one after the other
+        low = pair_loss.cumsum(axis=1)[:, -1] + closed
+        best = (math.inf, None, None)
+        for v, (loss, i) in enumerate(zip(low.min(axis=1).tolist(),
+                                          low.argmin(axis=1).tolist())):
+            if loss < best[0] - 1e-12:
+                best = (loss, v, i)
         _, v, i = best
-        for u in mergeable:
-            if u == v:
-                wide[u] = _merge_next(wide[u], i)
-            else:
-                j = bounds(u)[v - (v > u)] + i
-                wide[u] = _merge_next(wide[u].T, j).T
-        sizes[v] = _merge_next(sizes[v], i)
+        if v is None:
+            break
+        a = first[v] + i
+        table[a] += table[a + 1]
+        table[:, a] += table[:, a + 1]
+        table[a + 1:-1] = table[a + 2:]
+        table[:, a + 1:-1] = table[:, a + 2:]
+        table = table[:-1, :-1]
+        sizes[a] += sizes[a + 1]
+        sizes[a + 1:-1] = sizes[a + 2:]
+        sizes = sizes[:-1]
+        levels[v] -= 1
+        first[v + 1:] -= 1
         del starts[v][i + 1]
-        if len(starts[v]) == spec.bins:
-            mergeable.remove(v)
-        else:
-            pair_loss[v] = row_losses(v)
-        others = [u for u in mergeable if u != v]
-        if others:
-            for u, loss in zip(others, losses_against(v, others)):
-                pair_loss[u][v - (v > u)] = loss
+        pair_loss[v, :, i:-1] = pair_loss[v, :, i + 1:]
+        closed[v, levels[v] - 1 if levels[v] > spec.bins else 0:] = np.inf
+        lo, hi = max(i - 1, 0), min(i + 2, levels[v])
+        pair_loss[v, :, lo:hi - 1] = rescore(v, lo, hi).T
+        pair_loss[v, v] = 0.0
 
     codes = np.zeros((n, p), dtype=np.int64)
     edges = []
@@ -280,8 +278,9 @@ class DiscreteScoreCache(FamilyScorer):
     Within one ``fill`` whose marginals fit in ``MARGINAL_ENTRIES``, every
     family's counts are marginals of one joint count table over all
     variables, each summed out of a memoized marginal of one more variable,
-    as AD-trees share marginal counts (Moore & Lee, 1998); the memo lives
-    as long as that fill.  Otherwise each family takes one bincount, and
+    as AD-trees share marginal counts (Moore & Lee, 1998), by adding the
+    slices of the extra variable's axis unless that axis is the outermost;
+    the memo lives as long as that fill.  Otherwise each family takes one bincount, and
     its configurations' counts are summed out of it.  Integer sums are
     exact, so both give the same counts, laid out as (sample, levels of the
     variables in descending order).  The log term c ln(c/N) of a cell count
@@ -368,14 +367,23 @@ class DiscreteScoreCache(FamilyScorer):
                 (len(idx),) + tuple(self.levels[j] for j in variables))
         counts = self._memo.get(variables)
         if counts is None:
-            supersets = [tuple(sorted((*variables, j), reverse=True))
-                         for j in range(self.p - 1, -1, -1) if j not in variables]
-            known = [s for s in supersets if s in self._memo]
-            source = min(known or supersets,
-                         key=lambda s: math.prod(self.levels[j] for j in s))
-            extra = next(j for j in source if j not in variables)
-            counts = self._memo[variables] = self._marginal(idx, source).sum(
-                axis=1 + source.index(extra))
+            # the smallest superset is the one whose extra variable has the
+            # fewest levels
+            extras = [j for j in range(self.p - 1, -1, -1) if j not in variables]
+            known = [j for j in extras
+                     if tuple(sorted((*variables, j), reverse=True)) in self._memo]
+            extra = min(known or extras, key=self.levels.__getitem__)
+            source = tuple(sorted((*variables, extra), reverse=True))
+            counts, axis = self._marginal(idx, source), 1 + source.index(extra)
+            if axis > 1:
+                # added slice by slice, each add running over the axes
+                # inside, where numpy's sum would run one short loop per
+                # outer cell; integer sums are exact either way
+                counts = counts.transpose(axis, *range(axis), *range(axis + 1, counts.ndim))
+                counts = sum(counts[1:], counts[0])
+            else:
+                counts = counts.sum(axis=1)
+            self._memo[variables] = counts
         return counts
 
     def _log_terms(self, counts: np.ndarray, config: np.ndarray) -> np.ndarray:
@@ -413,26 +421,3 @@ def bic_discrete(dag, data: DiscreteDataset) -> float:
         raise ValueError("dag and data use different variable sets")
     return DiscreteScoreCache(data).score_dag(dag)
 
-
-def pairwise_mutual_information(data: DiscreteDataset) -> np.ndarray:
-    """Plug-in mutual information (nats) for every variable pair.
-
-    Symmetric; the diagonal holds each variable's marginal entropy.
-    """
-    p = len(data.levels)
-    n = data.n
-    out = np.zeros((p, p))
-    marginals = []
-    for j in range(p):
-        counts = np.bincount(data.rows[:, j], minlength=data.levels[j]).astype(float)
-        probs = counts / n
-        nz = probs > 0
-        out[j, j] = float(-np.sum(probs[nz] * np.log(probs[nz])))
-        marginals.append(counts)
-    for a in range(p):
-        for b in range(a + 1, p):
-            t = np.zeros((data.levels[a], data.levels[b]))
-            np.add.at(t, (data.rows[:, a], data.rows[:, b]), 1.0)
-            mi = float(_mi_terms(t, marginals[a], marginals[b], n).sum(axis=1).sum()) / n
-            out[a, b] = out[b, a] = max(mi, 0.0)
-    return out

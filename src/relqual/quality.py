@@ -236,6 +236,8 @@ def timeline(series: DailySeries, span: float = 0.3) -> Timeline:
     days cannot be rated, so they are flagged and left out of the trend
     fit; the trend is still evaluated at every day.
     """
+    if not 0 < span <= 1:
+        raise ValueError("span must be in (0, 1]")
     new_issues = np.diff(series.cumulative_issues, prepend=0)
     downloads = series.downloads
     quality = quality_metric(new_issues, downloads)

@@ -413,6 +413,19 @@ def test_quality_short_series_records_screen_error(tmp_path):
     assert trend["screen_error"].startswith("need at least 10 days")
 
 
+@pytest.mark.parametrize("days", [6, 60])
+@pytest.mark.parametrize("span", ["-1", "nan", "5"])
+def test_quality_refuses_a_span_outside_0_1_whatever_the_series_length(tmp_path, capsys,
+                                                                        days, span):
+    series = tmp_path / "series.csv"
+    write_series_csv(series, days)
+    out = tmp_path / "out"
+    assert run(["quality", "--series", series, "--span", span, "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: span must be in (0, 1]\n"
+    assert not (out / "run_manifest.json").exists()
+    assert not (out / "timeline.csv").exists()
+
+
 def test_quality_screen_defect_is_not_a_screen_error(tmp_path, monkeypatch, capsys):
     import relqual.cli as cli
 
@@ -712,6 +725,15 @@ def test_fetch_pair_without_a_series_is_reported_not_fatal(tmp_path):
     assert not (out / "series_gap.csv").exists()
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert str(out / "series_ok.csv") in manifest["outputs"]
+
+
+def test_fetch_pairs_without_either_list_names_pairs(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["fetch", "--pairs", "a=b/c", "--start", "2018-01-01", "--end", "2018-01-02",
+                "--cache-dir", tmp_path / "cache", "--out", out])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: --pairs needs both --packages and --repos\n"
+    assert not (out / "run_manifest.json").exists()
 
 
 def test_fetch_refuses_a_pair_without_equals_before_fetching(tmp_path, capsys):

@@ -25,17 +25,19 @@ from relqual.dag import VariableSet
 from relqual.data import Dataset, DiscreteDataset
 from relqual.discretize import (
     HARTEMINK,
+    MARGINAL_ENTRIES,
     DegenerateColumnError,
     DiscreteScoreCache,
     DiscretizationSpec,
     Discretized,
     _assign,
-    _column_block_losses,
     _equal_frequency_edges,
-    _row_block_losses,
+    _merge_losses,
     discretize,
 )
+from relqual.gaussian import simulate
 from relqual.search import _table
+from relqual.simstudy import default_truth
 
 
 # --- references ---------------------------------------------------------------
@@ -49,7 +51,9 @@ def _mi_row_terms(block, row_marg, col_marg, n):
     return terms.sum(axis=1)
 
 
-def serial_hartemink(data, spec):
+def serial_hartemink(data, spec, merges=None):
+    """The full-recompute loop; each merge, as (variable, its first level
+    of the pair, its levels before), is appended to ``merges`` if given."""
     n, p = data.rows.shape
     initial = min(spec.hartemink_initial_bins, n)
 
@@ -109,6 +113,8 @@ def serial_hartemink(data, spec):
         if best is None:
             break
         _, v, i = best
+        if merges is not None:
+            merges.append((v, i, len(starts[v])))
         for w in range(p):
             if w == v:
                 continue
@@ -254,6 +260,34 @@ def test_hartemink_duplicated_columns_tie_across_variables():
     assert np.array_equal(got.dataset.rows[:, 0], got.dataset.rows[:, 1])
 
 
+@pytest.mark.parametrize("copies", [(), (1, 3), (0, 2, 5)], ids=["plain", "one-copy", "two-copies"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hartemink_at_the_study_scale(seed, copies):
+    """Six variables, 200 rows, 20 initial bins merged to 3, as in the
+    study's HC-D-H arm; copies of the first listed column tie across
+    variables.  Every run merges at the first and at the last pair of some
+    variable and closes each variable on its last merge."""
+    data = simulate(default_truth(), 200, seed=seed)
+    rows = data.rows.copy()
+    for j in copies[1:]:
+        rows[:, j] = rows[:, copies[0]]
+    data = Dataset(data.variables, rows)
+    spec = DiscretizationSpec(HARTEMINK, 3, hartemink_initial_bins=20)
+    merges = []
+    want = serial_hartemink(data, spec, merges)
+    assert_same_discretization(discretize(data, spec), want)
+    assert len(merges) == 6 * (20 - 3)
+    assert any(i == 0 for _, i, _ in merges)
+    assert any(i == levels - 2 for _, i, levels in merges)
+    # a variable is closed on its last merge, from 4 levels to 3, while
+    # others still merge after it
+    closing = [k for k, (_, _, levels) in enumerate(merges) if levels == 4]
+    assert len(closing) == 6 and closing[0] < len(merges) - 1
+    if copies:
+        assert all(np.array_equal(want.dataset.rows[:, j], want.dataset.rows[:, copies[0]])
+                   for j in copies[1:])
+
+
 def pair_losses(t, n):
     """The loss vector of one pair table, as the full-recompute loop takes
     it."""
@@ -286,20 +320,19 @@ def pair_tables(draw):
 @given(pair_tables())
 def test_batched_merge_losses_match_one_table_at_a_time(case):
     n, tables = case
-    # the tables side by side: the first variable's losses against each
-    r = tables[0].sum(axis=1)
-    got = _column_block_losses(np.hstack(tables), r,
-                               np.concatenate([t.sum(axis=0) for t in tables]),
-                               list(accumulate((t.shape[1] for t in tables), initial=0)), n)
-    assert got.shape == (len(tables), len(r) - 1)
-    for row, t in zip(got, tables):
-        assert np.array_equal(bits(row), bits(pair_losses(t, n)))
-    # the transposes stacked: each other variable's losses against the first
+    # the transposes stacked: each other variable's losses against the
+    # first along the rows, and the first variable's against each other
     flipped = [t.T for t in tables]
-    got = _row_block_losses(np.vstack(flipped), np.concatenate([t.sum(axis=1) for t in flipped]),
-                            r, list(accumulate(t.shape[0] for t in flipped)), n)
-    assert len(got) == len(flipped)
-    for loss, t in zip(got, flipped):
+    lengths = np.array([t.shape[0] for t in flipped])
+    r = tables[0].sum(axis=1)
+    down, got = _merge_losses(np.vstack(flipped),
+                              np.concatenate([t.sum(axis=1) for t in flipped]), r,
+                              lengths, 0, len(r), n)
+    assert down.shape == (lengths.sum() - 1,)
+    for lo, t in zip(np.cumsum(lengths) - lengths, flipped):
+        assert np.array_equal(bits(down[lo:lo + len(t) - 1]), bits(pair_losses(t, n)))
+    assert got.shape == (len(r) - 1, len(tables))
+    for loss, t in zip(got.T, tables):
         assert np.array_equal(bits(loss), bits(pair_losses(t, n)))
 
 
@@ -360,6 +393,52 @@ def test_family_scores_match_the_dense_cell_table(case):
     assert lazy.values is None
     reference = DenseScoreCache(data, cap)
     assert_same_table(lazy.read_rows(slice(None)), reference.read_rows(slice(None)))
+
+
+class MemoKeeper(DiscreteScoreCache):
+    """Keeps the last memo a fill's family scores saw: the whole memo,
+    since it only grows during a fill."""
+
+    def family_scores(self, children, parent_sets, resamples=slice(None)):
+        scores = super().family_scores(children, parent_sets, resamples)
+        self.kept = None if self._memo is None else dict(self._memo)
+        return scores
+
+
+@st.composite
+def memo_tables(draw):
+    """Level-coded data of 2 to 5 declared levels a variable, some never
+    observed, and 2 or 100 bootstrap resamples; up to five variables at
+    100 resamples, so that the marginals fit ``MARGINAL_ENTRIES``."""
+    samples = draw(st.sampled_from([2, 100]))
+    p = draw(st.integers(1, 5 if samples == 100 else 6))
+    levels = tuple(draw(st.lists(st.integers(2, 5), min_size=p, max_size=p)))
+    n = draw(st.sampled_from([1, 7, 40, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observed = [draw(st.integers(1, k)) for k in levels]
+    rows = np.column_stack([rng.integers(0, m, size=n) for m in observed])
+    data = DiscreteDataset(VariableSet([f"v{j}" for j in range(p)]), rows, levels)
+    return data, draw(st.integers(0, p - 1)), rng.integers(0, n, size=(samples, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(memo_tables())
+def test_every_memoized_marginal_is_the_direct_bincount(case):
+    data, cap, resamples = case
+    assert len(resamples) * np.prod([k + 1 for k in data.levels]) <= MARGINAL_ENTRIES
+    scorer = MemoKeeper(data, cap, resamples)
+    assert scorer._memo is None and scorer.kept
+    sampled = data.rows[resamples]              # (sample, row, variable)
+    for variables, counts in scorer.kept.items():
+        shape = tuple(data.levels[j] for j in variables)
+        assert variables == tuple(sorted(variables, reverse=True))
+        code = np.zeros(sampled.shape[:2], dtype=np.intp)
+        for j in variables:
+            code = code * data.levels[j] + sampled[:, :, j]
+        want = np.stack([np.bincount(c, minlength=int(np.prod(shape))) for c in code])
+        assert counts.shape == (len(resamples),) + shape
+        assert np.array_equal(counts, want.reshape(counts.shape))
+    assert_same_table(scorer.values, DenseScoreCache(data, cap, resamples).values)
 
 
 def test_family_scores_of_the_unequal_levels_example():
