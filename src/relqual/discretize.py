@@ -278,9 +278,9 @@ class DiscreteScoreCache(FamilyScorer):
     Within one ``fill`` whose marginals fit in ``MARGINAL_ENTRIES``, every
     family's counts are marginals of one joint count table over all
     variables, each summed out of a memoized marginal of one more variable,
-    as AD-trees share marginal counts (Moore & Lee, 1998), by adding the
-    slices of the extra variable's axis unless that axis is the outermost;
-    the memo lives as long as that fill.  Otherwise each family takes one bincount, and
+    as AD-trees share marginal counts (Moore & Lee, 1998), by whichever of
+    numpy's sum, einsum or adding slices runs long loops over the extra
+    variable's axis; the memo lives as long as that fill.  Otherwise each family takes one bincount, and
     its configurations' counts are summed out of it.  Integer sums are
     exact, so both give the same counts, laid out as (sample, levels of the
     variables in descending order).  The log term c ln(c/N) of a cell count
@@ -367,22 +367,31 @@ class DiscreteScoreCache(FamilyScorer):
                 (len(idx),) + tuple(self.levels[j] for j in variables))
         counts = self._memo.get(variables)
         if counts is None:
-            # the smallest superset is the one whose extra variable has the
-            # fewest levels
-            extras = [j for j in range(self.p - 1, -1, -1) if j not in variables]
-            known = [j for j in extras
-                     if tuple(sorted((*variables, j), reverse=True)) in self._memo]
-            extra = min(known or extras, key=self.levels.__getitem__)
-            source = tuple(sorted((*variables, extra), reverse=True))
-            counts, axis = self._marginal(idx, source), 1 + source.index(extra)
-            if axis > 1:
-                # added slice by slice, each add running over the axes
-                # inside, where numpy's sum would run one short loop per
-                # outer cell; integer sums are exact either way
-                counts = counts.transpose(axis, *range(axis), *range(axis + 1, counts.ndim))
-                counts = sum(counts[1:], counts[0])
-            else:
+            # each superset by its extra variable j, which sits after the
+            # ``at`` variables above it; the smallest has the j of fewest
+            # levels, ties going to the largest j
+            supersets, at = [], 0
+            for j in range(self.p - 1, -1, -1):
+                if at < len(variables) and variables[at] == j:
+                    at += 1
+                else:
+                    supersets.append((self.levels[j], -j, at,
+                                      variables[:at] + (j,) + variables[at:]))
+            *_, at, source = min([s for s in supersets if s[3] in self._memo] or supersets)
+            counts, axis = self._marginal(idx, source), 1 + at
+            # numpy's sum runs long inner loops only over the outermost
+            # axis and einsum over a middle one; over the innermost, both
+            # run one short loop per cell of the rest, so its slices are
+            # added instead, each add one strided loop.  Integer sums are
+            # exact whichever way.
+            if axis == 1:
                 counts = counts.sum(axis=1)
+            elif axis < counts.ndim - 1:
+                dims = list(range(counts.ndim))
+                counts = np.einsum(counts, dims, dims[:axis] + dims[axis + 1:])
+            else:
+                counts = sum((counts[..., j] for j in range(1, counts.shape[-1])),
+                             counts[..., 0])
             self._memo[variables] = counts
         return counts
 
