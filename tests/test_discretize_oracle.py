@@ -14,8 +14,6 @@ The fast paths must give the same floats, not merely close ones: the
 contracts.
 """
 
-from itertools import accumulate
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
