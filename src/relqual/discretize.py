@@ -199,7 +199,7 @@ def _hartemink(data: Dataset, spec: DiscretizationSpec) -> Discretized:
     # starts[j][g] is the first base bin of variable j's current level g
     starts: list[list[int]] = [list(range(c)) for c in counts]
     levels = np.array(counts)
-    first = np.cumsum(levels) - levels     # v's first row of the table
+    first = np.cumsum(levels) - levels     # v's first level in the table
     total = int(levels.sum())
     cells = base_codes + first
     table = np.bincount((cells[:, :, None] * total + cells[:, None, :]).ravel(),
