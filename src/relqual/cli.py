@@ -338,6 +338,9 @@ def cmd_quality(args, out: Path) -> _Run:
 
     if not args.usage and not args.series:
         raise ValueError("give --usage and/or --series")
+    # refused before the usage half writes anything
+    if not 0 < args.span <= 1:
+        raise ValueError("span must be in (0, 1]")
 
     if args.usage:
         usage_path = Path(args.usage)

@@ -8,17 +8,18 @@ grows the largest ntree of an mtry once and scores every smaller ntree
 from the first trees of that forest.
 
 Trees grow in lockstep, one lane per tree, each lane with its own
-depth-first stack and random stream: a step pops one node from every
-lane, takes the nodes' means and spreads in groups of equal size and
-scans all their candidate splits in padded blocks.  A forest's trees
-form one such run, and tuning grows the trees of every fold of an mtry
-in one.  A lane's candidate features are numpy's
-``choice(p, mtry, replace=False)`` of each of its splits, replayed for
-every split its tree can draw for at once, from one raw block of the
-lane's stream (``rng.replay_choice``); the replay holds only while numpy
-keeps its ``choice`` and ``integers`` algorithms, which the property
-tests check against the installed numpy.  Every tree, draw and
-prediction is the one that growing each tree on its own, recursively,
+depth-first stack and random stream: a step pops every lane's nodes down
+to its topmost one of 2 * min_leaf rows or more, draining the leaves too
+small to split above it, takes the nodes' means and spreads in groups of
+equal size and scans the drawing nodes' candidate splits in padded chunks
+of nodes of similar size.  A forest's trees form one such run, and tuning
+grows the trees of every fold of an mtry in one.  A lane's candidate
+features are numpy's ``choice(p, mtry, replace=False)`` of each of its
+splits, replayed for every split its tree can draw for at once, from one
+raw block of the lane's stream (``rng.replay_choice``); the replay holds
+only while numpy keeps its ``choice`` and ``integers`` algorithms, which
+the property tests check against the installed numpy.  Every tree, draw
+and prediction is the one that growing each tree on its own, recursively,
 would give, bit for bit.
 """
 
@@ -151,13 +152,14 @@ def _scan(ranked: tuple[np.ndarray, ...], rows: np.ndarray, start: np.ndarray,
     into the tables ``_ranked`` made; nodes come largest first.
     Thresholds are midpoints between consecutive distinct sorted values;
     both sides must keep at least min_leaf rows.  A chunk of nodes is
-    padded with the padding row to its largest node.  Then every candidate
-    column is sorted and prefix-summed along the rows at once.  Sorting
-    the rows' ranks puts equal values in row order, which is their order
-    in the node, so each node's sorted prefix and running sums are those
-    of a stable sort of its own rows.  On a tie the first split point and
-    the first column win; a caller splits only where the reduction
-    exceeds 1e-12.
+    padded with the padding row to its largest node and ends before a node
+    under half that size (or at SCAN_BYTES); a node's result does not
+    depend on its chunk.  Every candidate column of a chunk is sorted and
+    prefix-summed along the rows at once.  Sorting the rows' ranks puts
+    equal values in row order, which is their order in the node, so each
+    node's sorted prefix and running sums are those of a stable sort of
+    its own rows.  On a tie the first split point and the first column
+    win; a caller splits only where the reduction exceeds 1e-12.
     """
     rank, x_sorted, y_sorted = (table.ravel() for table in ranked)
     m, mtry = features.shape
@@ -170,7 +172,8 @@ def _scan(ranked: tuple[np.ndarray, ...], rows: np.ndarray, start: np.ndarray,
     a = 0
     while a < m:
         width = int(size[a])
-        b = min(m, a + max(1, SCAN_BYTES // (8 * mtry * width)))
+        b = min(m, a + max(1, SCAN_BYTES // (8 * mtry * width)),
+                int(np.searchsorted(-size, -width / 2, side="right")))
         node = np.arange(b - a)
         n = size[a:b]
         at = np.arange(width)
@@ -183,20 +186,26 @@ def _scan(ranked: tuple[np.ndarray, ...], rows: np.ndarray, start: np.ndarray,
         xs = x_sorted.take(ranks)
         ys = y_sorted.take(ranks)
         csum = ys.cumsum(axis=-1)
-        csq = (ys * ys).cumsum(axis=-1)
+        csq = np.square(ys, out=ys).cumsum(axis=-1)
         below = slice(min_leaf - 1, width - min_leaf)   # rows k - 1
         k = np.arange(min_leaf, width - min_leaf + 1)
         rest = n[:, None, None] - k
-        # past a node's own rows rest reaches 0: those points are masked
-        # out below, after the arithmetic
+        # past a node's own rows rest reaches 0 or less: those points are
+        # masked out below, after the arithmetic
         with np.errstate(divide="ignore", invalid="ignore"):
-            left_sse = csq[..., below] - csum[..., below] ** 2 / k
+            reduction = np.square(csum[..., below])         # left: csq - csum ** 2 / k
+            reduction /= k
+            np.subtract(csq[..., below], reduction, out=reduction)
             rs = csum[node, :, n - 1][..., None] - csum[..., below]
+            rs **= 2                                        # right: rq - rs ** 2 / rest
+            rs /= rest
             rq = csq[node, :, n - 1][..., None] - csq[..., below]
-            right_sse = rq - rs ** 2 / rest
-            reduction = total_sse[a:b, None, None] - (left_sse + right_sse)
-        distinct = xs[..., below] < xs[..., min_leaf:width - min_leaf + 1]
-        reduction[~((rest >= min_leaf) & distinct)] = -np.inf
+            rq -= rs
+            reduction += rq
+            np.subtract(total_sse[a:b, None, None], reduction, out=reduction)
+        keep = xs[..., below] < xs[..., min_leaf:width - min_leaf + 1]
+        keep &= rest >= min_leaf
+        np.copyto(reduction, -np.inf, where=~keep)
         gains = reduction.max(axis=-1)
         best = gains.argmax(axis=-1)
         split_at = min_leaf + reduction[node, best].argmax(axis=-1)
@@ -218,8 +227,9 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, lanes, mtry: int, min_leaf: int):
     hold at most LANE_ROWS rows and DRAW_BYTES of raw feature draws
     between them; a batch replays every lane's draws when it starts.
     Each lane keeps its own depth-first stack (right child pushed first)
-    and each step pops one node per lane, so a lane draws its features in
-    pre-order, as a recursive grower would.
+    and each step pops a lane's nodes until one has 2 * min_leaf rows or
+    more, or its stack is empty, so a lane draws for at most one node per
+    step and pops and draws in pre-order, as a recursive grower would.
     """
     n, p = x.shape
     each = choice_counts(p, mtry).size
@@ -243,14 +253,16 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
                 picks: np.ndarray, bags, min_leaf: int) -> list[_Tree]:
     """One batch of ``_grow_trees``, ``ranked`` the tables ``_ranked``
     made of x and y, ``picks[l, k]`` the candidate features of lane l's
-    k-th drawing node.  A lane's node id is the step that popped it.
+    k-th drawing node.  A lane's node id counts its pops (pre-order).
 
     The lanes' bags lie end to end in one row buffer, and a node is a
     segment of it: a split partitions its node's segment in place,
     stably, into [left | right], so every segment holds ascending row
     ids.  Each lane's stack is a row of (start, size, parent) slots, the
     parent being its id for a right child and -1 for a left one, with a
-    depth per lane.
+    depth per lane.  A step pops each lane's slots down to the topmost of
+    2 * min_leaf rows or more, or all of them: the small nodes drained
+    above it are leaves, which push nothing.
 
     A node's sum and square sum come from the equal-size rows of a step's
     nodes grouped by size, one reshaped sum per distinct size, as numpy's
@@ -265,15 +277,24 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
     stack = np.empty((bag.size, 8, 3), dtype=np.int64)
     stack[:, 0] = np.column_stack([np.cumsum(bag) - bag, bag, np.full(bag.size, -1)])
     depth = np.ones(bag.size, dtype=np.int64)
+    popped = np.zeros(bag.size, dtype=np.int64)     # each lane's next node id
     drawn_at = np.zeros(bag.size, dtype=np.int64)   # each lane's next row of picks
     gains = np.zeros((bag.size, p))
     steps = []
     live = np.arange(bag.size)
     while live.size:
-        depth[live] -= 1
-        start, size, parent = stack[live, depth[live]].T
-        order = np.argsort(-size, kind="stable")
-        lane, start, size, parent = live[order], start[order], size[order], parent[order]
+        slot = np.arange(stack.shape[1])
+        low = np.where((stack[live, :, 1] >= 2 * min_leaf) & (slot < depth[live, None]),
+                       slot, 0).max(axis=1)
+        count = depth[live] - low
+        lane = np.repeat(live, count)
+        k = np.arange(lane.size) - np.repeat(np.cumsum(count) - count, count)
+        held = stack[lane, depth[lane] - 1 - k]
+        node = popped[lane] + k
+        popped[live] += count
+        depth[live] = low
+        order = np.argsort(-held[:, 1], kind="stable")
+        lane, node, (start, size, parent) = lane[order], node[order], held[order].T
         first = np.cumsum(size) - size
         at = np.repeat(start - first, size) + np.arange(first[-1] + size[-1])
         flat = rows[at]
@@ -320,25 +341,21 @@ def _grow_batch(x: np.ndarray, y: np.ndarray, ranked: tuple[np.ndarray, ...],
             top = depth[owner]
             if (top + 2 > stack.shape[1]).any():
                 stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
-            stack[owner, top] = np.column_stack(
-                [start[split] + left, right, np.full(split.size, len(steps))])
+            stack[owner, top] = np.column_stack([start[split] + left, right, node[split]])
             stack[owner, top + 1] = np.column_stack(
                 [start[split], left, np.full(split.size, -1)])
             depth[owner] += 2
-        steps.append((lane, parent, mean, feature, threshold))
+        steps.append((lane, node, parent, mean, feature, threshold))
         live = np.flatnonzero(depth)
     return _assemble(steps, gains)
 
 
 def _assemble(steps, gains: np.ndarray) -> list[_Tree]:
-    """Trees from a batch's per-step records of (lane, parent, value,
-    feature, threshold), node id = step."""
-    lane = np.concatenate([s[0] for s in steps])
-    node = np.repeat(np.arange(len(steps)), [s[0].size for s in steps])
-    order = np.argsort(lane, kind="stable")
-    lane, node = lane[order], node[order]
-    parent, value, feature, threshold = (np.concatenate(column)[order]
-                                         for column in list(zip(*steps))[1:])
+    """Trees from a batch's per-step records of (lane, node id, parent,
+    value, feature, threshold), sorted by (lane, node id)."""
+    columns = [np.concatenate(column) for column in zip(*steps)]
+    order = np.lexsort(columns[1::-1])
+    lane, node, parent, value, feature, threshold = (column[order] for column in columns)
     count = np.bincount(lane, minlength=len(gains))
     first = np.cumsum(count) - count
     left = np.where(feature >= 0, node + 1, -1)

@@ -426,6 +426,19 @@ def test_quality_refuses_a_span_outside_0_1_whatever_the_series_length(tmp_path,
     assert not (out / "timeline.csv").exists()
 
 
+@pytest.mark.parametrize("span", ["-1", "nan"])
+def test_quality_refuses_a_span_before_the_usage_half_writes(tmp_path, capsys, span):
+    usage = tmp_path / "usage.csv"
+    usage.write_text(USAGE_CSV)
+    series = tmp_path / "series.csv"
+    write_series_csv(series, 6)
+    out = tmp_path / "out"
+    assert run(["quality", "--usage", usage, "--series", series, "--span", span,
+                "--power-law", "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: span must be in (0, 1]\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_quality_screen_defect_is_not_a_screen_error(tmp_path, monkeypatch, capsys):
     import relqual.cli as cli
 

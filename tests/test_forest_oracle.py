@@ -83,6 +83,7 @@ class ListTree:
             [], [], [], [], []
         self.gains = np.zeros(p)
         self.draws = 0      # nodes that drew candidate features
+        self.sizes = []     # rows per node
 
     def _new_node(self):
         for name, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
@@ -93,6 +94,7 @@ class ListTree:
 
 def serial_grow(tree, x, y, rows, mtry, min_leaf, rng):
     node = tree._new_node()
+    tree.sizes.append(rows.size)
     yn = y[rows]
     tree.value[node] = float(yn.mean())
     if rows.size < 2 * min_leaf or np.ptp(yn) == 0.0:
@@ -311,6 +313,33 @@ def test_half_the_rows_per_side_leaves_one_split_point():
                           np.array([0]), 2) is None
 
 
+@pytest.mark.parametrize("scan_bytes", [None, 1])
+def test_a_scan_chunk_ends_below_half_its_widest_node(scan_bytes):
+    # nodes of 12, 6, 5 and 3 rows: 6 is exactly half of 12 and shares its
+    # chunk, padded to 12 rows; 5 starts the next chunk and 3 joins it.
+    # SCAN_BYTES = 1 scans one node per chunk.  Rows repeat, as in a bag
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 4, size=(26, 3)) / 2.0
+    y = rng.standard_normal(26)
+    size = np.array([12, 6, 5, 3])
+    nodes = [np.sort(rng.integers(0, 26, n)) for n in size]
+    features = np.array([rng.permutation(3)[:2] for _ in size])
+    total_sse = np.array([float(np.sum(y[r] * y[r])) - r.size * float(y[r].mean()) ** 2
+                          for r in nodes])
+    with pytest.MonkeyPatch.context() as mp:
+        if scan_bytes is not None:
+            mp.setattr(forest, "SCAN_BYTES", scan_bytes)
+        column, threshold, gain = _scan(_ranked(x, y), np.concatenate(nodes),
+                                        np.cumsum(size) - size, size, features,
+                                        total_sse, 1)
+    for i, r in enumerate(nodes):
+        got = None if not gain[i] > 1e-12 else (
+            int(features[i, column[i]]), float(threshold[i]), float(gain[i]))
+        assert got == one_pass_split(x[r], y[r], features[i], 1)
+        assert got == serial_best_split(x[r], y[r], features[i], 1)
+        assert got is not None
+
+
 # --- grown trees --------------------------------------------------------------
 
 
@@ -398,6 +427,76 @@ def test_gains_of_a_fixed_case_are_the_serial_bits():
     fast = fit_forest(dataset(x, y), "y", cfg)
     for a, b in zip(fast.trees, serial_forest(x, y, cfg), strict=True):
         assert np.array_equal(a.gains, b.gains)
+
+
+def lockstep_pops(tree, min_leaf):
+    """A serial tree's node ids in pre-order, cut into the lockstep
+    grower's steps: a step pops nodes until one of 2 * min_leaf rows or
+    more, which alone can draw, or until the tree's last node."""
+    pops = [[]]
+    for node, size in enumerate(tree.sizes):
+        pops[-1].append(node)
+        if size >= 2 * min_leaf and node < len(tree.sizes) - 1:
+            pops.append([])
+    return pops
+
+
+def grown_with_step_spy(x, y, cfg):
+    """``fit_forest``'s trees and the step count of each lockstep batch."""
+    steps = []
+
+    def spy(records, gains):
+        steps.append(len(records))
+        return assemble(records, gains)
+
+    assemble = forest._assemble
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest, "_assemble", spy)
+        return fit_forest(dataset(x, y), "y", cfg).trees, steps
+
+
+@pytest.mark.parametrize("min_leaf, batch", [(1, None), (3, None), (3, 2), (5, 1)])
+def test_a_batch_steps_once_per_node_that_can_draw(min_leaf, batch):
+    # a batch runs as many steps as the lane that pops its nodes in the
+    # most steps: one per node of 2 * min_leaf rows or more, and one more
+    # when small leaves follow the last of those; LANE_ROWS = batch * n
+    # puts `batch` lanes in a batch
+    rng = np.random.default_rng(40 + min_leaf)
+    x = rng.standard_normal((60, 3))
+    y = x[:, 0] + 0.5 * rng.standard_normal(60)
+    cfg = ForestConfig(ntree=6, mtry=2, min_leaf=min_leaf, seed=min_leaf)
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(forest, "LANE_ROWS", batch * 60)
+        fast, steps = grown_with_step_spy(x, y, cfg)
+    slow = serial_forest(x, y, cfg)
+    assert_same_trees(fast, slow, x)
+    per_batch = [slow[i:i + (batch or cfg.ntree)]
+                 for i in range(0, cfg.ntree, batch or cfg.ntree)]
+    assert steps == [max(len(lockstep_pops(tree, min_leaf)) for tree in trees)
+                     for trees in per_batch]
+    assert sum(steps) < sum(max(len(tree.feature) for tree in trees)
+                            for trees in per_batch)
+
+
+def test_one_step_drains_small_leaves_that_close_several_ancestors():
+    # the tree's last five nodes, of 3 to 4 rows each under min_leaf = 3,
+    # are the left leaf of node 11 and then the right leaves of nodes 11,
+    # 10, 9 and 8: the last step pops all five, and each right leaf takes
+    # its parent's id from the stack
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((30, 2))
+    y = x[:, 0] + 0.3 * rng.standard_normal(30)
+    cfg = ForestConfig(ntree=1, mtry=2, min_leaf=3, seed=7)
+    fast, steps = grown_with_step_spy(x, y, cfg)
+    slow = serial_forest(x, y, cfg)
+    assert_same_trees(fast, slow, x)
+    (tree,) = slow
+    pops = lockstep_pops(tree, cfg.min_leaf)
+    assert steps == [len(pops)] and len(pops) < len(tree.feature)
+    assert pops[-1] == [12, 13, 14, 15, 16]
+    assert [tree.right.index(node) for node in pops[-1][1:]] == [11, 10, 9, 8]
+    assert max(tree.sizes[12:]) < 2 * cfg.min_leaf
 
 
 # --- permutation importance ---------------------------------------------------
