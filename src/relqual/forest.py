@@ -172,7 +172,7 @@ def _scan(ranked: tuple[np.ndarray, ...], rows: np.ndarray, start: np.ndarray,
     a = 0
     while a < m:
         width = int(size[a])
-        b = min(m, a + max(1, SCAN_BYTES // (8 * mtry * width)),
+        b = min(a + max(1, SCAN_BYTES // (8 * mtry * width)),
                 int(np.searchsorted(-size, -width / 2, side="right")))
         node = np.arange(b - a)
         n = size[a:b]
@@ -197,7 +197,7 @@ def _scan(ranked: tuple[np.ndarray, ...], rows: np.ndarray, start: np.ndarray,
             reduction /= k
             np.subtract(csq[..., below], reduction, out=reduction)
             rs = csum[node, :, n - 1][..., None] - csum[..., below]
-            rs **= 2                                        # right: rq - rs ** 2 / rest
+            np.square(rs, out=rs)                           # right: rq - rs ** 2 / rest
             rs /= rest
             rq = csq[node, :, n - 1][..., None] - csq[..., below]
             rq -= rs

@@ -444,12 +444,12 @@ def lockstep_pops(tree, min_leaf):
 def grown_with_step_spy(x, y, cfg):
     """``fit_forest``'s trees and the step count of each lockstep batch."""
     steps = []
+    assemble = forest._assemble
 
     def spy(records, gains):
         steps.append(len(records))
         return assemble(records, gains)
 
-    assemble = forest._assemble
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forest, "_assemble", spy)
         return fit_forest(dataset(x, y), "y", cfg).trees, steps
