@@ -1,8 +1,14 @@
 """Command-line entry point: reproducible batch runs over the library.
 
-Every run writes its outputs plus a manifest (resolved configuration, seed,
-input digests, wall time; for a study, the failures per arm) into the
-output directory, so any result can be replayed bit for bit from a warm
+A command runs in two steps.  The read step reads every setting, a flag's
+text and a config file's value alike, through ``_read``, loads the inputs,
+and builds the library's own objects (``SimStudyConfig``, ``HcConfig``,
+``MethodSpec``, ``ForestConfig``, ``FetchSpec``), whose checks are the one
+bound on each field they hold; it writes nothing.  ``main`` makes ``--out``
+only once that step has passed, so a refused run leaves no directory.  The
+run step then does the work and writes its outputs plus a manifest
+(resolved configuration, seed, input digests, wall time; for a study, the
+failures per arm), so any result can be replayed bit for bit from a warm
 cache and the same seed.
 """
 
@@ -92,59 +98,66 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def _checked(entry: dict, known, what: str) -> dict:
-    """``entry`` if it is a JSON object whose every key is in ``known``;
-    else a ValueError that says so or names the keys that are not."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{what} must be a JSON object, not {entry!r}")
-    unknown = sorted(set(entry) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
-                         f"known: {', '.join(known)}")
-    return entry
+# how a refusal names a value of each kind ``_read`` reads, alone and in a list
+_NOUNS = {int: ("a whole number", "whole numbers"), float: ("a number", "numbers"),
+          str: ("a string", "strings"), dt.date: ("a date (YYYY-MM-DD)", "dates"),
+          dict: ("a JSON object", "JSON objects")}
+
+# A setting that fills no dataclass field carries its bound in its kind:
+# the kind it reads as, the bound as a refusal words it, and the test.
+_COUNT = (int, ">= 1", lambda v: v >= 1)
+_SEED = (int, "a non-negative whole number", lambda v: v >= 0)
+_FRACTION = (float, "in [0, 1]", lambda v: 0 <= v <= 1)
+_SPAN = (float, "in (0, 1]", lambda v: 0 < v <= 1)
 
 
-def _whole(value, key: str, what: str) -> int:
-    """``value`` as an int if it is a whole number, a bool not counting as
-    one; else a ValueError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} key {key!r} must be a whole number, not {value!r}")
-    return int(value)
-
-
-def _number(value, key: str, what: str) -> float:
-    """``value`` as a float if it is a number or a string that reads as one,
-    a bool not counting as one; else a ValueError naming the key."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+def _read(value, kind, name: str):
+    """``value``, a flag's text or a config file's JSON value, read as
+    ``kind``: a key of ``_NOUNS``; ``[kind]``, a tuple read from a comma
+    list (empty entries skipped) or a JSON array; or a bounded kind such as
+    ``_COUNT``.  A string that reads as a number is that number, a whole
+    float is an int and a bool is no number.  Anything else is a ValueError
+    that names ``name``, the flag or the config key."""
+    if isinstance(kind, tuple):
+        kind, bound, ok = kind
+        value = _read(value, kind, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {bound}, not {value}")
+        return value
+    if isinstance(kind, list):
+        if isinstance(value, str):
+            value = [entry for entry in map(str.strip, value.split(",")) if entry]
+        if not isinstance(value, list):
+            raise ValueError(f"{name}: {value!r} is not an array of {_NOUNS[kind[0]][1]}")
+        return tuple(_read(entry, kind[0], name) for entry in value)
+    read = value
+    if isinstance(value, str) and kind is not str:
         try:
-            return float(value)
+            read = (dt.date.fromisoformat(value) if kind is dt.date else
+                    int(value) if value.strip().lstrip("+-").isdecimal() else float(value))
         except ValueError:
             pass
-    raise ValueError(f"{what} key {key!r} must be a number, not {value!r}")
+    if kind is int and isinstance(read, float) and read.is_integer():
+        read = int(read)
+    elif kind is float and type(read) is int:
+        read = float(read)
+    if type(read) is not kind:
+        raise ValueError(f"{name}: {value!r} is not {_NOUNS[kind][0]}")
+    return read
 
 
-def _array(settings: dict, key: str, entries: str, entry_ok) -> list:
-    """The config's ``key`` if it is a JSON array of ``entries``, each one
-    passing ``entry_ok``; else a ValueError naming the key."""
-    value = settings[key]
-    if not isinstance(value, list) or not all(map(entry_ok, value)):
-        raise ValueError(f"config key {key!r} must be an array of {entries}, "
-                         f"not {value!r}")
-    return value
-
-
-def _parse_numbers(text: str, flag: str, kind=float) -> tuple:
-    """The comma-separated entries of ``flag`` read as ``kind``, empty ones
-    skipped; else a ValueError naming the flag and the entry."""
-    values = []
-    for entry in filter(str.strip, text.split(",")):
-        try:
-            values.append(kind(entry))
-        except ValueError:
-            noun = "a whole number" if kind is int else "a number"
-            raise ValueError(f"{flag}: {entry.strip()!r} is not {noun}") from None
-    return tuple(values)
+def _fields(entry, kinds: dict, what: str) -> dict:
+    """The JSON object ``entry``, each key read as its kind in ``kinds`` (one
+    of None kept as given); else a ValueError that says it is no object or
+    names the keys that ``kinds`` lacks."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be a JSON object, not {entry!r}")
+    unknown = sorted(set(entry) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(kinds)}")
+    return {key: value if kinds[key] is None else
+            _read(value, kinds[key], f"{what} key {key!r}") for key, value in entry.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +171,19 @@ _METHOD_SHORTHAND = {m.name.upper(): m for m in default_methods() + (
 )}
 
 
-def _spec(cls, entry: dict, what: str):
-    """``cls`` from the entry's own keys; the value of a field whose default
-    is an int must be a whole number, and that of a float field a number."""
-    defaults = {f.name: f.default for f in fields(cls)}
-
-    def read(key, value):
-        kind = type(defaults[key])
-        if kind is int:
-            return _whole(value, key, what)
-        return _number(value, key, what) if kind is float else value
-
-    return cls(**{key: read(key, value)
-                  for key, value in _checked(entry, list(defaults), what).items()})
+def _spec(cls, entry, what: str):
+    """``cls`` from the entry's own keys, each read as its default's type."""
+    return cls(**_fields(entry, {f.name: type(f.default) if type(f.default) in _NOUNS
+                                 else None for f in fields(cls)}, what))
 
 
-def _method(entry: dict) -> MethodSpec:
+def _method(entry) -> MethodSpec:
+    """The arm a ``--methods`` name or a config ``methods`` object gives."""
+    if isinstance(entry, str):
+        if entry.upper() not in _METHOD_SHORTHAND:
+            raise ValueError(f"unknown arm {entry!r}; known arms: "
+                             f"{', '.join(_METHOD_SHORTHAND)}")
+        return _METHOD_SHORTHAND[entry.upper()]
     entry = dict(entry)
     disc = entry.pop("discretization", None)
     if disc is not None:
@@ -181,76 +191,48 @@ def _method(entry: dict) -> MethodSpec:
     return _spec(MethodSpec, entry, "method")
 
 
-def _simstudy_config(args) -> tuple[SimStudyConfig, dict, list[Path]]:
+def cmd_simstudy(args):
     """The study from the settings given, a flag winning over the config
     file; ``SimStudyConfig`` and ``HcConfig`` supply every other value."""
-    # the settings a config file may give, each also a flag of its own
-    keys = ("truth", "replicates", "sample_size", "boot_samples", "restarts",
-            "max_parents", "thresholds", "methods", "seed")
     settings: dict = {}
     inputs: list[Path] = []
     if args.config:
-        path = Path(args.config)
-        inputs.append(path)
-        settings.update(_checked(json.loads(path.read_text()), keys, "config"))
-    settings.update({key: getattr(args, key) for key in keys
-                     if getattr(args, key) is not None})
+        inputs.append(Path(args.config))
+        # the keys are the flags' own, --jobs apart, each read as its flag is
+        kinds = {key: kind for key, (_, kind) in args.kinds.items() if key != "jobs"}
+        settings = _fields(json.loads(inputs[0].read_text()),
+                           {**kinds, "methods": [dict]}, "config")
+    settings.update((key, value) for key in args.kinds
+                    if (value := getattr(args, key)) is not None)
 
-    if not isinstance(settings.get("truth", ""), str):
-        raise ValueError(f"config key 'truth' must be the path of a network JSON file, "
-                         f"not {settings['truth']!r}")
-    truth, truth_name = default_truth(), "default"
-    if settings.get("truth"):
-        truth_path = Path(settings["truth"])
-        inputs.append(truth_path)
-        truth, truth_name = GaussianBn.from_json(truth_path.read_text()), str(truth_path)
+    truth = settings.pop("truth", None)
+    if truth:
+        inputs.append(Path(truth))
+    settings["truth"] = (GaussianBn.from_json(inputs[-1].read_text()) if truth
+                         else default_truth())
+    if "methods" in settings:
+        settings["methods"] = tuple(map(_method, settings["methods"]))
+    # each setting fills the field of its name
+    cfg = SimStudyConfig(**{f.name: settings[f.name] for f in fields(SimStudyConfig)
+                            if f.name in settings})
+    cfg = replace(cfg, hc=replace(cfg.hc, **{f.name: settings[f.name] for f in
+                                             fields(HcConfig) if f.name in settings}))
+    resolved = {"replicates": cfg.replicates, "sample_size": cfg.sample_size,
+                "boot_samples": cfg.boot_samples, "restarts": cfg.hc.restarts,
+                "max_parents": cfg.hc.max_parents, "thresholds": list(cfg.thresholds),
+                "methods": [m.name for m in cfg.methods],
+                "truth": str(inputs[-1]) if truth else "default"}
 
-    study = {key: _whole(settings[key], key, "config") for key in
-             ("replicates", "sample_size", "boot_samples", "seed") if key in settings}
-    if study.get("seed", 0) < 0:   # a --seed flag is checked before any command runs
-        raise ValueError(f"config key 'seed' must be a non-negative whole number, "
-                         f"not {study['seed']}")
-    hc = {key: _whole(settings[key], key, "config") for key in
-          ("restarts", "max_parents", "seed") if key in settings}
-    if args.methods is not None:
-        try:
-            study["methods"] = tuple(_METHOD_SHORTHAND[name.strip().upper()]
-                                     for name in args.methods.split(",") if name.strip())
-        except KeyError as exc:
-            raise ValueError(f"unknown arm {exc.args[0]!r}; known arms: "
-                             f"{', '.join(_METHOD_SHORTHAND)}") from None
-    elif "methods" in settings:
-        methods = _array(settings, "methods", "objects", lambda m: isinstance(m, dict))
-        study["methods"] = tuple(_method(m) for m in methods)
-    if args.thresholds is not None:
-        study["thresholds"] = _parse_numbers(args.thresholds, "--thresholds")
-    elif "thresholds" in settings:
-        study["thresholds"] = tuple(_array(settings, "thresholds", "numbers",
-                                           lambda t: type(t) in (int, float)))
-
-    cfg = SimStudyConfig(truth=truth, **study)
-    if hc:
-        cfg = replace(cfg, hc=replace(cfg.hc, **hc))
-    resolved = {
-        "replicates": cfg.replicates, "sample_size": cfg.sample_size,
-        "boot_samples": cfg.boot_samples, "restarts": cfg.hc.restarts,
-        "max_parents": cfg.hc.max_parents, "thresholds": list(cfg.thresholds),
-        "methods": [m.name for m in cfg.methods],
-        "truth": truth_name,
-    }
-    return cfg, resolved, inputs
-
-
-def cmd_simstudy(args, out: Path) -> _Run:
-    cfg, resolved, inputs = _simstudy_config(args)
-    report = run_simstudy(cfg, jobs=args.jobs)
-    csv_path = out / "simstudy.csv"
-    report.write_csv(csv_path)
-    table_path = out / "simstudy.txt"
-    table_path.write_text(report.format_table())
-    print(report.format_table())
-    return _Run(resolved, cfg.seed, inputs, [csv_path, table_path],
-                {"arm_failures": report.metadata["arm_failures"]})
+    def run(out: Path) -> _Run:
+        report = run_simstudy(cfg, jobs=args.jobs)
+        csv_path = out / "simstudy.csv"
+        report.write_csv(csv_path)
+        table_path = out / "simstudy.txt"
+        table_path.write_text(report.format_table())
+        print(report.format_table())
+        return _Run(resolved, cfg.seed, inputs, [csv_path, table_path],
+                    {"arm_failures": report.metadata["arm_failures"]})
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -266,42 +248,42 @@ def _standardized(data: Dataset) -> Dataset:
     return Dataset(data.variables, (rows - rows.mean(axis=0)) / sd)
 
 
-def cmd_learn(args, out: Path) -> _Run:
+def cmd_learn(args):
+    method = MethodSpec(args.method, args.method, alpha=args.alpha)
+    hc = HcConfig(restarts=args.restarts, max_parents=args.max_parents, seed=args.seed)
     data_path = Path(args.data)
     data = load_numeric_csv(data_path)
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ValueError(f"--threshold must be in [0,1], got {args.threshold}")
-
-    hc = HcConfig(restarts=args.restarts, max_parents=args.max_parents,
-                  seed=args.seed)
     search_data = data if args.no_scale else _standardized(data)
-    conf = bootstrap_average(search_data, build_learner(args.method, hc, args.alpha),
-                             args.boot_samples, seed=args.seed)
-    net = averaged_network(conf, args.threshold, strict=args.strict_threshold)
+    learner = build_learner(method.search, hc, method.alpha)
 
-    arcs_path = out / "arcs.csv"
-    conf.write_csv(arcs_path)
-    network_path = out / "network.json"
-    network_path.write_text(net.dag.to_json())
+    def run(out: Path) -> _Run:
+        conf = bootstrap_average(search_data, learner, args.boot_samples, seed=args.seed)
+        net = averaged_network(conf, args.threshold, strict=args.strict_threshold)
 
-    # coefficients and p-values reported from the unscaled fit
-    inference = edge_inference(net.dag, data)
-    inference_path = _write_csv(
-        out / "inference.csv", ["from", "to", "coefficient", "p_value"],
-        ([u, v, f"{coef:.10g}", f"{p:.6g}"] for u, v, coef, p in inference.rows()))
-    nodes_path = _write_csv(
-        out / "nodes.csv", ["node", "adjusted_r2"],
-        ([name, f"{inference.adjusted_r2[i]:.6g}"]
-         for i, name in enumerate(data.variables.names)))
+        arcs_path = out / "arcs.csv"
+        conf.write_csv(arcs_path)
+        network_path = out / "network.json"
+        network_path.write_text(net.dag.to_json())
 
-    config = {"data": str(data_path), "method": args.method,
-              "threshold": args.threshold, "boot_samples": args.boot_samples,
-              "restarts": args.restarts, "max_parents": args.max_parents,
-              "alpha": args.alpha, "scaled_search": not args.no_scale,
-              "strict_threshold": args.strict_threshold}
-    print(f"kept {len(net.dag.edges)} arcs at threshold {args.threshold}")
-    return _Run(config, args.seed, [data_path],
-                [arcs_path, network_path, inference_path, nodes_path])
+        # coefficients and p-values reported from the unscaled fit
+        inference = edge_inference(net.dag, data)
+        inference_path = _write_csv(
+            out / "inference.csv", ["from", "to", "coefficient", "p_value"],
+            ([u, v, f"{coef:.10g}", f"{p:.6g}"] for u, v, coef, p in inference.rows()))
+        nodes_path = _write_csv(
+            out / "nodes.csv", ["node", "adjusted_r2"],
+            ([name, f"{inference.adjusted_r2[i]:.6g}"]
+             for i, name in enumerate(data.variables.names)))
+
+        config = {"data": str(data_path), "method": method.search,
+                  "threshold": args.threshold, "boot_samples": args.boot_samples,
+                  "restarts": hc.restarts, "max_parents": hc.max_parents,
+                  "alpha": method.alpha, "scaled_search": not args.no_scale,
+                  "strict_threshold": args.strict_threshold}
+        print(f"kept {len(net.dag.edges)} arcs at threshold {args.threshold}")
+        return _Run(config, args.seed, [data_path],
+                    [arcs_path, network_path, inference_path, nodes_path])
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -332,155 +314,153 @@ def _load_series_csv(path: Path, package: str) -> DailySeries:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_quality(args, out: Path) -> _Run:
-    inputs: list[Path] = []
-    outputs: list[Path] = []
-
+def cmd_quality(args):
     if not args.usage and not args.series:
         raise ValueError("give --usage and/or --series")
-    # refused before the usage half writes anything
-    if not 0 < args.span <= 1:
-        raise ValueError("span must be in (0, 1]")
+    inputs = [Path(path) for path in (args.usage, args.series) if path]
+    records = load_usage_csv(Path(args.usage)) if args.usage else None
+    series = (_load_series_csv(Path(args.series), args.package or Path(args.series).stem)
+              if args.series else None)
 
-    if args.usage:
-        usage_path = Path(args.usage)
-        inputs.append(usage_path)
-        aggregates = aggregate_usage(load_usage_csv(usage_path))
-        rows = []
-        for a in aggregates:
-            q = quality_metric(a.exceptions, a.new_users)
-            flagged = q == float("inf")
-            rows.append([a.release, a.release_date, a.release_duration,
-                         a.exceptions, a.new_users, f"{a.usage_intensity:.10g}",
-                         f"{a.usage_frequency:.10g}", "" if flagged else f"{q:.10g}",
-                         int(flagged), int(a.zero_users)])
-        outputs.append(_write_csv(
-            out / "aggregates.csv",
-            ["release", "release_date", "release_duration", "exceptions",
-             "new_users", "usage_intensity", "usage_frequency", "quality",
-             "flagged_infinite", "zero_users"], rows))
+    def run(out: Path) -> _Run:
+        outputs: list[Path] = []
+        if records is not None:
+            aggregates = aggregate_usage(records)
+            rows = []
+            for a in aggregates:
+                q = quality_metric(a.exceptions, a.new_users)
+                flagged = q == float("inf")
+                rows.append([a.release, a.release_date, a.release_duration,
+                             a.exceptions, a.new_users, f"{a.usage_intensity:.10g}",
+                             f"{a.usage_frequency:.10g}", "" if flagged else f"{q:.10g}",
+                             int(flagged), int(a.zero_users)])
+            outputs.append(_write_csv(
+                out / "aggregates.csv",
+                ["release", "release_date", "release_duration", "exceptions",
+                 "new_users", "usage_intensity", "usage_frequency", "quality",
+                 "flagged_infinite", "zero_users"], rows))
 
-        transformed = log_transform(aggregates, policy=args.log_policy)
-        model_path = out / "model_data.csv"
-        write_numeric_csv(model_path, transformed)
-        outputs.append(model_path)
+            transformed = log_transform(aggregates, policy=args.log_policy)
+            model_path = out / "model_data.csv"
+            write_numeric_csv(model_path, transformed)
+            outputs.append(model_path)
 
-        if args.power_law:
-            raw = Dataset(VariableSet(["Exceptions", "New.Users", "Release.Date"]),
-                          np.array([[float(a.exceptions), float(a.new_users),
-                                     float(a.release_date)] for a in aggregates]))
-            fit = fit_power_law(raw, "Exceptions", "New.Users",
-                                controls=("Release.Date",))
-            power_path = out / "powerlaw.json"
-            power_path.write_text(json.dumps({
-                "driver": "New.Users", "response": "Exceptions",
-                "exponent": fit.exponent, "ci_low": fit.ci_low,
-                "ci_high": fit.ci_high, "p_value": fit.p_value,
-                "n": fit.n}, indent=2))
-            outputs.append(power_path)
+            if args.power_law:
+                raw = Dataset(VariableSet(["Exceptions", "New.Users", "Release.Date"]),
+                              np.array([[float(a.exceptions), float(a.new_users),
+                                         float(a.release_date)] for a in aggregates]))
+                fit = fit_power_law(raw, "Exceptions", "New.Users",
+                                    controls=("Release.Date",))
+                power_path = out / "powerlaw.json"
+                power_path.write_text(json.dumps({
+                    "driver": "New.Users", "response": "Exceptions",
+                    "exponent": fit.exponent, "ci_low": fit.ci_low,
+                    "ci_high": fit.ci_high, "p_value": fit.p_value,
+                    "n": fit.n}, indent=2))
+                outputs.append(power_path)
 
-    if args.series:
-        series_path = Path(args.series)
-        inputs.append(series_path)
-        series = _load_series_csv(series_path, args.package or series_path.stem)
-        line = timeline(series, span=args.span)
-        rows = []
-        for i, day in enumerate(line.days):
-            flagged = bool(line.flagged[i])
-            rows.append([day.isoformat(), int(line.downloads[i]),
-                         int(line.new_issues[i]),
-                         "" if flagged else f"{line.quality[i]:.10g}",
-                         "" if line.trend is None else f"{line.trend[i]:.10g}",
-                         int(flagged)])
-        outputs.append(_write_csv(
-            out / "timeline.csv",
-            ["date", "downloads", "new_issues", "quality", "trend",
-             "flagged_infinite"], rows))
+        if series is not None:
+            line = timeline(series, span=args.span)
+            rows = []
+            for i, day in enumerate(line.days):
+                flagged = bool(line.flagged[i])
+                rows.append([day.isoformat(), int(line.downloads[i]),
+                             int(line.new_issues[i]),
+                             "" if flagged else f"{line.quality[i]:.10g}",
+                             "" if line.trend is None else f"{line.trend[i]:.10g}",
+                             int(flagged)])
+            outputs.append(_write_csv(
+                out / "timeline.csv",
+                ["date", "downloads", "new_issues", "quality", "trend",
+                 "flagged_infinite"], rows))
 
-        summary = {"package": series.package,
-                   "trend_direction": (direction_of_trend(line.trend)
-                                       if line.trend is not None else "unavailable")}
-        try:
-            screen = screen_significance(series, args.with_date_control)
-            summary["screen"] = {"slope_p_value": screen.slope_p_value,
-                                 "r_squared": screen.r_squared,
-                                 "n_days": screen.n_days,
-                                 "date_controlled": screen.date_controlled}
-        except (InsufficientDataError, RankDeficientError, InsufficientRowsError) as exc:
-            # a series the screen cannot fit; anything else is a defect
-            summary["screen_error"] = str(exc)
-        trend_path = out / "trend.json"
-        trend_path.write_text(json.dumps(summary, indent=2))
-        outputs.append(trend_path)
+            summary = {"package": series.package,
+                       "trend_direction": (direction_of_trend(line.trend)
+                                           if line.trend is not None else "unavailable")}
+            try:
+                screen = screen_significance(series, args.with_date_control)
+                summary["screen"] = {"slope_p_value": screen.slope_p_value,
+                                     "r_squared": screen.r_squared,
+                                     "n_days": screen.n_days,
+                                     "date_controlled": screen.date_controlled}
+            except (InsufficientDataError, RankDeficientError, InsufficientRowsError) as exc:
+                # a series the screen cannot fit; anything else is a defect
+                summary["screen_error"] = str(exc)
+            trend_path = out / "trend.json"
+            trend_path.write_text(json.dumps(summary, indent=2))
+            outputs.append(trend_path)
 
-    config = {"usage": args.usage, "series": args.series,
-              "log_policy": args.log_policy, "span": args.span,
-              "power_law": args.power_law,
-              "with_date_control": args.with_date_control}
-    return _Run(config, args.seed, inputs, outputs)
+        config = {"usage": args.usage, "series": args.series, "log_policy": args.log_policy,
+                  "span": args.span, "power_law": args.power_law,
+                  "with_date_control": args.with_date_control}
+        return _Run(config, args.seed, inputs, outputs)
+    return run
 
 
 # ---------------------------------------------------------------------------
 # rf
 
 
-def cmd_rf(args, out: Path) -> _Run:
+def cmd_rf(args):
     data_path = Path(args.data)
     data = load_numeric_csv(data_path)
-    if args.response not in data.variables.names:
+    names = data.variables.names
+    if args.response not in names:
         raise ValueError(f"response column {args.response!r} not in data "
-                         f"(have: {', '.join(data.variables.names)})")
-    p = len(data.variables) - 1
+                         f"(have: {', '.join(names)})")
+    p = len(names) - 1
+    grid = (tuple((nt, mt) for nt in args.ntree_grid or (ForestConfig.ntree,)
+                  for mt in args.mtry_grid or range(1, p + 1))
+            if args.ntree_grid or args.mtry_grid else default_grid(p))
+    # the bounds that rest on the table: each cell's mtry, the folds, --ablate
+    for ntree, mtry in grid:
+        ForestConfig(ntree, mtry, args.min_leaf, args.seed).resolved_mtry(p)
+    if not 2 <= args.folds <= data.n:
+        raise ValueError(f"--folds must be in [2, {data.n}] (the row count), not {args.folds}")
+    if args.ablate and (args.ablate == args.response or args.ablate not in names or p < 2):
+        raise ValueError(f"--ablate: {args.ablate!r} is not one of two or more predictors")
 
-    if args.ntree_grid or args.mtry_grid:
-        ntrees = (_parse_numbers(args.ntree_grid, "--ntree-grid", int) if args.ntree_grid
-                  else (ForestConfig.ntree,))
-        mtrys = (_parse_numbers(args.mtry_grid, "--mtry-grid", int) if args.mtry_grid
-                 else tuple(range(1, p + 1)))
-        grid = tuple((nt, mt) for nt in ntrees for mt in mtrys)
-    else:
-        grid = default_grid(p)
+    def run(out: Path) -> _Run:
+        tuned = tune_forest(data, args.response, grid, k_repeats=args.repeats,
+                            k_folds=args.folds, seed=args.seed, min_leaf=args.min_leaf)
+        tune_path = out / "tune.csv"
+        tune_path.write_text(tuned.to_csv())
 
-    tuned = tune_forest(data, args.response, grid, k_repeats=args.repeats,
-                        k_folds=args.folds, seed=args.seed,
-                        min_leaf=args.min_leaf)
-    tune_path = out / "tune.csv"
-    tune_path.write_text(tuned.to_csv())
+        best_cfg = ForestConfig(ntree=tuned.best.ntree, mtry=tuned.best.mtry,
+                                min_leaf=args.min_leaf, seed=args.seed)
+        model = fit_forest(data, args.response, best_cfg)
+        report = permutation_importance(model, repeats=args.importance_repeats,
+                                        seed=args.seed)
+        importance_path = _write_csv(
+            out / "importance.csv",
+            ["predictor", "permutation_importance", "impurity_importance", "rank"],
+            ([name, f"{perm:.10g}", f"{impurity:.10g}", rank]
+             for name, perm, impurity, rank in report.rows()))
 
-    best_cfg = ForestConfig(ntree=tuned.best.ntree, mtry=tuned.best.mtry,
-                            min_leaf=args.min_leaf, seed=args.seed)
-    model = fit_forest(data, args.response, best_cfg)
-    report = permutation_importance(model, repeats=args.importance_repeats,
-                                    seed=args.seed)
-    importance_path = _write_csv(
-        out / "importance.csv",
-        ["predictor", "permutation_importance", "impurity_importance", "rank"],
-        ([name, f"{perm:.10g}", f"{impurity:.10g}", rank]
-         for name, perm, impurity, rank in report.rows()))
+        outputs = [tune_path, importance_path]
+        config = {"data": str(data_path), "response": args.response,
+                  "grid_cells": len(grid), "repeats": args.repeats,
+                  "folds": args.folds, "min_leaf": args.min_leaf,
+                  "best": {"ntree": tuned.best.ntree, "mtry": tuned.best.mtry,
+                           "mean_r2": tuned.best.mean_r2, "sd_r2": tuned.best.sd_r2},
+                  "oob_r2": model.oob_r2()}
 
-    outputs = [tune_path, importance_path]
-    config = {"data": str(data_path), "response": args.response,
-              "grid_cells": len(grid), "repeats": args.repeats,
-              "folds": args.folds, "min_leaf": args.min_leaf,
-              "best": {"ntree": tuned.best.ntree, "mtry": tuned.best.mtry,
-                       "mean_r2": tuned.best.mean_r2, "sd_r2": tuned.best.sd_r2},
-              "oob_r2": model.oob_r2()}
+        if args.ablate:
+            # the "with" run of the paired CV is the tuned best cell's own
+            without_r2 = cv_r2_without(
+                data, args.response, args.ablate, best_cfg,
+                k_repeats=args.repeats, k_folds=args.folds, seed=args.seed)
+            ablate_path = out / "ablate.json"
+            ablate_path.write_text(json.dumps({
+                "dropped": args.ablate, "r2_with": tuned.best.mean_r2,
+                "r2_without": without_r2}, indent=2))
+            outputs.append(ablate_path)
+            config["ablate"] = args.ablate
 
-    if args.ablate:
-        # the "with" run of the paired CV is the tuned best cell's own
-        without_r2 = cv_r2_without(
-            data, args.response, args.ablate, best_cfg,
-            k_repeats=args.repeats, k_folds=args.folds, seed=args.seed)
-        ablate_path = out / "ablate.json"
-        ablate_path.write_text(json.dumps({
-            "dropped": args.ablate, "r2_with": tuned.best.mean_r2,
-            "r2_without": without_r2}, indent=2))
-        outputs.append(ablate_path)
-        config["ablate"] = args.ablate
-
-    print(f"best: ntree={tuned.best.ntree} mtry={tuned.best.mtry} "
-          f"mean R2={tuned.best.mean_r2:.3f} (sd: {tuned.best.sd_r2:.3f})")
-    return _Run(config, args.seed, [data_path], outputs)
+        print(f"best: ntree={tuned.best.ntree} mtry={tuned.best.mtry} "
+              f"mean R2={tuned.best.mean_r2:.3f} (sd: {tuned.best.sd_r2:.3f})")
+        return _Run(config, args.seed, [data_path], outputs)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -491,93 +471,91 @@ def _safe_name(name: str) -> str:
     return name.replace("/", "__").replace("@", "_at_")
 
 
-def cmd_fetch(args, out: Path) -> _Run:
-    packages = tuple(p for p in (args.packages or "").split(",") if p)
-    repos = tuple(r for r in (args.repos or "").split(",") if r)
-    pairs = tuple(pair for pair in (args.pairs or "").split(",") if pair)
+def cmd_fetch(args):
+    packages, repos = args.packages or (), args.repos or ()
+    pairs = _read(args.pairs or "", [str], "--pairs")
     if not packages and not repos:
         raise ValueError("--pairs needs both --packages and --repos" if pairs
                          else "give --packages and/or --repos")
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--pairs entry {pair!r} is not package=owner/name")
-    start = dt.date.fromisoformat(args.start)
-    end = dt.date.fromisoformat(args.end)
+    start, end = args.start, args.end
     token = os.environ.get(args.token_env) if args.token_env else None
+    downloads_spec = FetchSpec(packages, start, end, downloads_api_base=args.downloads_api,
+                               max_window_days=args.max_window_days) if packages else None
+    issues_spec = FetchSpec(repos, start, end, issues_api_base=args.issues_api, token=token,
+                            include_pulls=args.include_pulls) if repos else None
 
-    cache = HttpCache(args.cache_dir)
-    transport = requests_transport() if args.live else None
-    http = CachedHttp(cache, transport)
+    def run(out: Path) -> _Run:
+        http = CachedHttp(HttpCache(args.cache_dir),
+                          requests_transport() if args.live else None)
 
-    outputs: list[Path] = []
-    errors: dict[str, str] = {}
-    downloads: dict = {}
-    issues: dict = {}
+        outputs: list[Path] = []
+        errors: dict[str, str] = {}
+        downloads: dict = {}
+        issues: dict = {}
 
-    if packages:
-        spec = FetchSpec(packages, start, end, downloads_api_base=args.downloads_api,
-                         max_window_days=args.max_window_days)
-        result = fetch_downloads(spec, http, politeness=args.politeness)
-        downloads, gap_rows = result.downloads, []
-        errors.update(result.errors)
-        for package, series in sorted(downloads.items()):
+        if downloads_spec:
+            result = fetch_downloads(downloads_spec, http, politeness=args.politeness)
+            downloads, gap_rows = result.downloads, []
+            errors.update(result.errors)
+            for package, series in sorted(downloads.items()):
+                outputs.append(_write_csv(
+                    out / f"downloads_{_safe_name(package)}.csv", ["date", "downloads"],
+                    ([day.isoformat(), int(count)]
+                     for day, count in zip(series.days, series.downloads))))
+                gap_rows += [(package, day.isoformat()) for day in series.gaps]
+            outputs.append(_write_csv(out / "gaps.csv", ["package", "missing_date"], gap_rows))
+
+        if issues_spec:
+            result = fetch_issues(issues_spec, http, politeness=args.politeness)
+            issues = result.issues
+            errors.update(result.errors)
+            for repo, dates in sorted(issues.items()):
+                outputs.append(_write_csv(out / f"issues_{_safe_name(repo)}.csv",
+                                          ["created"], ([d.isoformat()] for d in dates)))
+
+        # a pair that cannot give a series is reported, never sinks the others
+        for pair in pairs:
+            package, _, repo = pair.partition("=")
+            if package not in downloads:
+                errors[pair] = f"no downloads fetched for {package!r}"
+                continue
+            if repo not in issues:
+                errors[pair] = f"no issues fetched for {repo!r}"
+                continue
+            try:
+                series = build_daily_series(package, downloads[package], issues[repo],
+                                            start, end)
+            except GapInSeriesError as exc:
+                errors[pair] = str(exc)
+                continue
             outputs.append(_write_csv(
-                out / f"downloads_{_safe_name(package)}.csv", ["date", "downloads"],
-                ([day.isoformat(), int(count)]
-                 for day, count in zip(series.days, series.downloads))))
-            gap_rows += [(package, day.isoformat()) for day in series.gaps]
-        outputs.append(_write_csv(out / "gaps.csv", ["package", "missing_date"],
-                                  gap_rows))
+                out / f"series_{_safe_name(package)}.csv",
+                ["date", "downloads", "cumulative_issues"],
+                ([day.isoformat(), int(series.downloads[i]),
+                  int(series.cumulative_issues[i])] for i, day in enumerate(series.days))))
 
-    if repos:
-        spec = FetchSpec(repos, start, end, issues_api_base=args.issues_api,
-                         token=token, include_pulls=args.include_pulls)
-        result = fetch_issues(spec, http, politeness=args.politeness)
-        issues = result.issues
-        errors.update(result.errors)
-        for repo, dates in sorted(issues.items()):
-            outputs.append(_write_csv(out / f"issues_{_safe_name(repo)}.csv",
-                                      ["created"], ([d.isoformat()] for d in dates)))
+        if errors:
+            errors_path = out / "errors.json"
+            errors_path.write_text(json.dumps(errors, indent=2, sort_keys=True))
+            outputs.append(errors_path)
 
-    # a pair that cannot give a series is reported, never sinks the others
-    for pair in pairs:
-        package, _, repo = pair.partition("=")
-        if package not in downloads:
-            errors[pair] = f"no downloads fetched for {package!r}"
-            continue
-        if repo not in issues:
-            errors[pair] = f"no issues fetched for {repo!r}"
-            continue
-        try:
-            series = build_daily_series(package, downloads[package], issues[repo],
-                                        start, end)
-        except GapInSeriesError as exc:
-            errors[pair] = str(exc)
-            continue
-        outputs.append(_write_csv(
-            out / f"series_{_safe_name(package)}.csv",
-            ["date", "downloads", "cumulative_issues"],
-            ([day.isoformat(), int(series.downloads[i]), int(series.cumulative_issues[i])]
-             for i, day in enumerate(series.days))))
-
-    if errors:
-        errors_path = out / "errors.json"
-        errors_path.write_text(json.dumps(errors, indent=2, sort_keys=True))
-        outputs.append(errors_path)
-
-    config = {"packages": list(packages), "repos": list(repos),
-              "start": args.start, "end": args.end,
-              "cache_dir": str(args.cache_dir), "live": args.live,
-              "downloads_api": args.downloads_api, "issues_api": args.issues_api,
-              "include_pulls": args.include_pulls, "pairs": args.pairs}
-    run = _Run(config, args.seed, [], outputs)
-    if errors and (downloads or issues):
-        print(f"partial failure: {len(errors)} item(s) failed, "
-              f"see {out / 'errors.json'}", file=sys.stderr)
-        run.code = EXIT_PARTIAL
-    elif errors:
-        print(f"all items failed, see {out / 'errors.json'}", file=sys.stderr)
-        run.code = EXIT_FAILURE
+        config = {"packages": list(packages), "repos": list(repos),
+                  "start": start.isoformat(), "end": end.isoformat(),
+                  "cache_dir": str(args.cache_dir), "live": args.live,
+                  "downloads_api": args.downloads_api, "issues_api": args.issues_api,
+                  "include_pulls": args.include_pulls, "pairs": args.pairs}
+        done = _Run(config, args.seed, [], outputs)
+        if errors and (downloads or issues):
+            print(f"partial failure: {len(errors)} item(s) failed, "
+                  f"see {out / 'errors.json'}", file=sys.stderr)
+            done.code = EXIT_PARTIAL
+        elif errors:
+            print(f"all items failed, see {out / 'errors.json'}", file=sys.stderr)
+            done.code = EXIT_FAILURE
+        return done
     return run
 
 
@@ -591,96 +569,84 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--log-level", default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"],
-                        dest="log_level",
                         help="least severe log messages to print on stderr")
     parser.add_argument("--debug", action="store_true",
                         help="let an error escape with its traceback instead "
                              "of a one-line message")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
+    def command(name, func, summary, seed=0):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, kinds={})
         p.add_argument("--out", default="out")
-        p.set_defaults(func=func)
+        setting(p, "--seed", _SEED, default=seed)
         return p
 
-    p = command("simstudy", cmd_simstudy, "structure-recovery simulation study")
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--truth", help="ground-truth network JSON (default: built-in)")
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--sample-size", type=int, dest="sample_size")
-    p.add_argument("--boot-samples", type=int, dest="boot_samples")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--max-parents", type=int, dest="max_parents")
-    p.add_argument("--thresholds", help="comma-separated list in [0,1]")
-    p.add_argument("--methods", help=f"comma-separated subset of "
-                                     f"{','.join(_METHOD_SHORTHAND)}")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    def setting(p, flag, kind, **options):
+        # a flag given as text and read by ``main`` as ``kind``
+        p.get_default("kinds")[p.add_argument(flag, **options).dest] = (flag, kind)
 
-    p = command("learn", cmd_learn, "bootstrap-averaged structure learning")
+    p = command("simstudy", cmd_simstudy, "structure-recovery simulation study", None)
+    p.add_argument("--config", help="JSON config file (flags override it)")
+    setting(p, "--truth", str, help="ground-truth network JSON (default: built-in)")
+    setting(p, "--replicates", int)
+    setting(p, "--sample-size", int)
+    setting(p, "--boot-samples", int)
+    setting(p, "--restarts", int)
+    setting(p, "--max-parents", int)
+    setting(p, "--thresholds", [float], help="comma-separated list in [0,1]")
+    setting(p, "--methods", [str],
+            help=f"comma-separated subset of {','.join(_METHOD_SHORTHAND)}")
+    setting(p, "--jobs", _COUNT, default=1)
+
+    p = command("learn", cmd_learn, "bootstrap-averaged structure learning", HcConfig.seed)
     p.add_argument("data", help="numeric CSV with one column per variable")
     p.add_argument("--method", default="hc", choices=SEARCH_KINDS)
-    p.add_argument("--threshold", type=float, default=0.85)
-    p.add_argument("--strict-threshold", action="store_true",
-                   dest="strict_threshold")
-    p.add_argument("--boot-samples", type=int, default=100, dest="boot_samples")
-    p.add_argument("--restarts", type=int, default=HcConfig.restarts)
-    p.add_argument("--max-parents", type=int, default=HcConfig.max_parents,
-                   dest="max_parents")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--no-scale", action="store_true", dest="no_scale",
+    setting(p, "--threshold", _FRACTION, default=0.85)
+    p.add_argument("--strict-threshold", action="store_true")
+    setting(p, "--boot-samples", _COUNT, default=100)
+    setting(p, "--restarts", int, default=HcConfig.restarts)
+    setting(p, "--max-parents", int, default=HcConfig.max_parents)
+    setting(p, "--alpha", float, default=0.05)
+    p.add_argument("--no-scale", action="store_true",
                    help="search on the raw columns instead of unit scale")
-    p.add_argument("--seed", type=int, default=HcConfig.seed)
 
     p = command("quality", cmd_quality, "aggregate usage and build quality tables")
     p.add_argument("--usage", help="usage-record CSV")
-    p.add_argument("--series", help="daily series CSV "
-                                    "(date,downloads,cumulative_issues)")
+    p.add_argument("--series", help="daily series CSV (date,downloads,cumulative_issues)")
     p.add_argument("--package", help="name for the series input")
-    p.add_argument("--log-policy", default="log1p",
-                   choices=["log1p", "strict-log"], dest="log_policy")
-    p.add_argument("--span", type=float, default=0.3)
-    p.add_argument("--power-law", action="store_true", dest="power_law")
-    p.add_argument("--with-date-control", action="store_true",
-                   dest="with_date_control")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--log-policy", default="log1p", choices=["log1p", "strict-log"])
+    setting(p, "--span", _SPAN, default=0.3)
+    p.add_argument("--power-law", action="store_true")
+    p.add_argument("--with-date-control", action="store_true")
 
-    p = command("rf", cmd_rf, "tune a regression forest and rank predictors")
+    p = command("rf", cmd_rf, "tune a regression forest and rank predictors",
+                ForestConfig.seed)
     p.add_argument("data")
     p.add_argument("--response", required=True)
-    p.add_argument("--ntree-grid", dest="ntree_grid",
-                   help="comma-separated ntree values")
-    p.add_argument("--mtry-grid", dest="mtry_grid",
-                   help="comma-separated mtry values")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--folds", type=int, default=2)
-    p.add_argument("--min-leaf", type=int, default=ForestConfig.min_leaf,
-                   dest="min_leaf")
-    p.add_argument("--importance-repeats", type=int, default=5,
-                   dest="importance_repeats")
+    setting(p, "--ntree-grid", [int], help="comma-separated ntree values")
+    setting(p, "--mtry-grid", [int], help="comma-separated mtry values")
+    setting(p, "--repeats", _COUNT, default=10)
+    setting(p, "--folds", int, default=2)
+    setting(p, "--min-leaf", int, default=ForestConfig.min_leaf)
+    setting(p, "--importance-repeats", _COUNT, default=5)
     p.add_argument("--ablate", help="predictor to drop for the paired CV run")
-    p.add_argument("--seed", type=int, default=ForestConfig.seed)
 
     p = command("fetch", cmd_fetch, "download counts and issue timelines")
-    p.add_argument("--packages", help="comma-separated registry package names")
-    p.add_argument("--repos", help="comma-separated owner/name repo slugs")
+    setting(p, "--packages", [str], help="comma-separated registry package names")
+    setting(p, "--repos", [str], help="comma-separated owner/name repo slugs")
     p.add_argument("--pairs", help="package=owner/name pairs for daily series")
-    p.add_argument("--start", required=True)
-    p.add_argument("--end", required=True)
-    p.add_argument("--cache-dir", default=".relqual-cache", dest="cache_dir")
+    setting(p, "--start", dt.date, required=True)
+    setting(p, "--end", dt.date, required=True)
+    p.add_argument("--cache-dir", default=".relqual-cache")
     p.add_argument("--live", action="store_true",
                    help="allow network fetches on cache misses")
-    p.add_argument("--downloads-api", dest="downloads_api",
-                   default=NPM_DOWNLOADS_API)
-    p.add_argument("--issues-api", dest="issues_api", default=GITHUB_API)
-    p.add_argument("--token-env", dest="token_env",
-                   help="environment variable holding the issues API token")
-    p.add_argument("--include-pulls", action="store_true", dest="include_pulls")
-    p.add_argument("--max-window-days", type=int,
-                   default=FetchSpec.max_window_days, dest="max_window_days")
-    p.add_argument("--politeness", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--downloads-api", default=NPM_DOWNLOADS_API)
+    p.add_argument("--issues-api", default=GITHUB_API)
+    p.add_argument("--token-env", help="environment variable holding the issues API token")
+    p.add_argument("--include-pulls", action="store_true")
+    setting(p, "--max-window-days", int, default=FetchSpec.max_window_days)
+    setting(p, "--politeness", _COUNT, default=4)
     return parser
 
 
@@ -694,14 +660,16 @@ def main(argv=None) -> int:
     package_log.addHandler(handler)
     package_log.setLevel(args.log_level)
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ValueError(f"--seed must be a non-negative whole number, not {args.seed}")
         started = time.time()
+        for dest, (flag, kind) in args.kinds.items():
+            if getattr(args, dest) is not None:
+                setattr(args, dest, _read(getattr(args, dest), kind, flag))
+        run = args.func(args)       # the read step: a refusal leaves no --out
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        run = args.func(args, out)
-        _write_manifest(out, args.command, run, started)
-        return run.code
+        done = run(out)
+        _write_manifest(out, args.command, done, started)
+        return done.code
     except Exception as exc:
         if args.debug:
             raise

@@ -63,6 +63,8 @@ class MethodSpec:
             raise ValueError(f"search must be one of {SEARCH_KINDS}")
         if self.search.startswith("hybrid") and self.discretization is not None:
             raise ValueError("hybrid arms run on continuous data only")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
 
     def discretization_label(self) -> str:
         return self.discretization.label() if self.discretization else "none"
@@ -92,6 +94,8 @@ class SimStudyConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be >= 1")
         if self.boot_samples < 1:
             raise ValueError("boot_samples must be >= 1")
         if not self.methods:

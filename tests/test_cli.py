@@ -76,7 +76,7 @@ def test_simstudy_config_refuses_unknown_keys(tmp_path, capsys, settings, key):
     ({"methods": [{"name": "HC-D-F", "discretization": {
         "method": "equal-frequency", "bins": 2.5}}]}, "'bins'"),
     ({"methods": [{"name": "HC-D-F", "discretization": {
-        "method": "equal-frequency", "bins": "3"}}]}, "'bins'"),
+        "method": "equal-frequency", "bins": "2.5"}}]}, "'bins'"),
 ])
 def test_simstudy_config_refuses_counts_that_are_not_whole_numbers(
         tmp_path, capsys, settings, key):
@@ -90,7 +90,7 @@ def test_simstudy_config_refuses_counts_that_are_not_whole_numbers(
 
 
 @pytest.mark.parametrize("config, words", [
-    ({**SMALL_STUDY, "methods": [1]}, ("'methods'", "array of objects")),
+    ({**SMALL_STUDY, "methods": [1]}, ("'methods'", "1 is not a JSON object")),
     ({**SMALL_STUDY, "methods": [{"name": "HC-D-F", "discretization": 3}]},
      ("discretization", "JSON object")),
     ({**SMALL_STUDY, "thresholds": 0.5}, ("'thresholds'", "array of numbers")),
@@ -115,7 +115,7 @@ def test_simstudy_config_refuses_a_method_number_that_is_not_one(tmp_path, capsy
     out = tmp_path / "out"
     assert run(["simstudy", "--config", path, "--out", out]) == EXIT_FAILURE
     assert capsys.readouterr().err == \
-        f"error: method key 'alpha' must be a number, not {alpha!r}\n"
+        f"error: method key 'alpha': {alpha!r} is not a number\n"
     assert not (out / "run_manifest.json").exists()
 
 
@@ -125,8 +125,7 @@ def test_simstudy_config_refuses_a_truth_that_is_not_a_path(tmp_path, capsys, tr
     path.write_text(json.dumps({**SMALL_STUDY, "truth": truth}))
     out = tmp_path / "out"
     assert run(["simstudy", "--config", path, "--out", out]) == EXIT_FAILURE
-    assert capsys.readouterr().err == ("error: config key 'truth' must be the path of a "
-                                       f"network JSON file, not {truth!r}\n")
+    assert capsys.readouterr().err == f"error: config key 'truth': {truth!r} is not a string\n"
 
 
 def test_simstudy_config_refuses_a_negative_seed(tmp_path, capsys):
@@ -181,14 +180,48 @@ def test_simstudy_config_reads_an_empty_discretization_as_the_default_spec(tmp_p
 
 
 def test_simstudy_config_reads_spec_numbers_as_their_default_type(tmp_path):
+    # a string that reads as a number is that number, as a flag's text is
     config = tmp_path / "study.json"
-    config.write_text(json.dumps({**SMALL_STUDY, "methods": [{
-        "name": "HC-D-F", "alpha": "0.1",
-        "discretization": {"method": "equal-frequency", "bins": 3.0}}]}))
+    config.write_text(json.dumps({**SMALL_STUDY, "sample_size": "40", "methods": [
+        {"name": "HC-D-F", "alpha": "0.1",
+         "discretization": {"method": "equal-frequency", "bins": 3.0}},
+        {"name": "HC-D-I", "discretization": {"method": "equal-interval", "bins": "3"}}]}))
     out = tmp_path / "out"
     assert run(["simstudy", "--config", config, "--out", out]) == EXIT_OK
     rows = (out / "simstudy.csv").read_text().splitlines()
     assert rows[1].startswith("HC-D-F,equal-frequency-3,1.0")
+    assert rows[2].startswith("HC-D-I,equal-interval-3,1.0")
+    assert json.loads((out / "run_manifest.json").read_text())["config"]["sample_size"] == 40
+
+
+@pytest.mark.parametrize("argv, alpha", [
+    (["--config", {"name": "HC", "search": "hc", "alpha": 5}], 5.0),
+    (["--config", {"name": "HC", "search": "hc", "alpha": "nan"}], float("nan")),
+    (["--config", {"name": "H", "search": "hybrid-gs", "alpha": 5}], 5.0),
+    (["learn", "--method", "hc", "--alpha", "5"], 5.0),
+], ids=["hc-arm", "nan-arm", "hybrid-arm", "learn"])
+def test_an_alpha_outside_0_1_is_refused_before_any_work(tmp_path, capsys, argv, alpha):
+    if argv[0] == "learn":
+        data = tmp_path / "pair.csv"
+        write_pair_csv(data, n=40)
+        argv = ["learn", data, *argv[1:]]
+    else:
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({**SMALL_STUDY, "methods": [argv[1]]}))
+        argv = ["simstudy", "--config", config]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: alpha must be in (0,1), got {alpha}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_simstudy_refuses_a_sample_size_below_one_by_name(tmp_path, capsys, size):
+    out = tmp_path / "out"
+    assert run(["simstudy", "--replicates", 1, "--methods", "HC", "--sample-size", size,
+                "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: sample_size must be >= 1\n"
+    assert not out.exists()
 
 
 def test_simstudy_manifest_counts_arm_failures(tmp_path):
@@ -244,7 +277,7 @@ def test_simstudy_refuses_non_positive_jobs(tmp_path, capsys, jobs):
     code = run(["simstudy", "--replicates", 1, "--methods", "HC", "--jobs", jobs,
                 "--out", tmp_path / "x"])
     assert code == EXIT_FAILURE
-    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, not {jobs}\n"
 
 
 def test_simstudy_unknown_arm_lists_the_known_ones(tmp_path, capsys):
@@ -316,6 +349,44 @@ def test_learn_rejects_bad_threshold(tmp_path, capsys):
     code = run(["learn", data, "--threshold", "1.01", "--out", tmp_path / "o"])
     assert code == EXIT_FAILURE
     assert "threshold" in capsys.readouterr().err
+
+
+# --- settings refused before --out exists -------------------------------------
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    ("simstudy", ["--replicates", "x"], "--replicates: 'x' is not a whole number"),
+    ("learn", ["--threshold", "1.5"], "--threshold must be in [0, 1], not 1.5"),
+    ("rf", ["--response", "B", "--ablate", "A"],
+     "--ablate: 'A' is not one of two or more predictors"),
+    ("quality", ["--span", "0"], "--span must be in (0, 1], not 0.0"),
+    ("fetch", ["--max-window-days", "0"], "max_window_days must be >= 1"),
+], ids=["simstudy", "learn", "rf", "quality", "fetch"])
+def test_a_refused_setting_creates_no_out_directory(tmp_path, capsys, command, settings,
+                                                    message):
+    data, usage, series = tmp_path / "pair.csv", tmp_path / "usage.csv", tmp_path / "s.csv"
+    write_pair_csv(data, n=40)
+    usage.write_text(USAGE_CSV)
+    write_series_csv(series, 6)
+    inputs = {"simstudy": [], "learn": [data], "rf": [data],
+              "quality": ["--usage", usage, "--series", series],
+              "fetch": ["--packages", "x", "--start", "2018-01-01", "--end", "2018-01-02",
+                        "--cache-dir", tmp_path / "cache"]}[command]
+    out = tmp_path / "out"
+    assert run([command, *inputs, *settings, "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["--start", "--end"])
+def test_fetch_names_the_flag_of_a_date_it_cannot_read(tmp_path, capsys, bad):
+    dates = {"--start": "2020-01-01", "--end": "2020-01-02", bad: "2020-13-01"}
+    out = tmp_path / "out"
+    assert run(["fetch", "--packages", "x", *(a for flag in dates for a in (flag, dates[flag])),
+                "--cache-dir", tmp_path / "cache", "--out", out]) == EXIT_FAILURE
+    assert capsys.readouterr().err == \
+        f"error: {bad}: '2020-13-01' is not a date (YYYY-MM-DD)\n"
+    assert not out.exists()
 
 
 # --- logging and tracebacks ---------------------------------------------------
@@ -421,7 +492,7 @@ def test_quality_refuses_a_span_outside_0_1_whatever_the_series_length(tmp_path,
     write_series_csv(series, days)
     out = tmp_path / "out"
     assert run(["quality", "--series", series, "--span", span, "--out", out]) == EXIT_FAILURE
-    assert capsys.readouterr().err == "error: span must be in (0, 1]\n"
+    assert capsys.readouterr().err == f"error: --span must be in (0, 1], not {float(span)}\n"
     assert not (out / "run_manifest.json").exists()
     assert not (out / "timeline.csv").exists()
 
@@ -435,8 +506,8 @@ def test_quality_refuses_a_span_before_the_usage_half_writes(tmp_path, capsys, s
     out = tmp_path / "out"
     assert run(["quality", "--usage", usage, "--series", series, "--span", span,
                 "--power-law", "--out", out]) == EXIT_FAILURE
-    assert capsys.readouterr().err == "error: span must be in (0, 1]\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert capsys.readouterr().err == f"error: --span must be in (0, 1], not {float(span)}\n"
+    assert not out.exists()
 
 
 def test_quality_screen_defect_is_not_a_screen_error(tmp_path, monkeypatch, capsys):
@@ -577,10 +648,12 @@ def test_rf_ablate_writes_paired_r2(tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--repeats", 0], "k_repeats must be >= 1, got 0"),
-    (["--folds", 121], "k_folds must be in [2, 120] (the row count), got 121"),
-    (["--importance-repeats", 0], "repeats must be >= 1, got 0"),
-])
+    (["--repeats", 0], "--repeats must be >= 1, not 0"),
+    (["--folds", 121], "--folds must be in [2, 120] (the row count), not 121"),
+    (["--importance-repeats", 0], "--importance-repeats must be >= 1, not 0"),
+    (["--mtry-grid", 3], "mtry must be in [1, 2]"),
+    (["--ablate", "y"], "--ablate: 'y' is not one of two or more predictors"),
+], ids=["repeats", "folds", "importance-repeats", "mtry", "ablate"])
 def test_rf_rejects_settings_that_score_nothing(tmp_path, capsys, flags, message):
     data = tmp_path / "rf.csv"
     write_rf_csv(data, seed=5)
@@ -588,6 +661,7 @@ def test_rf_rejects_settings_that_score_nothing(tmp_path, capsys, flags, message
                 "--mtry-grid", "1", "--repeats", 2, *flags,
                 "--out", tmp_path / "o"]) == EXIT_FAILURE
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -757,7 +831,7 @@ def test_fetch_refuses_a_pair_without_equals_before_fetching(tmp_path, capsys):
     assert code == EXIT_FAILURE
     assert "'okonly'" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("politeness", [0, -2])
@@ -769,5 +843,5 @@ def test_fetch_refuses_non_positive_politeness(tmp_path, capsys, politeness, nam
                 "--cache-dir", tmp_path / "cache", "--out", out])
     assert code == EXIT_FAILURE
     assert capsys.readouterr().err == \
-        f"error: politeness must be >= 1, got {politeness}\n"
+        f"error: --politeness must be >= 1, not {politeness}\n"
     assert not (out / "run_manifest.json").exists()
