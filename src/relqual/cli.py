@@ -192,8 +192,8 @@ def _method(entry) -> MethodSpec:
 
 
 def cmd_simstudy(args):
-    """The study from the settings given, a flag winning over the config
-    file; ``SimStudyConfig`` and ``HcConfig`` supply every other value."""
+    """The step that runs the study of the settings given, a flag winning over
+    the config file; ``SimStudyConfig`` and ``HcConfig`` supply the rest."""
     settings: dict = {}
     inputs: list[Path] = []
     if args.config:
